@@ -1,23 +1,25 @@
 // Package consistency is the machine-checkable side of the protocol
-// contracts: a recorder that captures the per-location access history of
+// contracts: a recorder that takes in the per-location access history of
 // a run (loads with the values they observed, stores, lock
-// acquire/release, barrier episodes) and a checker that rebuilds the
-// happens-before order those sync operations induce and verifies every
-// load against the set of writes the protocol's declared consistency
-// model permits it to return.
+// acquire/release, barrier episodes) and checks it online, keeping the
+// happens-before order those sync operations induce and verifying every
+// load, the moment it is recorded, against the set of writes the
+// protocol's declared consistency model permits it to return.
 //
 // The recorder follows the trace.Tracer idiom: every hook is a method on
 // a *Recorder with a nil-receiver fast path, so an unchecked run (the
 // default) pays exactly one predictable branch and zero allocations per
-// shared reference.  Events are recorded in engine execution order,
-// which is the order simulated memory state actually evolves in, so the
-// checker replays them without re-sorting.
+// shared reference.  Hooks arrive in engine execution order, which is the
+// order simulated memory state actually evolves in, so each one is folded
+// into the checker state as it arrives and no history is kept for a
+// replay.
 //
 // Accesses are checked at word (32-bit) granularity: an 8-byte access is
-// split into two word events.  This matches the protocols' atomicity
+// split into two word accesses.  This matches the protocols' atomicity
 // unit — HLRC/LRC diff at word grain, scfg copies word arrays — so a
 // "torn" double assembled from two permitted word values is, correctly,
-// not a violation.
+// not a violation.  Addresses are word-aligned, as every application and
+// litmus program lays them out.
 package consistency
 
 import (
@@ -27,53 +29,61 @@ import (
 	"swsm/internal/proto"
 )
 
-type opKind uint8
-
-const (
-	opLoad opKind = iota
-	opStore
-	opAcquire
-	opRelease
-	opBarArrive
-	opBarDepart
-)
-
-// event is one recorded access or synchronization operation.  For data
-// accesses addr/size/val describe the reference; for sync operations
-// addr carries the lock or barrier id.
-type event struct {
-	time int64
-	addr int64
-	val  uint64
-	proc int32
-	size uint8
-	kind opKind
-}
-
-// Recorder captures a run's access history.  All hook methods are safe
-// on a nil receiver (no-ops), so the core machine calls them
-// unconditionally.  The recorder itself is not goroutine-safe; the
+// Recorder checks a run's access history as it is recorded.  All hook
+// methods are safe on a nil receiver (no-ops), so the core machine calls
+// them unconditionally.  The recorder itself is not goroutine-safe; the
 // simulator is single-threaded, which is what makes the recorded order
 // meaningful.
 type Recorder struct {
 	model  proto.Model
 	procs  int
-	events []event
-	inits  map[int64]uint32
-	done   bool
-	viol   *Violation
-	sum    Summary
+	events int
+	// done stops the checker, at its first violation or at Check; hooks
+	// after that are only counted.
+	done bool
+	viol *Violation
+	sum  Summary
+
+	// words is the dense word table, indexed by addr>>2 and grown on
+	// demand; locs holds the write state of every word stored to, and
+	// writes the write records of all of them.  None of the three holds a
+	// pointer, so the garbage collector never scans them.
+	words  []word
+	locs   []loc
+	writes []writeRec
+
+	// Release-consistency state (check.go).  Processor p's vector clock
+	// is clocks[p*procs : (p+1)*procs].
+	clocks []int32
+	// snaps holds shared copies of processor clocks, procs entries each;
+	// cur[p] is the copy p's stores use, or -1 once a join has changed
+	// p's clock since it was taken.
+	snaps []int32
+	cur   []int32
+	locks map[int64][]int32
+	bars  map[int64]*barState
+	// syncs keeps every sync operation for happens-before path reports.
+	syncs []syncRec
+	// floor and cover are compaction scratch.
+	floor, cover []int32
 }
 
 // NewRecorder builds a recorder for a machine of `procs` processors
 // whose protocol declares `model`.
 func NewRecorder(model proto.Model, procs int) *Recorder {
-	return &Recorder{
-		model:  model,
-		procs:  procs,
-		events: make([]event, 0, 4096),
-		inits:  make(map[int64]uint32),
+	r := &Recorder{model: model, procs: procs, sum: Summary{Model: model}}
+	if model != proto.ModelSC {
+		r.clocks = make([]int32, procs*procs)
+		r.cur = make([]int32, procs)
+		for p := range r.cur {
+			r.cur[p] = -1
+		}
+		r.locks = make(map[int64][]int32)
+		r.bars = make(map[int64]*barState)
+		r.floor = make([]int32, procs)
+		r.cover = make([]int32, procs)
 	}
+	return r
 }
 
 // Model reports the consistency model this recorder checks against.
@@ -81,31 +91,58 @@ func (r *Recorder) Model() proto.Model { return r.model }
 
 // Init records a pre-run initialization write (Machine.InitWord /
 // InitF64).  Init values are the base every location's permitted-value
-// set starts from.
+// set starts from, so Init must precede the run's first access.
 func (r *Recorder) Init(addr int64, size int, val uint64) {
 	if r == nil {
 		return
 	}
-	r.inits[addr] = uint32(val)
+	r.reserve(addr, size)
+	r.words[addr>>2].last = uint32(val)
 	if size == 8 {
-		r.inits[addr+4] = uint32(val >> 32)
+		r.words[(addr+4)>>2].last = uint32(val >> 32)
 	}
 }
 
-// Access records one shared data reference and the raw value it stored
-// or observed.  Called from the thread's post path, immediately after
-// the data operation.
+// Access records and checks one shared data reference and the raw value
+// it stored or observed.  Called from the thread's post path,
+// immediately after the data operation.
 func (r *Recorder) Access(proc int32, addr int64, size int, write bool, val uint64, now int64) {
 	if r == nil {
 		return
 	}
-	k := opLoad
-	if write {
-		k = opStore
+	r.access(proc, addr, size, write, val, now)
+}
+
+// access is Access's body, kept out of it so that Access inlines and the
+// nil check costs no call.
+func (r *Recorder) access(proc int32, addr int64, size int, write bool, val uint64, now int64) {
+	r.events++
+	if r.done {
+		return
 	}
-	r.events = append(r.events, event{
-		time: now, addr: addr, val: val, proc: proc, size: uint8(size), kind: k,
-	})
+	r.reserve(addr, size)
+	rc := r.model != proto.ModelSC
+	var op int32
+	if rc {
+		op = r.tick(proc)
+	}
+	if write {
+		w := writeRec{time: now, val: uint32(val), proc: proc, opIdx: op}
+		if rc {
+			w.snap = r.snapshot(proc)
+		}
+		r.store(addr, w)
+		if size == 8 {
+			w.val = uint32(val >> 32)
+			r.store(addr+4, w)
+		}
+		return
+	}
+	v := r.load(addr, uint32(val), proc, now)
+	if v == nil && size == 8 {
+		v = r.load(addr+4, uint32(val>>32), proc, now)
+	}
+	r.fail(v)
 }
 
 // Acquire records that proc completed an acquire of lock l (recorded
@@ -115,7 +152,7 @@ func (r *Recorder) Acquire(proc int32, lock int, now int64) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, event{time: now, addr: int64(lock), proc: proc, kind: opAcquire})
+	r.sync(opAcquire, proc, int64(lock), now)
 }
 
 // Release records that proc is about to release lock l (recorded before
@@ -124,7 +161,7 @@ func (r *Recorder) Release(proc int32, lock int, now int64) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, event{time: now, addr: int64(lock), proc: proc, kind: opRelease})
+	r.sync(opRelease, proc, int64(lock), now)
 }
 
 // BarrierArrive records that proc reached barrier b (before the
@@ -133,7 +170,7 @@ func (r *Recorder) BarrierArrive(proc int32, bar int, now int64) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, event{time: now, addr: int64(bar), proc: proc, kind: opBarArrive})
+	r.sync(opBarArrive, proc, int64(bar), now)
 }
 
 // BarrierDepart records that proc left barrier b (after the
@@ -142,7 +179,7 @@ func (r *Recorder) BarrierDepart(proc int32, bar int, now int64) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, event{time: now, addr: int64(bar), proc: proc, kind: opBarDepart})
+	r.sync(opBarDepart, proc, int64(bar), now)
 }
 
 // Events reports how many operations were recorded.
@@ -150,7 +187,66 @@ func (r *Recorder) Events() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.events)
+	return r.events
+}
+
+// Check returns the first violation in execution order, or nil if the
+// run conforms, and stops the checker: operations recorded after it are
+// counted but not checked.  Check is idempotent.
+func (r *Recorder) Check() *Violation {
+	if r == nil {
+		return nil
+	}
+	if !r.done {
+		r.done = true
+		r.sum.Locations = int64(len(r.locs))
+	}
+	return r.viol
+}
+
+// CheckSummary reports what Check covered (valid after Check).
+func (r *Recorder) CheckSummary() Summary {
+	if r == nil {
+		return Summary{}
+	}
+	return r.sum
+}
+
+// fail stops the checker at its first violation; nil is no violation.
+func (r *Recorder) fail(v *Violation) {
+	if v != nil {
+		r.viol, r.done = v, true
+	}
+}
+
+// word is one entry of the dense word table.
+type word struct {
+	// last is a value every load of the word may return: the latest
+	// store's, or the initialization value before the first store.
+	last uint32
+	// loc is 1 + the index of the word's write state in locs, or 0 before
+	// the word's first store.
+	loc int32
+}
+
+// reserve grows the word table to cover a size-byte access at addr.
+func (r *Recorder) reserve(addr int64, size int) {
+	if n := (addr + int64(size) + 3) >> 2; n > int64(len(r.words)) {
+		r.words = extend(r.words, int(n)-len(r.words))
+	}
+}
+
+// extend lengthens s by n zero elements, at least doubling its capacity
+// when it must grow, so that building a large slice copies it about once
+// in all.  s must never have been shortened, so its spare capacity is
+// still zero.
+func extend[T any](s []T, n int) []T {
+	if len(s)+n > cap(s) {
+		grown := make([]T, len(s), 2*cap(s)+n)
+		copy(grown, s)
+		s = grown
+	}
+	return s[:len(s)+n]
 }
 
 // Summary aggregates what a finished Check covered.

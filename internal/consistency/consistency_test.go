@@ -302,6 +302,71 @@ func TestSummaryCounts(t *testing.T) {
 	}
 }
 
+func TestCheckerStopsAtFirstViolation(t *testing.T) {
+	h := newHistory(proto.ModelRC, 2)
+	h.store(0, 0x20, 1)
+	h.load(1, 0x20, 42) // thin air: the first violation
+	h.load(1, 0x20, 43) // would be a second one
+	h.store(0, 0x24, 2)
+	h.rel(0, 0)
+	v := h.r.Check()
+	if v == nil || v.Got != 42 {
+		t.Fatalf("want the first violation (got 0x2a), got %v", v)
+	}
+	if h.r.Events() != 5 {
+		t.Fatalf("events = %d, want 5: hooks after a violation still count", h.r.Events())
+	}
+	if s := h.r.CheckSummary(); s.Loads != 1 || s.Stores != 1 || s.SyncOps != 0 || s.Locations != 0 {
+		t.Fatalf("summary = %+v: the checker must do no work after its first violation", s)
+	}
+}
+
+// TestRecorderSteadyStateAllocs pins the enabled recorder's fast path:
+// loads and stores to words it has already seen, with no sync operation
+// in between, allocate nothing — no clock copy per store, no event log,
+// no map entry, no string.  A word's history keeps its slab region
+// across compaction, so once a warm-up has grown every region, stores
+// append in place.
+func TestRecorderSteadyStateAllocs(t *testing.T) {
+	const procs, words = 4, 16
+	r := NewRecorder(proto.ModelRC, procs)
+	var now int64
+	var vals [words]uint32
+	pass := func() {
+		for p := int32(0); p < procs; p++ {
+			for w := 0; w < words; w++ {
+				now++
+				r.Access(p, int64(w)*4, 4, false, uint64(vals[w]), now)
+				now++
+				vals[w] = uint32(now)
+				r.Access(p, int64(w)*4, 4, true, uint64(vals[w]), now)
+			}
+		}
+	}
+	barrier := func() {
+		for p := int32(0); p < procs; p++ {
+			now++
+			r.BarrierArrive(p, 0, now)
+		}
+		for p := int32(0); p < procs; p++ {
+			now++
+			r.BarrierDepart(p, 0, now)
+		}
+	}
+	barrier()
+	for i := 0; i < 128; i++ { // grow each word's region to 512 records
+		pass()
+	}
+	barrier()
+	pass() // compaction trims every history to its post-barrier frontier
+	if allocs := testing.AllocsPerRun(100, pass); allocs != 0 {
+		t.Fatalf("checked loads and stores allocate: %v allocs per pass", allocs)
+	}
+	if v := r.Check(); v != nil {
+		t.Fatal(v)
+	}
+}
+
 // BenchmarkNilRecorderAccess pins the engine-hot-path criterion: the
 // disabled recorder must cost one branch, no allocations.
 func BenchmarkNilRecorderAccess(b *testing.B) {
@@ -312,11 +377,35 @@ func BenchmarkNilRecorderAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkRecorderAccess measures the enabled recorder's per-event cost.
+// BenchmarkRecorderAccess measures the enabled recorder's record-and-check
+// cost per operation on a release-consistency mix: four processors load
+// and store a shared 4 KB region, one operation in four a store, with a
+// barrier every 256 operations.
 func BenchmarkRecorderAccess(b *testing.B) {
-	r := NewRecorder(proto.ModelRC, 4)
+	const procs, words = 4, 1024
+	r := NewRecorder(proto.ModelRC, procs)
+	var vals [words]uint32
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Access(int32(i&3), int64(i&1023)*4, 4, i&1 == 0, uint64(i), int64(i))
+		now := int64(i)
+		if i&255 == 255 {
+			for p := int32(0); p < procs; p++ {
+				r.BarrierArrive(p, 0, now)
+			}
+			for p := int32(0); p < procs; p++ {
+				r.BarrierDepart(p, 0, now)
+			}
+			continue
+		}
+		p, w := int32(i&(procs-1)), (i*7)&(words-1)
+		if i&12 == 0 {
+			vals[w] = uint32(i)
+			r.Access(p, int64(w)*4, 4, true, uint64(vals[w]), now)
+		} else {
+			r.Access(p, int64(w)*4, 4, false, uint64(vals[w]), now)
+		}
+	}
+	if v := r.Check(); v != nil {
+		b.Fatal(v)
 	}
 }

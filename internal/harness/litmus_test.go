@@ -2,6 +2,7 @@ package harness_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -46,23 +47,73 @@ func TestCheckedConformance(t *testing.T) {
 	}
 }
 
-// TestCheckPerturbsNothing pins the observer property: turning the
-// checker on must not change a single simulated cycle.
+// TestCheckPerturbsNothing pins the observer property: the checker runs
+// inside the simulated threads, yet turning it on must not change
+// anything a run reports — cycles, breakdown, counters, imbalance — on
+// every checked protocol, with adaptive homes on skewed nodes, and under
+// drops.  The rows may differ only in what checking adds: the spec's
+// Check flag, the content key it feeds, and the consistency summary.
 func TestCheckPerturbsNothing(t *testing.T) {
-	spec := harness.DefaultSpec("fft", harness.HLRC)
-	spec.Scale = apps.Tiny
-	spec.Procs = 4
-	plain, err := harness.Run(spec)
+	mixed, err := harness.HeteroSpec("mixed", "adaptive")
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Check = true
-	checked, err := harness.Run(spec)
-	if err != nil {
-		t.Fatal(err)
+	spec := func(app string, prot harness.ProtocolKind) harness.RunSpec {
+		s := harness.DefaultSpec(app, prot)
+		s.Scale = apps.Tiny
+		s.Procs = 4
+		return s
 	}
-	if plain.Cycles != checked.Cycles {
-		t.Fatalf("checker perturbed the run: %d vs %d cycles", plain.Cycles, checked.Cycles)
+	adaptive := spec("ocean-rowwise", harness.HLRC)
+	adaptive.Hetero = mixed
+	for _, c := range []struct {
+		name string
+		spec harness.RunSpec
+		// fires names a counter that must be non-zero, so the case
+		// exercises the mechanism it is there for.
+		fires string
+	}{
+		{"hlrc", spec("fft", harness.HLRC), "pageFetches"},
+		{"lrc", spec("fft", harness.LRC), "diffsCreated"},
+		{"sc", spec("fft", harness.SC), "blockFetches"},
+		{"adaptive-mixed", adaptive, "pagesRehomed"},
+		{"hlrc-drop1pct", harness.FaultedSpec(spec("fft", harness.HLRC), 7, 10_000), "retransmits"},
+	} {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			plain, err := harness.Run(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkedSpec := c.spec
+			checkedSpec.Check = true
+			checked, err := harness.Run(checkedSpec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if checked.Consistency == nil || checked.Consistency.Loads == 0 {
+				t.Fatal("checked run carries no checker coverage")
+			}
+			row := harness.NewRunRow(checked)
+			if row.Counters[c.fires] == 0 {
+				t.Fatalf("no %s: the case does not exercise its mechanism", c.fires)
+			}
+			row.Spec.Check = false
+			row.Key = row.Spec.Key()
+			row.Consistency = nil
+			got, err := json.Marshal(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(harness.NewRunRow(plain))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("checker perturbed the run:\nchecked:   %s\nunchecked: %s", got, want)
+			}
+		})
 	}
 }
 
