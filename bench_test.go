@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"swsm"
-	"swsm/internal/sim"
 	"swsm/internal/stats"
 )
 
@@ -353,25 +352,6 @@ func BenchmarkSCSoftwareAccessControl(b *testing.B) {
 }
 
 // --- substrate microbenchmarks ---
-
-// BenchmarkEngineEvents measures raw event throughput of the simulation
-// core.
-func BenchmarkEngineEvents(b *testing.B) {
-	eng := sim.NewEngine()
-	n := 0
-	var post func()
-	post = func() {
-		n++
-		if n < b.N {
-			eng.After(1, post)
-		}
-	}
-	b.ResetTimer()
-	eng.After(1, post)
-	if _, err := eng.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
 
 // BenchmarkSimulatedAccess measures the per-access overhead of the full
 // Thread fast path (protocol check + cache model) on the HLRC machine.

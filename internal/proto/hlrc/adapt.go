@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"swsm/internal/proto"
+	"swsm/internal/proto/lazyrc"
 	"swsm/internal/stats"
 )
 
@@ -38,7 +39,7 @@ type pageStat struct {
 func (p *Protocol) pstat(pn int64) *pageStat {
 	ps := p.pstats[pn]
 	if ps == nil {
-		ps = &pageStat{counts: make([]int64, p.nprocs)}
+		ps = &pageStat{counts: make([]int64, p.NProcs)}
 		p.pstats[pn] = ps
 	}
 	return ps
@@ -114,12 +115,12 @@ func (p *Protocol) adaptAtBarrier(h proto.HandlerCtx) int64 {
 	// page order.
 	sort.Slice(p.pending, func(i, j int) bool { return p.pending[i] < p.pending[j] })
 	mgr := h.Node()
-	st := p.env.Metrics()
+	st := p.Env.Metrics()
 	var extra int64
 	for _, pn := range p.pending {
 		ps := p.pstats[pn]
 		ps.pending = false
-		extra += p.cfg.Costs.HandlerPerItem // re-check, per queued page
+		extra += p.Costs.HandlerPerItem // re-check, per queued page
 		if p.adaptGrain && !p.fine[pn] && p.grains.Demote(ps.writers, ps.diffs, ps.diffWords) {
 			extra += p.demotePage(pn)
 			st.Inc(mgr, stats.PagesDemoted, 1)
@@ -144,8 +145,8 @@ func (p *Protocol) adaptAtBarrier(h proto.HandlerCtx) int64 {
 func (p *Protocol) pageRange(pn int64) (int64, int64) {
 	cs := pn << p.pageSpanShift
 	span := p.pageSpan
-	if cs+span > p.npages {
-		span = p.npages - cs
+	if cs+span > p.NUnits {
+		span = p.NUnits - cs
 	}
 	return cs, span
 }
@@ -160,22 +161,22 @@ func (p *Protocol) demotePage(pn int64) int64 {
 	cs, span := p.pageRange(pn)
 	home := p.home(cs)
 	p.fine[pn] = true
-	st := p.env.Metrics()
+	st := p.Env.Metrics()
 	forced := 0
-	for ni, ns := range p.nodes {
-		if ni == home || ns.mode[cs] == modeInvalid {
+	for ni, ns := range p.Nodes {
+		if ni == home || ns.Mode[cs] == lazyrc.Invalid {
 			continue
 		}
-		setModes(ns.mode, cs, span, modeInvalid)
-		p.dropTwin(ns, cs)
-		p.env.CacheInvalidate(ni, p.unitBase(cs), int(span*p.unitBytes))
+		lazyrc.SetModes(ns.Mode, cs, span, lazyrc.Invalid)
+		p.DropTwin(ns, cs)
+		p.Env.CacheInvalidate(ni, p.UnitBase(cs), int(span*p.UnitBytes))
 		st.Inc(ni, stats.Invalidations, 1)
 		forced++
 	}
 	if forced == 0 {
 		return 0
 	}
-	return p.cfg.Costs.MprotectCost(forced)
+	return p.Costs.MprotectCost(forced)
 }
 
 // migratePage moves page pn's home from node `from` to node `to`: the
@@ -186,15 +187,15 @@ func (p *Protocol) demotePage(pn int64) int64 {
 // and future write notices invalidate it like any other sharer's.
 func (p *Protocol) migratePage(pn int64, from, to int) int64 {
 	cs, span := p.pageRange(pn)
-	bytes := span * p.unitBytes
+	bytes := span * p.UnitBytes
 	buf := p.unitScratch[:bytes]
-	p.env.NodeMem(from).CopyOut(p.unitBase(cs), buf)
-	p.env.NodeMem(to).CopyIn(p.unitBase(cs), buf)
+	p.Env.NodeMem(from).CopyOut(p.UnitBase(cs), buf)
+	p.Env.NodeMem(to).CopyIn(p.UnitBase(cs), buf)
 	for u := cs; u < cs+span; u++ {
 		p.homes[u] = int32(to)
 	}
-	setModes(p.nodes[to].mode, cs, span, modeReadOnly)
+	lazyrc.SetModes(p.Nodes[to].Mode, cs, span, lazyrc.ReadOnly)
 	// Two page-sized copies plus remapping at both ends.
-	return 2*proto.WordCost(p.cfg.Costs.TwinQ4, span*p.unitWords) +
-		p.cfg.Costs.MprotectCost(2)
+	return 2*proto.WordCost(p.Costs.TwinQ4, span*p.UnitWords) +
+		p.Costs.MprotectCost(2)
 }

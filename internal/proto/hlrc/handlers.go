@@ -1,31 +1,24 @@
 package hlrc
 
 import (
-	"fmt"
-
 	"swsm/internal/comm"
 	"swsm/internal/proto"
+	"swsm/internal/proto/wdiff"
 	"swsm/internal/sim"
 	"swsm/internal/stats"
 )
 
-// Handle processes protocol request messages on their destination node,
-// returning the handler body cost (the core adds the message-handling
-// dispatch cost and per-send host overheads).
-func (p *Protocol) Handle(h proto.HandlerCtx, m *comm.Message) int64 {
-	switch m.Kind {
-	case msgPageReq:
-		return p.handlePageReq(h, m.Payload.(pageReq))
-	case msgDiff:
-		return p.handleDiff(h, m.Payload.(diffMsg))
-	case msgAcqReq:
-		return p.handleAcqReq(h, m.Payload.(acqReq))
-	case msgRelease:
-		return p.handleRelease(h, m.Payload.(relMsg))
-	case msgBarArrive:
-		return p.handleBarArrive(h, m.Payload.(barArrive))
-	}
-	panic(fmt.Sprintf("hlrc: unknown message kind %d", m.Kind))
+// Data message payloads.
+
+type pageReq struct {
+	page      int64
+	requester int
+}
+
+type diffMsg struct {
+	page  int64
+	from  int
+	words []wdiff.Word
 }
 
 // handlePageReq serves a whole coherence-unit fetch from the home copy.
@@ -36,7 +29,7 @@ func (p *Protocol) handlePageReq(h proto.HandlerCtx, req pageReq) int64 {
 	}
 	pg := req.page
 	_, span := p.cu(pg)
-	data := p.copyRange(homeNode, pg, span)
+	data := p.CopyUnit(homeNode, pg, span)
 	dst := req.requester
 	if p.pstats != nil {
 		p.noteFetch(pg, dst)
@@ -48,12 +41,12 @@ func (p *Protocol) handlePageReq(h proto.HandlerCtx, req pageReq) int64 {
 			// memory; the faulting thread finishes the mapping when it
 			// wakes.  The staging buffer's lifetime ends here, so it
 			// goes back on the free list.
-			p.env.NodeMem(dst).CopyIn(p.unitBase(pg), data)
-			p.freeBuf(data)
-			p.env.WakeThread(dst)
+			p.Env.NodeMem(dst).CopyIn(p.UnitBase(pg), data)
+			p.FreeBuf(data)
+			p.Env.WakeThread(dst)
 		},
 	})
-	return p.cfg.Costs.HandlerBase
+	return p.Costs.HandlerBase
 }
 
 // handleDiff applies an incoming diff to the home copy and acks the
@@ -67,157 +60,44 @@ func (p *Protocol) handleDiff(h proto.HandlerCtx, d diffMsg) int64 {
 	// handler runs to completion without yielding, so the scratch is
 	// exclusively ours), then recycle the message's diff words.
 	_, span := p.cu(d.page)
-	unit := p.unitScratch[:span*p.unitBytes]
-	p.env.NodeMem(homeNode).CopyOut(p.unitBase(d.page), unit)
-	applyDiff(unit, d.words)
-	p.env.NodeMem(homeNode).CopyIn(p.unitBase(d.page), unit)
+	unit := p.unitScratch[:span*p.UnitBytes]
+	p.Env.NodeMem(homeNode).CopyOut(p.UnitBase(d.page), unit)
+	wdiff.Apply(unit, d.words)
+	p.Env.NodeMem(homeNode).CopyIn(p.UnitBase(d.page), unit)
 	if p.pstats != nil {
 		p.noteDiff(d.page, d.from, int64(len(d.words)))
 	}
-	st := p.env.Metrics()
+	st := p.Env.Metrics()
 	st.Inc(homeNode, stats.DiffsApplied, 1)
-	body := p.cfg.Costs.HandlerBase +
-		proto.WordCost(p.cfg.Costs.DiffApplyQ4, int64(len(d.words)))
-	body += p.env.CacheTouch(homeNode, p.unitBase(d.page), int(span*p.unitBytes), true)
-	st.AddDiff(homeNode, body-p.cfg.Costs.HandlerBase)
-	p.tr.DiffApply(p.env.Now(), int32(homeNode), d.page, int64(len(d.words)))
+	body := p.Costs.HandlerBase +
+		proto.WordCost(p.Costs.DiffApplyQ4, int64(len(d.words)))
+	body += p.Env.CacheTouch(homeNode, p.UnitBase(d.page), int(span*p.UnitBytes), true)
+	st.AddDiff(homeNode, body-p.Costs.HandlerBase)
+	p.Tr.DiffApply(p.Env.Now(), int32(homeNode), d.page, int64(len(d.words)))
 	p.freeDiffBuf(d.words)
 	from := d.from
-	fromNS := p.nodes[from]
+	a := &p.acks[from]
 	h.Send(&comm.Message{
 		Src: homeNode, Dst: from, Size: 8,
 		OnDeliver: func(now sim.Time) {
-			fromNS.pendingAcks--
-			if fromNS.pendingAcks < 0 {
+			a.pending--
+			if a.pending < 0 {
 				panic("hlrc: ack underflow")
 			}
-			if fromNS.waitingAcks && fromNS.pendingAcks == 0 {
-				p.env.WakeThread(from)
+			if a.waiting && a.pending == 0 {
+				p.Env.WakeThread(from)
 			}
 		},
 	})
 	return body
 }
 
-// handleAcqReq runs at the lock manager: grant immediately if free, else
-// queue the acquirer.
-func (p *Protocol) handleAcqReq(h proto.HandlerCtx, req acqReq) int64 {
-	ls := p.lockState(req.lock)
-	if ls.held {
-		ls.queue = append(ls.queue, acqWaiter{proc: req.proc, vc: req.vc})
-		return p.cfg.Costs.HandlerBase
-	}
-	ls.held = true
-	ls.holder = req.proc
-	n := p.sendGrant(h, req.proc, req.vc, ls.releaseVC)
-	return p.cfg.Costs.HandlerBase + p.cfg.Costs.HandlerPerItem*int64(n)
-}
-
-// handleRelease runs at the lock manager: record the release timestamp
-// and pass the lock to the next waiter if any.
-func (p *Protocol) handleRelease(h proto.HandlerCtx, rel relMsg) int64 {
-	ls := p.lockState(rel.lock)
-	if !ls.held || ls.holder != rel.proc {
-		panic(fmt.Sprintf("hlrc: release of lock %d by non-holder %d", rel.lock, rel.proc))
-	}
-	copy(ls.releaseVC, rel.vc) // same length; reuse instead of reallocating
-	if len(ls.queue) == 0 {
-		ls.held = false
-		return p.cfg.Costs.HandlerBase
-	}
-	next := ls.queue[0]
-	ls.queue = ls.queue[1:]
-	ls.holder = next.proc
-	n := p.sendGrant(h, next.proc, next.vc, ls.releaseVC)
-	return p.cfg.Costs.HandlerBase + p.cfg.Costs.HandlerPerItem*int64(n)
-}
-
-// sendGrant ships a lock grant carrying unseen write notices; returns
-// the notice count (for handler cost accounting).
-func (p *Protocol) sendGrant(h proto.HandlerCtx, to int, acqVC, relVC []int32) int {
-	notices := p.noticesSince(acqVC, relVC)
-	g := &grantPayload{vc: cloneVC(relVC), notices: notices}
-	toNS := p.nodes[to]
-	h.Send(&comm.Message{
-		Src: h.Node(), Dst: to, Size: grantSize(p.nprocs, notices),
-		OnDeliver: func(now sim.Time) {
-			toNS.grant = g
-			p.env.WakeThread(to)
-		},
-	})
-	return len(notices)
-}
-
-// handleBarArrive runs at the barrier manager: collect arrivals; when
-// the last one lands, merge the clocks and release everyone with their
-// missing notices.
-func (p *Protocol) handleBarArrive(h proto.HandlerCtx, ba barArrive) int64 {
-	bs := p.barriers[ba.bar]
-	if bs == nil {
-		bs = &barrierState{}
-		p.barriers[ba.bar] = bs
-	}
-	bs.arrived++
-	bs.procs = append(bs.procs, ba.proc)
-	bs.vcs = append(bs.vcs, ba.vc)
-	if bs.arrived < p.nprocs {
-		return p.cfg.Costs.HandlerBase
-	}
-	// Last arrival: release all participants.  The merged clock lives in
-	// the preallocated scratch; each grant clones what it retains.
-	merged := p.vcScratch
-	for i := range merged {
-		merged[i] = 0
-	}
-	for _, vc := range bs.vcs {
-		maxVC(merged, vc)
-	}
-	items := 0
-	for i, proc := range bs.procs {
-		notices := p.noticesSince(bs.vcs[i], merged)
-		items += len(notices)
-		g := &grantPayload{vc: cloneVC(merged), notices: notices}
-		to := proc
-		toNS := p.nodes[to]
-		h.Send(&comm.Message{
-			Src: h.Node(), Dst: to, Size: grantSize(p.nprocs, notices),
-			OnDeliver: func(now sim.Time) {
-				toNS.grant = g
-				p.env.WakeThread(to)
-			},
-		})
-	}
-	bs.arrived = 0
-	bs.procs = bs.procs[:0]
-	bs.vcs = bs.vcs[:0]
-	// Barrier release is the adaptation point: every node is quiescent
-	// (intervals flushed, twins dropped, acks received), so home
-	// migrations and grain demotions commit here without racing any
-	// in-flight protocol traffic.
-	var adapt int64
-	if p.pstats != nil {
-		adapt = p.adaptAtBarrier(h)
-	}
-	return p.cfg.Costs.HandlerBase + p.cfg.Costs.HandlerPerItem*int64(items) + adapt
-}
-
-func (p *Protocol) lockState(lock int) *lockState {
-	ls := p.locks[lock]
-	if ls == nil {
-		ls = &lockState{releaseVC: make([]int32, p.nprocs)}
-		p.locks[lock] = ls
-	}
-	return ls
-}
-
 // ReadCoherent reads the home copy (valid after Finalize on all nodes).
 func (p *Protocol) ReadCoherent(addr int64) uint32 {
-	return p.env.NodeMem(p.home(p.unitOf(addr))).ReadWord(addr)
+	return p.Env.NodeMem(p.home(p.unitOf(addr))).ReadWord(addr)
 }
 
 // InitWrite initializes the home copy before the parallel phase.
 func (p *Protocol) InitWrite(addr int64, v uint32) {
-	p.env.NodeMem(p.home(p.unitOf(addr))).WriteWord(addr, v)
+	p.Env.NodeMem(p.home(p.unitOf(addr))).WriteWord(addr, v)
 }
-
-var _ proto.Protocol = (*Protocol)(nil)

@@ -16,6 +16,12 @@
 //   - Lazy invalidation through write notices carried by vector-clock
 //     timestamps on lock grants and barrier releases.
 //
+// The lazy-release-consistency machinery — intervals, write notices,
+// locks, barriers, the access path — is the substrate in
+// internal/proto/lazyrc; this package is the home-based diff
+// propagation policy on top of it, plus adaptive home and grain
+// placement.
+//
 // A releaser waits for its diffs to be acknowledged by the homes before
 // the release becomes visible, which orders diff application before any
 // causally later page fetch — the property that makes application
@@ -24,34 +30,20 @@ package hlrc
 
 import (
 	"fmt"
-	"sort"
 
 	"swsm/internal/comm"
 	"swsm/internal/hetero"
 	"swsm/internal/mem"
 	"swsm/internal/proto"
+	"swsm/internal/proto/lazyrc"
+	"swsm/internal/proto/wdiff"
 	"swsm/internal/stats"
-	"swsm/internal/trace"
 )
 
-// Page access modes.
-// pageMode is a plain uint8 (alias) so the per-node mode array can be
-// handed to the thread fast path as the proto.TableProtocol table.
-type pageMode = uint8
-
-const (
-	modeInvalid pageMode = iota
-	modeReadOnly
-	modeReadWrite
-)
-
-// Message kinds.
+// Data message kinds (the substrate owns the synchronization kinds).
 const (
 	msgPageReq = iota + 1
 	msgDiff
-	msgAcqReq
-	msgRelease
-	msgBarArrive
 )
 
 // DefaultUnitShift is the classic SVM coherence unit: the 4 KB page.
@@ -79,85 +71,28 @@ type Config struct {
 	Hetero hetero.Spec
 }
 
-// nodeState is one node's view of the shared address space.
-type nodeState struct {
-	mode  []pageMode
-	twin  map[int64][]byte
-	dirty []int64 // pages written in the open interval, in fault order
-	vc    []int32 // highest interval seen, per owner
-
-	pendingAcks int
-	waitingAcks bool
-
-	// grant is the mailbox for lock grants and barrier releases.
-	grant *grantPayload
-}
-
-// interval records one closed writer interval for write-notice delivery.
-type interval struct {
-	owner int
-	seq   int32
-	pages []int64
-}
-
-// lockState lives at the lock's manager node.
-type lockState struct {
-	held      bool
-	holder    int
-	releaseVC []int32 // vector clock of the last release
-	queue     []acqWaiter
-}
-
-type acqWaiter struct {
-	proc int
-	vc   []int32
-}
-
-// barrierState lives at the barrier's manager node.
-type barrierState struct {
-	arrived int
-	vcs     [][]int32
-	procs   []int
+// ackState tracks one node's diffs awaiting the homes' acks.
+type ackState struct {
+	pending int
+	waiting bool
 }
 
 // Protocol is the HLRC protocol instance for one machine.
 type Protocol struct {
+	lazyrc.Core
 	cfg Config
-	env proto.Env
-	// tr caches env.Tracer() at Attach; nil (tracing off) makes every
-	// hook call a no-op.
-	tr        *trace.Tracer
-	nprocs    int
-	npages    int64
-	unitShift uint
-	unitBytes int64
-	unitWords int64
 
-	homes     []int32
-	nodes     []*nodeState
-	intervals [][]interval // indexed by owner, then seq-1
-	locks     map[int]*lockState
-	barriers  map[int]*barrierState
+	homes []int32
+	acks  []ackState
 
-	// Hot-path scratch.  The simulation engine is single-threaded, and
-	// none of these survive across a coroutine yield point, so one set
-	// per protocol instance is safe.
-	//
-	// unitScratch holds the current copy of a unit while it is diffed or
-	// patched; diffScratch collects modified words before they are copied
-	// (right-sized) into the outgoing message; vcScratch holds the merged
-	// barrier clock; unitFree recycles twin/page buffers whose lifetime
-	// ends at a flush, invalidation or page-fetch delivery; diffFree
+	// Hot-path scratch (single-threaded engine; nothing here survives a
+	// yield point).  unitScratch holds the current copy of a unit while
+	// it is diffed or patched; diffScratch collects modified words before
+	// they are copied (right-sized) into the outgoing message; diffFree
 	// recycles diff-message word slices after the home applies them.
 	unitScratch []byte
-	diffScratch []wordDiff
-	vcScratch   []int32
-	unitFree    [][]byte
-	diffFree    [][]wordDiff
-
-	// invSeen counts invalidations considered by applyNotices, driving
-	// the Config.DropNthInvalidation oracle hook.
-	invSeen int
+	diffScratch []wdiff.Word
+	diffFree    [][]wdiff.Word
 
 	// Adaptive-placement state (heterogeneity plane).  With both policies
 	// off, pageSpan is 1 and everything below is nil, collapsing cu() and
@@ -166,8 +101,7 @@ type Protocol struct {
 	adaptGrain    bool // demote falsely-shared pages to fine-grain units
 	pageSpanShift uint // log2 table units per migratable page
 	pageSpan      int64
-	fine          []bool   // per migratable page: demoted to fine units
-	pageFree      [][]byte // recycled page-sized (pageSpan-unit) buffers
+	fine          []bool // per migratable page: demoted to fine units
 
 	pstats  map[int64]*pageStat
 	pending []int64 // candidate pages queued for the next barrier commit
@@ -192,43 +126,33 @@ func New(cfg Config) *Protocol {
 	if cfg.UnitShift > mem.PageShift+4 {
 		panic("hlrc: coherence unit too large")
 	}
-	p := &Protocol{cfg: cfg,
-		unitShift: cfg.UnitShift, unitBytes: 1 << cfg.UnitShift,
-		unitWords: (1 << cfg.UnitShift) / mem.WordSize,
-		locks:     make(map[int]*lockState), barriers: make(map[int]*barrierState)}
-	p.pageSpan = 1
+	p := &Protocol{cfg: cfg, pageSpan: 1}
 	if cfg.Hetero.Grain == hetero.GrainAdaptive {
 		p.adaptGrain = true
-		p.pageSpanShift = mem.PageShift - p.unitShift
+		p.pageSpanShift = mem.PageShift - cfg.UnitShift
 		p.pageSpan = 1 << p.pageSpanShift
 		p.grains = hetero.NewGrainSelector(cfg.Hetero)
 	}
 	if cfg.Hetero.Placement == hetero.PlaceAdaptive {
 		p.adaptHomes = true
 	}
+	p.Core = lazyrc.NewCore(cfg.Costs, cfg.UnitShift, p.pageSpan, cfg.DropNthInvalidation)
 	return p
 }
 
 // Name identifies the protocol.
 func (p *Protocol) Name() string {
 	if p.adaptGrain {
-		return fmt.Sprintf("hlrc-a%d", p.unitBytes)
+		return fmt.Sprintf("hlrc-a%d", p.UnitBytes)
 	}
-	if p.unitShift != DefaultUnitShift {
-		return fmt.Sprintf("hlrc-%d", p.unitBytes)
+	if p.UnitShift != DefaultUnitShift {
+		return fmt.Sprintf("hlrc-%d", p.UnitBytes)
 	}
 	return "hlrc"
 }
 
-// ConsistencyModel declares the contract the checker verifies: HLRC
-// provides (home-based lazy) release consistency.
-func (p *Protocol) ConsistencyModel() proto.Model { return proto.ModelRC }
-
 // unitOf maps an address to its coherence-unit number.
-func (p *Protocol) unitOf(a int64) int64 { return a >> p.unitShift }
-
-// unitBase is the first address of unit u.
-func (p *Protocol) unitBase(u int64) int64 { return u << p.unitShift }
+func (p *Protocol) unitOf(a int64) int64 { return a >> p.UnitShift }
 
 // cu resolves the coherence unit containing table unit u: its first
 // unit and its span in table units.  Without adaptive grain the span is
@@ -242,8 +166,8 @@ func (p *Protocol) cu(u int64) (int64, int64) {
 	}
 	cs := u &^ (p.pageSpan - 1)
 	span := p.pageSpan
-	if cs+span > p.npages {
-		span = p.npages - cs
+	if cs+span > p.NUnits {
+		span = p.NUnits - cs
 	}
 	return cs, span
 }
@@ -252,71 +176,8 @@ func (p *Protocol) cu(u int64) (int64, int64) {
 // home migration and grain demotion).
 func (p *Protocol) ppageOf(u int64) int64 { return u >> p.pageSpanShift }
 
-// setModes sets the access mode of a whole coherence unit.  All mode
-// transitions are unit-wide, so a coarse page's table units always
-// agree — the invariant that lets cu() treat mode[cs] as authoritative.
-func setModes(mode []pageMode, cs, span int64, m pageMode) {
-	for u := cs; u < cs+span; u++ {
-		mode[u] = m
-	}
-}
-
-// copyRange extracts the coherence unit [cs, cs+span) from a node's
-// memory into a recycled buffer (return it with freeBuf when its
-// lifetime ends).
-func (p *Protocol) copyRange(node int, cs, span int64) []byte {
-	buf := p.newBuf(span)
-	p.env.NodeMem(node).CopyOut(p.unitBase(cs), buf)
-	return buf
-}
-
-// newBuf returns a span-sized buffer from the matching free list (or a
-// fresh one).  Contents are undefined; every user overwrites the whole
-// range.  Odd spans (a coarse page clamped at the end of memory) are
-// allocated fresh and not recycled.
-func (p *Protocol) newBuf(span int64) []byte {
-	var free *[][]byte
-	switch span {
-	case 1:
-		free = &p.unitFree
-	case p.pageSpan:
-		free = &p.pageFree
-	default:
-		return make([]byte, span*p.unitBytes)
-	}
-	if n := len(*free); n > 0 {
-		buf := (*free)[n-1]
-		*free = (*free)[:n-1]
-		return buf
-	}
-	return make([]byte, span*p.unitBytes)
-}
-
-// freeBuf recycles a twin or page buffer onto the free list matching
-// its size.
-func (p *Protocol) freeBuf(buf []byte) {
-	switch int64(len(buf)) {
-	case p.unitBytes:
-		p.unitFree = append(p.unitFree, buf)
-	case p.pageSpan * p.unitBytes:
-		if p.pageSpan > 1 {
-			p.pageFree = append(p.pageFree, buf)
-		} else {
-			p.unitFree = append(p.unitFree, buf)
-		}
-	}
-}
-
-// dropTwin removes pg's twin (if any) and recycles its buffer.
-func (p *Protocol) dropTwin(ns *nodeState, pg int64) {
-	if twin, ok := ns.twin[pg]; ok {
-		delete(ns.twin, pg)
-		p.freeBuf(twin)
-	}
-}
-
 // newDiffBuf returns a word-diff slice (len 0) from the free list.
-func (p *Protocol) newDiffBuf() []wordDiff {
+func (p *Protocol) newDiffBuf() []wdiff.Word {
 	if n := len(p.diffFree); n > 0 {
 		d := p.diffFree[n-1]
 		p.diffFree = p.diffFree[:n-1]
@@ -326,7 +187,7 @@ func (p *Protocol) newDiffBuf() []wordDiff {
 }
 
 // freeDiffBuf recycles a diff-message slice after the home applied it.
-func (p *Protocol) freeDiffBuf(d []wordDiff) {
+func (p *Protocol) freeDiffBuf(d []wdiff.Word) {
 	if cap(d) > 0 {
 		p.diffFree = append(p.diffFree, d)
 	}
@@ -334,41 +195,28 @@ func (p *Protocol) freeDiffBuf(d []wordDiff) {
 
 // Attach wires the environment and sizes the per-node state.
 func (p *Protocol) Attach(env proto.Env) {
-	p.env = env
-	p.tr = env.Tracer()
-	p.nprocs = env.NumProcs()
-	p.npages = (env.NodeMem(0).Limit() + p.unitBytes - 1) >> p.unitShift
-	p.homes = make([]int32, p.npages)
-	for i := int64(0); i < p.npages; i++ {
+	p.Bind(env, policy{p})
+	p.homes = make([]int32, p.NUnits)
+	for i := int64(0); i < p.NUnits; i++ {
 		// Homes are assigned per migratable page (pageSpanShift is 0
 		// without adaptive grain), so coarse pages match page-HLRC's
 		// round-robin distribution and stay uniform across their units.
-		p.homes[i] = int32((i >> p.pageSpanShift) % int64(p.nprocs))
+		p.homes[i] = int32((i >> p.pageSpanShift) % int64(p.NProcs))
 	}
 	if p.adaptGrain {
-		p.fine = make([]bool, (p.npages+p.pageSpan-1)>>p.pageSpanShift)
+		p.fine = make([]bool, (p.NUnits+p.pageSpan-1)>>p.pageSpanShift)
 	}
 	if p.adaptHomes {
-		p.rehomer = hetero.NewRehomer(p.cfg.Hetero, p.nprocs)
+		p.rehomer = hetero.NewRehomer(p.cfg.Hetero, p.NProcs)
 	}
 	if p.adaptHomes || p.adaptGrain {
 		p.pstats = make(map[int64]*pageStat)
 	}
-	p.unitScratch = make([]byte, p.pageSpan*p.unitBytes)
-	p.vcScratch = make([]int32, p.nprocs)
-	p.nodes = make([]*nodeState, p.nprocs)
-	p.intervals = make([][]interval, p.nprocs)
-	for i := range p.nodes {
-		ns := &nodeState{
-			mode: make([]pageMode, p.npages),
-			twin: make(map[int64][]byte),
-			vc:   make([]int32, p.nprocs),
-		}
-		p.nodes[i] = ns
-	}
+	p.unitScratch = make([]byte, p.pageSpan*p.UnitBytes)
+	p.acks = make([]ackState, p.NProcs)
 	// Home nodes start with their pages mapped read-only (current copy).
-	for pg := int64(0); pg < p.npages; pg++ {
-		p.nodes[p.homes[pg]].mode[pg] = modeReadOnly
+	for pg := int64(0); pg < p.NUnits; pg++ {
+		p.Nodes[p.homes[pg]].Mode[pg] = lazyrc.ReadOnly
 	}
 }
 
@@ -376,7 +224,7 @@ func (p *Protocol) Attach(env proto.Env) {
 // addr+size) — the way applications model first-touch/decomposed
 // placement.  Must be called before the parallel phase.
 func (p *Protocol) AssignHome(addr, size int64, node int) {
-	if p.env == nil {
+	if p.Env == nil {
 		panic("hlrc: AssignHome before Attach")
 	}
 	first, last := p.unitOf(addr), p.unitOf(addr+size-1)
@@ -385,231 +233,149 @@ func (p *Protocol) AssignHome(addr, size int64, node int) {
 		// range out to page boundaries.
 		first &^= p.pageSpan - 1
 		last |= p.pageSpan - 1
-		if last >= p.npages {
-			last = p.npages - 1
+		if last >= p.NUnits {
+			last = p.NUnits - 1
 		}
 	}
-	buf := make([]byte, p.unitBytes)
+	buf := make([]byte, p.UnitBytes)
 	for pg := first; pg <= last; pg++ {
 		old := int(p.homes[pg])
 		if old == node {
 			continue
 		}
 		// Migrate already-initialized contents to the new home.
-		p.env.NodeMem(old).CopyOut(p.unitBase(pg), buf)
-		p.env.NodeMem(node).CopyIn(p.unitBase(pg), buf)
-		p.nodes[old].mode[pg] = modeInvalid
+		p.Env.NodeMem(old).CopyOut(p.UnitBase(pg), buf)
+		p.Env.NodeMem(node).CopyIn(p.UnitBase(pg), buf)
+		p.Nodes[old].Mode[pg] = lazyrc.Invalid
 		p.homes[pg] = int32(node)
-		p.nodes[node].mode[pg] = modeReadOnly
+		p.Nodes[node].Mode[pg] = lazyrc.ReadOnly
 	}
 }
 
 // home reports the home node of page pg.
 func (p *Protocol) home(pg int64) int { return int(p.homes[pg]) }
 
-// --- access-fault side (thread context) ---
+// policy is HLRC's side of the lazyrc seam: eager diff propagation to
+// homes.  A separate type keeps the hooks off Protocol's method set.
+type policy struct{ *Protocol }
 
-// Access implements the page access check and fault path.  The mode
-// check is open-coded here so the granted-access common case never
-// leaves this frame; ensure re-checks under its own fault handling.
-// AccessTable exposes the per-proc page-mode array for the thread fast
-// path (proto.TableProtocol): the mode encoding already matches the
-// uniform 0/1/2 convention.
-func (p *Protocol) AccessTable(proc int) ([]uint8, uint) {
-	return p.nodes[proc].mode, p.unitShift
-}
+func (p policy) Unit(u int64) (int64, int64) { return p.cu(u) }
 
-func (p *Protocol) Access(th proto.Thread, addr int64, size int, write bool) {
-	first := p.unitOf(addr)
-	last := p.unitOf(addr + int64(size) - 1)
-	mode := p.nodes[th.Proc()].mode
-	for pg := first; pg <= last; pg++ {
-		m := mode[pg]
-		if write {
-			if m == modeReadWrite {
-				continue
-			}
-		} else if m != modeInvalid {
-			continue
-		}
-		p.ensure(th, pg, write)
-	}
-}
+// Current: the home copy is always current, since every diff is applied
+// there before its release completes.
+func (p policy) Current(node int, cs int64) bool { return p.home(cs) == node }
 
-func (p *Protocol) ensure(th proto.Thread, pg int64, write bool) {
-	cs, span := p.cu(pg)
-	ns := p.nodes[th.Proc()]
-	m := ns.mode[cs]
-	if write {
-		if m == modeReadWrite {
-			return
-		}
-	} else if m != modeInvalid {
-		return
-	}
-	st := p.env.Metrics()
+// Fetch requests the whole unit from its home; the reply's OnDeliver
+// copies it into this node's frame and wakes the thread.
+func (p policy) Fetch(th proto.Thread, cs, span int64) {
 	me := th.Proc()
-	p.tr.PageFault(p.env.Now(), int32(me), cs, write)
-
-	if m == modeInvalid {
-		// Read or write fault on an invalid unit: fetch from home.
-		th.Charge(stats.Protocol, p.cfg.Costs.FaultBase)
-		st.Inc(me, stats.PageFetches, 1)
-		req := &comm.Message{
-			Src: me, Dst: p.home(cs), Kind: msgPageReq, Size: 16,
-			Payload: pageReq{page: cs, requester: me}, NeedsHandler: true,
-		}
-		fetchStart := p.env.Now()
-		th.Send(stats.DataWait, req)
-		th.BlockFor(stats.DataWait)
-		p.tr.PageFetch(fetchStart, p.env.Now(), int32(me), cs)
-		// The reply's OnDeliver copied the unit into our frame and woke us.
-		setModes(ns.mode, cs, span, modeReadOnly)
-		th.Charge(stats.Protocol, p.cfg.Costs.MprotectCost(1))
-		st.Inc(me, stats.PageProtects, 1)
+	req := &comm.Message{
+		Src: me, Dst: p.home(cs), Kind: msgPageReq, Size: 16,
+		Payload: pageReq{page: cs, requester: me}, NeedsHandler: true,
 	}
+	fetchStart := p.Env.Now()
+	th.Send(stats.DataWait, req)
+	th.BlockFor(stats.DataWait)
+	p.Tr.PageFetch(fetchStart, p.Env.Now(), int32(me), cs)
+}
 
-	if write {
-		// Write fault on a read-only unit: twin (unless we are home) and
-		// upgrade protection.
-		if p.home(cs) != me {
-			p.makeTwin(th, cs, span)
-		} else if p.pstats != nil {
-			p.noteHomeWrite(cs, me)
-		}
-		ns.dirty = append(ns.dirty, cs)
-		setModes(ns.mode, cs, span, modeReadWrite)
-		th.Charge(stats.Protocol, p.cfg.Costs.MprotectCost(1))
-		st.Inc(me, stats.PageProtects, 1)
+// WriteFault twins the unit unless this node is its home, whose writes
+// update the home copy in place.
+func (p policy) WriteFault(th proto.Thread, cs, span int64) {
+	if me := th.Proc(); p.home(cs) != me {
+		p.MakeTwin(th, cs, span)
+	} else if p.pstats != nil {
+		p.noteHomeWrite(cs, me)
 	}
 }
 
-// makeTwin snapshots the coherence unit before the first write of an
-// interval.
-func (p *Protocol) makeTwin(th proto.Thread, cs, span int64) {
-	me := th.Proc()
-	ns := p.nodes[me]
-	if _, ok := ns.twin[cs]; ok {
-		return
+// Flush diffs every dirty unit and sends the diff to its home.
+func (p policy) Flush(th proto.Thread, units []int64, seq int32) {
+	for _, cs := range units {
+		p.flushPage(th, cs)
 	}
-	ns.twin[cs] = p.copyRange(me, cs, span)
-	cost := proto.WordCost(p.cfg.Costs.TwinQ4, span*p.unitWords)
-	cost += p.env.CacheTouch(me, p.unitBase(cs), int(span*p.unitBytes), false)
-	th.Charge(stats.Protocol, cost)
-	st := p.env.Metrics()
-	st.Inc(me, stats.TwinsCreated, 1)
-	st.AddDiff(me, cost)
-	p.tr.Twin(p.env.Now(), int32(me), cs)
 }
 
-// --- flush (interval close) ---
-
-// flush closes the current interval: creates and sends diffs for all
-// dirty pages, downgrades them to read-only, and waits for home acks.
-// waitCat attributes the ack wait (LockWait at releases, BarrierWait at
-// barriers).
-func (p *Protocol) flush(th proto.Thread, waitCat stats.Category) {
-	me := th.Proc()
-	ns := p.nodes[me]
-	if len(ns.dirty) > 0 {
-		// Deterministic page order.
-		pages := append([]int64(nil), ns.dirty...)
-		sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-		// Dedup (a page can fault read-only->write twice across nested
-		// invalidation flushes).
-		uniq := pages[:0]
-		for i, pg := range pages {
-			if i == 0 || pg != pages[i-1] {
-				uniq = append(uniq, pg)
-			}
-		}
-		pages = uniq
-
-		for _, pg := range pages {
-			p.flushPage(th, pg, stats.Protocol)
-		}
-		// Close the interval and record the write notices.
-		seq := ns.vc[me] + 1
-		ns.vc[me] = seq
-		p.intervals[me] = append(p.intervals[me], interval{owner: me, seq: seq, pages: pages})
-		p.env.Metrics().Inc(me, stats.WriteNotices, int64(len(pages)))
-		// One mprotect call downgrades the written pages.
-		th.Charge(stats.Protocol, p.cfg.Costs.MprotectCost(len(pages)))
-		p.env.Metrics().Inc(me, stats.PageProtects, int64(len(pages)))
-		ns.dirty = ns.dirty[:0]
+// AwaitFlush waits for all outstanding diff acks, so the release is not
+// visible before the homes hold its writes.
+func (p policy) AwaitFlush(th proto.Thread, cat stats.Category) {
+	a := &p.acks[th.Proc()]
+	a.waiting = true
+	for a.pending > 0 {
+		th.BlockFor(cat)
 	}
-	// Wait for all outstanding diff acks before the release is visible.
-	ns.waitingAcks = true
-	for ns.pendingAcks > 0 {
-		th.BlockFor(waitCat)
+	a.waiting = false
+}
+
+// CountsInvalidationFlush: a unit flushed because a notice invalidates
+// it is sent as a singleton interval with no write-notice count and no
+// mprotect charge of its own.
+func (p policy) CountsInvalidationFlush() bool { return false }
+
+func (p policy) Invalidated(node int, cs int64) {}
+
+func (p policy) Handle(h proto.HandlerCtx, m *comm.Message) int64 {
+	switch m.Kind {
+	case msgPageReq:
+		return p.handlePageReq(h, m.Payload.(pageReq))
+	case msgDiff:
+		return p.handleDiff(h, m.Payload.(diffMsg))
 	}
-	ns.waitingAcks = false
+	panic(fmt.Sprintf("hlrc: unknown message kind %d", m.Kind))
+}
+
+// AtBarrier: barrier release is the adaptation point.  Every node is
+// quiescent (intervals flushed, twins dropped, acks received), so home
+// migrations and grain demotions commit here without racing any
+// in-flight protocol traffic.
+func (p policy) AtBarrier(h proto.HandlerCtx) int64 {
+	if p.pstats == nil {
+		return 0
+	}
+	return p.adaptAtBarrier(h)
 }
 
 // flushPage diffs one dirty coherence unit against its twin and sends
-// the diff to the home (or just downgrades, if this node is the home).
-func (p *Protocol) flushPage(th proto.Thread, pg int64, cat stats.Category) {
+// the diff to the home (nothing to send if this node is the home).
+func (p *Protocol) flushPage(th proto.Thread, cs int64) {
 	me := th.Proc()
-	ns := p.nodes[me]
-	cs, span := p.cu(pg)
-	if ns.mode[cs] == modeReadWrite {
-		setModes(ns.mode, cs, span, modeReadOnly)
-	}
 	if p.home(cs) == me {
 		// Home writes update the home copy in place; no diff needed.
 		return
 	}
-	twin, ok := ns.twin[cs]
+	ns := p.Nodes[me]
+	_, span := p.cu(cs)
+	twin, ok := ns.Twin[cs]
 	if !ok {
 		panic(fmt.Sprintf("hlrc: dirty unit %d has no twin on node %d", cs, me))
 	}
 	// Diff into the protocol scratch, then right-size into a recycled
 	// message buffer (the message retains it until the home applies it
 	// and hands it back via freeDiffBuf).
-	cur := p.unitScratch[:span*p.unitBytes]
-	p.env.NodeMem(me).CopyOut(p.unitBase(cs), cur)
-	p.diffScratch = diffPageInto(p.diffScratch[:0], twin, cur)
+	cur := p.unitScratch[:span*p.UnitBytes]
+	p.Env.NodeMem(me).CopyOut(p.UnitBase(cs), cur)
+	p.diffScratch = wdiff.Append(p.diffScratch[:0], twin, cur)
 	d := append(p.newDiffBuf(), p.diffScratch...)
-	p.dropTwin(ns, cs)
+	p.DropTwin(ns, cs)
 
-	st := p.env.Metrics()
-	cost := proto.WordCost(p.cfg.Costs.DiffCompareQ4, span*p.unitWords) +
-		proto.WordCost(p.cfg.Costs.DiffWriteQ4, int64(len(d)))
-	cost += p.env.CacheTouch(me, p.unitBase(cs), int(span*p.unitBytes), false)
+	st := p.Env.Metrics()
+	cost := proto.WordCost(p.Costs.DiffCompareQ4, span*p.UnitWords) +
+		proto.WordCost(p.Costs.DiffWriteQ4, int64(len(d)))
+	cost += p.Env.CacheTouch(me, p.UnitBase(cs), int(span*p.UnitBytes), false)
 	st.AddDiff(me, cost)
-	th.Charge(cat, cost)
+	th.Charge(stats.Protocol, cost)
 	st.Inc(me, stats.DiffsCreated, 1)
-	st.Inc(me, stats.DiffWordsCompared, span*p.unitWords)
+	st.Inc(me, stats.DiffWordsCompared, span*p.UnitWords)
 	st.Inc(me, stats.DiffWordsWritten, int64(len(d)))
-	p.tr.DiffCreate(p.env.Now(), int32(me), cs, int64(len(d)))
+	p.Tr.DiffCreate(p.Env.Now(), int32(me), cs, int64(len(d)))
 
-	ns.pendingAcks++
-	msg := &comm.Message{
+	p.acks[me].pending++
+	th.Send(stats.Protocol, &comm.Message{
 		Src: me, Dst: p.home(cs), Kind: msgDiff,
 		Size:    16 + int64(len(d))*8,
 		Payload: diffMsg{page: cs, from: me, words: d}, NeedsHandler: true,
-	}
-	th.Send(cat, msg)
+	})
 }
 
-// flushPageFromInvalidation flushes a dirty page that is being
-// invalidated by an incoming write notice (concurrent writers).  Runs in
-// thread context during notice application.
-func (p *Protocol) flushPageFromInvalidation(th proto.Thread, pg int64) {
-	me := th.Proc()
-	ns := p.nodes[me]
-	// Remove from the dirty list; its notice joins the next interval —
-	// conservatively we issue it as a singleton interval now so other
-	// nodes learn of the write.
-	kept := ns.dirty[:0]
-	for _, d := range ns.dirty {
-		if d != pg {
-			kept = append(kept, d)
-		}
-	}
-	ns.dirty = kept
-	p.flushPage(th, pg, stats.Protocol)
-	seq := ns.vc[me] + 1
-	ns.vc[me] = seq
-	p.intervals[me] = append(p.intervals[me], interval{owner: me, seq: seq, pages: []int64{pg}})
-}
+var _ proto.Protocol = (*Protocol)(nil)
+var _ proto.TableProtocol = (*Protocol)(nil)

@@ -2,6 +2,7 @@ package lrc
 
 import (
 	"fmt"
+	"sort"
 
 	"swsm/internal/comm"
 	"swsm/internal/mem"
@@ -10,19 +11,27 @@ import (
 	"swsm/internal/sim"
 )
 
-// Handle processes protocol requests at their destination.
-func (p *Protocol) Handle(h proto.HandlerCtx, m *comm.Message) int64 {
+// Data message payloads.
+
+type baseReq struct {
+	page      int64
+	requester int
+}
+
+type diffReq struct {
+	page      int64
+	requester int
+	from, to  int32
+	deliver   func([]*interval)
+}
+
+// Handle serves the base and diff requests of faulting nodes.
+func (p policy) Handle(h proto.HandlerCtx, m *comm.Message) int64 {
 	switch m.Kind {
 	case msgBaseReq:
 		return p.handleBaseReq(h, m.Payload.(baseReq))
 	case msgDiffReq:
 		return p.handleDiffReq(h, m.Payload.(diffReq))
-	case msgAcqReq:
-		return p.handleAcqReq(h, m.Payload.(acqMsg))
-	case msgRelease:
-		return p.handleRelease(h, m.Payload.(acqMsg))
-	case msgBarArrive:
-		return p.handleBarArrive(h, m.Payload.(barMsg))
 	}
 	panic(fmt.Sprintf("lrc: unknown message kind %d", m.Kind))
 }
@@ -30,7 +39,7 @@ func (p *Protocol) Handle(h proto.HandlerCtx, m *comm.Message) int64 {
 // handleBaseReq serves a full base copy of the page from the manager.
 func (p *Protocol) handleBaseReq(h proto.HandlerCtx, req baseReq) int64 {
 	me := h.Node()
-	frame := p.env.NodeMem(me).Frame(req.page)
+	frame := p.Env.NodeMem(me).Frame(req.page)
 	data := make([]byte, mem.PageSize)
 	copy(data, frame[:])
 	pg, dst := req.page, req.requester
@@ -38,15 +47,15 @@ func (p *Protocol) handleBaseReq(h proto.HandlerCtx, req baseReq) int64 {
 	h.Send(&comm.Message{
 		Src: me, Dst: dst, Size: mem.PageSize + 16,
 		OnDeliver: func(now sim.Time) {
-			tf := p.env.NodeMem(dst).Frame(pg)
+			tf := p.Env.NodeMem(dst).Frame(pg)
 			copy(tf[:], data)
 			toNS.faultWait--
 			if toNS.faultWait == 0 {
-				p.env.WakeThread(dst)
+				p.Env.WakeThread(dst)
 			}
 		},
 	})
-	return p.cfg.Costs.HandlerBase
+	return p.Costs.HandlerBase
 }
 
 // handleDiffReq serves the retained diffs of intervals [from, to] of
@@ -73,128 +82,22 @@ func (p *Protocol) handleDiffReq(h proto.HandlerCtx, req diffReq) int64 {
 			deliver(ivs)
 			toNS.faultWait--
 			if toNS.faultWait == 0 {
-				p.env.WakeThread(dst)
+				p.Env.WakeThread(dst)
 			}
 		},
 	})
-	return p.cfg.Costs.HandlerBase + p.cfg.Costs.HandlerPerItem*items
-}
-
-// handleAcqReq grants or queues a lock request at its manager.
-func (p *Protocol) handleAcqReq(h proto.HandlerCtx, req acqMsg) int64 {
-	ls := p.lockState(req.lock)
-	if ls.held {
-		ls.queue = append(ls.queue, acqWaiter{proc: req.proc, vc: req.vc})
-		return p.cfg.Costs.HandlerBase
-	}
-	ls.held = true
-	ls.holder = req.proc
-	n := p.sendGrant(h, req.proc, req.vc, ls.releaseVC)
-	return p.cfg.Costs.HandlerBase + p.cfg.Costs.HandlerPerItem*int64(n)
-}
-
-// handleRelease records the release clock and passes the lock on.
-func (p *Protocol) handleRelease(h proto.HandlerCtx, rel acqMsg) int64 {
-	ls := p.lockState(rel.lock)
-	if !ls.held || ls.holder != rel.proc {
-		panic(fmt.Sprintf("lrc: release of lock %d by non-holder %d", rel.lock, rel.proc))
-	}
-	copy(ls.releaseVC, rel.vc) // same length; reuse instead of reallocating
-	if len(ls.queue) == 0 {
-		ls.held = false
-		return p.cfg.Costs.HandlerBase
-	}
-	next := ls.queue[0]
-	ls.queue = ls.queue[1:]
-	ls.holder = next.proc
-	n := p.sendGrant(h, next.proc, next.vc, ls.releaseVC)
-	return p.cfg.Costs.HandlerBase + p.cfg.Costs.HandlerPerItem*int64(n)
-}
-
-// sendGrant ships a lock grant with unseen write notices.
-func (p *Protocol) sendGrant(h proto.HandlerCtx, to int, acqVC, relVC []int32) int {
-	notices := p.noticesSince(acqVC, relVC)
-	g := &grantPayload{vc: cloneVC(relVC), notices: notices}
-	sz := int64(16 + 4*p.nprocs)
-	for _, n := range notices {
-		sz += 12 + 4*int64(len(n.pages))
-	}
-	toNS := p.nodes[to]
-	h.Send(&comm.Message{
-		Src: h.Node(), Dst: to, Size: sz,
-		OnDeliver: func(now sim.Time) {
-			toNS.grant = g
-			p.env.WakeThread(to)
-		},
-	})
-	return len(notices)
-}
-
-// handleBarArrive gathers barrier arrivals; the last releases everyone.
-func (p *Protocol) handleBarArrive(h proto.HandlerCtx, ba barMsg) int64 {
-	bs := p.barriers[ba.bar]
-	if bs == nil {
-		bs = &barrierState{}
-		p.barriers[ba.bar] = bs
-	}
-	bs.arrived++
-	bs.procs = append(bs.procs, ba.proc)
-	bs.vcs = append(bs.vcs, ba.vc)
-	if bs.arrived < p.nprocs {
-		return p.cfg.Costs.HandlerBase
-	}
-	// The merged clock lives in the preallocated scratch; each grant
-	// clones what it retains.
-	merged := p.vcScratch
-	for i := range merged {
-		merged[i] = 0
-	}
-	for _, vc := range bs.vcs {
-		maxVC(merged, vc)
-	}
-	items := 0
-	for i, proc := range bs.procs {
-		notices := p.noticesSince(bs.vcs[i], merged)
-		items += len(notices)
-		g := &grantPayload{vc: cloneVC(merged), notices: notices}
-		sz := int64(16 + 4*p.nprocs)
-		for _, n := range notices {
-			sz += 12 + 4*int64(len(n.pages))
-		}
-		to := proc
-		toNS := p.nodes[to]
-		h.Send(&comm.Message{
-			Src: h.Node(), Dst: to, Size: sz,
-			OnDeliver: func(now sim.Time) {
-				toNS.grant = g
-				p.env.WakeThread(to)
-			},
-		})
-	}
-	bs.arrived = 0
-	bs.procs = bs.procs[:0]
-	bs.vcs = bs.vcs[:0]
-	return p.cfg.Costs.HandlerBase + p.cfg.Costs.HandlerPerItem*int64(items)
-}
-
-func (p *Protocol) lockState(lock int) *lockState {
-	ls := p.locks[lock]
-	if ls == nil {
-		ls = &lockState{releaseVC: make([]int32, p.nprocs)}
-		p.locks[lock] = ls
-	}
-	return ls
+	return p.Costs.HandlerBase + p.Costs.HandlerPerItem*items
 }
 
 // ReadCoherent reconstructs the authoritative value: the manager's base
 // copy with every interval's diffs applied in happened-before order.
 func (p *Protocol) ReadCoherent(addr int64) uint32 {
 	pg := mem.PageOf(addr)
-	frame := p.env.NodeMem(p.manager(pg)).Frame(pg)
+	frame := p.Env.NodeMem(p.manager(pg)).Frame(pg)
 	var page [mem.PageSize]byte
 	copy(page[:], frame[:])
 	var ivs []*interval
-	for o := 0; o < p.nprocs; o++ {
+	for o := 0; o < p.NProcs; o++ {
 		for _, iv := range p.intervals[o] {
 			if _, ok := iv.diffs[pg]; ok {
 				ivs = append(ivs, iv)
@@ -212,7 +115,22 @@ func (p *Protocol) ReadCoherent(addr int64) uint32 {
 
 // InitWrite seeds the manager's base copy.
 func (p *Protocol) InitWrite(addr int64, v uint32) {
-	p.env.NodeMem(p.manager(mem.PageOf(addr))).WriteWord(addr, v)
+	p.Env.NodeMem(p.manager(mem.PageOf(addr))).WriteWord(addr, v)
 }
 
-var _ proto.Protocol = (*Protocol)(nil)
+// sortIntervals orders intervals in a linear extension of
+// happened-before: componentwise-smaller vector clocks have strictly
+// smaller sums, so vc-sum order respects causality; ties (concurrent
+// intervals, which data-race-free programs keep word-disjoint) break
+// deterministically by owner and sequence.
+func sortIntervals(ivs []*interval) {
+	sort.Slice(ivs, func(i, j int) bool {
+		if ivs[i].vcSum != ivs[j].vcSum {
+			return ivs[i].vcSum < ivs[j].vcSum
+		}
+		if ivs[i].owner != ivs[j].owner {
+			return ivs[i].owner < ivs[j].owner
+		}
+		return ivs[i].seq < ivs[j].seq
+	})
+}

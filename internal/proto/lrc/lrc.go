@@ -5,12 +5,15 @@
 // relevant writer and merge them itself, instead of fetching one
 // up-to-date page from a home.
 //
-// The protocol shares HLRC's machinery (twins, word-grain diffs, vector
-// timestamps, write notices on lock grants and barrier releases) but
-// differs in data movement:
+// The lazy-release-consistency machinery both protocols share — twins,
+// vector timestamps, the write-notice log, locks and barriers that carry
+// notices on grants and releases, the access path — is the substrate in
+// internal/proto/lazyrc.  This package is the distributed diff
+// propagation policy on top of it:
 //
-//   - Release: diffs are created and RETAINED locally (no eager
-//     propagation, no home, no acks to wait for — releases are cheap).
+//   - Release: diffs are created and RETAINED locally in a per-owner log
+//     parallel to the substrate's notice log (no eager propagation, no
+//     home, no acks to wait for — releases are cheap).
 //   - Page fault: the faulting node fetches a base copy from the page's
 //     manager if it has none, then requests, from every writer with
 //     unseen intervals covering the page, the diffs of those intervals,
@@ -24,99 +27,43 @@
 package lrc
 
 import (
-	"sort"
-
 	"swsm/internal/comm"
 	"swsm/internal/mem"
 	"swsm/internal/proto"
+	"swsm/internal/proto/lazyrc"
 	"swsm/internal/proto/wdiff"
 	"swsm/internal/stats"
-	"swsm/internal/trace"
 )
 
-// pageMode is a plain uint8 (alias) so the per-node mode array can be
-// handed to the thread fast path as the proto.TableProtocol table.
-type pageMode = uint8
-
-const (
-	modeInvalid pageMode = iota
-	modeReadOnly
-	modeReadWrite
-)
-
-// Message kinds.
+// Data message kinds (the substrate owns the synchronization kinds).
 const (
 	msgBaseReq = iota + 1
 	msgDiffReq
-	msgAcqReq
-	msgRelease
-	msgBarArrive
 )
 
 const wordsPerPage = mem.PageSize / mem.WordSize
 
-// wordDiff is one modified word (shared kernel in internal/proto/wdiff).
-type wordDiff = wdiff.Word
-
-// interval is one closed writer interval, carrying its vector timestamp
-// and the retained diffs of every page it wrote.
+// interval is one closed writer interval's retained diffs, one per page
+// it wrote, at the same (owner, seq) as its substrate write notice.
 type interval struct {
 	owner int
 	seq   int32
-	vc    []int32
-	pages []int64
-	diffs map[int64][]wordDiff
+	diffs map[int64][]wdiff.Word
 	// vcSum orders concurrent-safe application (any linear extension of
 	// happened-before; componentwise-less implies strictly smaller sum).
 	vcSum int64
 }
 
-// nodeState is one node's view.
+// nodeState is one node's policy state.
 type nodeState struct {
-	mode  []pageMode
-	twin  map[int64][]byte
-	dirty []int64
-	vc    []int32
 	// applied[pg][w] is the highest interval of writer w merged into
 	// this node's copy of pg.
 	applied map[int64][]int32
-
-	grant *grantPayload
 	// held marks pages this node has ever had a copy of (cleared on
 	// invalidation; absence forces a base-copy fetch at the next fault).
 	held map[int64]struct{}
 	// fault rendezvous: replies outstanding for the current page fault.
 	faultWait int
-}
-
-type grantPayload struct {
-	vc      []int32
-	notices []noticeRec
-}
-
-// noticeRec is the wire form of a write notice (no diffs attached).
-type noticeRec struct {
-	owner int
-	seq   int32
-	pages []int64
-}
-
-type lockState struct {
-	held      bool
-	holder    int
-	releaseVC []int32
-	queue     []acqWaiter
-}
-
-type acqWaiter struct {
-	proc int
-	vc   []int32
-}
-
-type barrierState struct {
-	arrived int
-	vcs     [][]int32
-	procs   []int
 }
 
 // Config holds LRC options.
@@ -126,65 +73,40 @@ type Config struct {
 
 // Protocol is the classic-LRC instance.
 type Protocol struct {
-	cfg Config
-	env proto.Env
-	// tr caches env.Tracer() at Attach; nil makes every hook a no-op.
-	tr     *trace.Tracer
-	nprocs int
-	npages int64
+	lazyrc.Core
 
 	managers  []int32 // page -> manager (serves base copies)
 	nodes     []*nodeState
 	intervals [][]*interval // per owner, indexed seq-1
-	locks     map[int]*lockState
-	barriers  map[int]*barrierState
 
-	// Hot-path scratch (single-threaded engine; nothing here survives a
-	// yield point).  diffScratch collects a page's modified words before
-	// they are right-sized into the retained interval diff; twinFree
-	// recycles twin buffers freed at flush or invalidation; vcScratch
-	// holds the merged barrier clock.
-	diffScratch []wordDiff
-	twinFree    [][]byte
-	vcScratch   []int32
+	// diffScratch collects a page's modified words before they are
+	// right-sized into the retained interval diff (single-threaded
+	// engine; it never survives a yield point).
+	diffScratch []wdiff.Word
 }
 
 // New creates a classic-LRC protocol.
 func New(cfg Config) *Protocol {
-	return &Protocol{cfg: cfg,
-		locks: make(map[int]*lockState), barriers: make(map[int]*barrierState)}
+	return &Protocol{Core: lazyrc.NewCore(cfg.Costs, mem.PageShift, 1, 0)}
 }
 
 // Name identifies the protocol.
 func (p *Protocol) Name() string { return "lrc" }
 
-// ConsistencyModel declares the contract the checker verifies: classic
-// LRC provides (lazy) release consistency.
-func (p *Protocol) ConsistencyModel() proto.Model { return proto.ModelRC }
-
 // Attach wires the environment and sizes per-node state.
 func (p *Protocol) Attach(env proto.Env) {
-	p.env = env
-	p.tr = env.Tracer()
-	p.nprocs = env.NumProcs()
-	p.npages = (env.NodeMem(0).Limit() + mem.PageSize - 1) >> mem.PageShift
-	p.managers = make([]int32, p.npages)
-	for i := int64(0); i < p.npages; i++ {
-		p.managers[i] = int32(i % int64(p.nprocs))
+	p.Bind(env, policy{p})
+	p.managers = make([]int32, p.NUnits)
+	for i := int64(0); i < p.NUnits; i++ {
+		p.managers[i] = int32(i % int64(p.NProcs))
 	}
-	p.vcScratch = make([]int32, p.nprocs)
-	p.nodes = make([]*nodeState, p.nprocs)
-	p.intervals = make([][]*interval, p.nprocs)
+	p.nodes = make([]*nodeState, p.NProcs)
+	p.intervals = make([][]*interval, p.NProcs)
 	for i := range p.nodes {
-		p.nodes[i] = &nodeState{
-			mode:    make([]pageMode, p.npages),
-			twin:    make(map[int64][]byte),
-			vc:      make([]int32, p.nprocs),
-			applied: make(map[int64][]int32),
-		}
+		p.nodes[i] = &nodeState{applied: make(map[int64][]int32)}
 	}
-	for pg := int64(0); pg < p.npages; pg++ {
-		p.nodes[p.manager(pg)].mode[pg] = modeReadOnly
+	for pg := int64(0); pg < p.NUnits; pg++ {
+		p.Nodes[p.manager(pg)].Mode[pg] = lazyrc.ReadOnly
 	}
 }
 
@@ -198,12 +120,12 @@ func (p *Protocol) AssignHome(addr, size int64, node int) {
 		if old == node {
 			continue
 		}
-		src := p.env.NodeMem(old).Frame(pg)
-		dst := p.env.NodeMem(node).Frame(pg)
+		src := p.Env.NodeMem(old).Frame(pg)
+		dst := p.Env.NodeMem(node).Frame(pg)
 		copy(dst[:], src[:])
-		p.nodes[old].mode[pg] = modeInvalid
+		p.Nodes[old].Mode[pg] = lazyrc.Invalid
 		p.managers[pg] = int32(node)
-		p.nodes[node].mode[pg] = modeReadOnly
+		p.Nodes[node].Mode[pg] = lazyrc.ReadOnly
 	}
 }
 
@@ -219,71 +141,109 @@ func (ns *nodeState) appliedFor(pg int64, nprocs int) []int32 {
 	return a
 }
 
-// --- access-fault side ---
-
-// Access implements the page access check and the distributed-diff
-// fault path.
-// AccessTable exposes the per-proc page-mode array for the thread fast
-// path (proto.TableProtocol): the mode encoding already matches the
-// uniform 0/1/2 convention.
-func (p *Protocol) AccessTable(proc int) ([]uint8, uint) {
-	return p.nodes[proc].mode, mem.PageShift
+// everHeld / markHeld track whether this node ever had a copy of pg
+// (whether a base fetch is needed).
+func (ns *nodeState) everHeld(pg int64) bool {
+	_, ok := ns.held[pg]
+	return ok
 }
 
-func (p *Protocol) Access(th proto.Thread, addr int64, size int, write bool) {
-	first := mem.PageOf(addr)
-	last := mem.PageOf(addr + int64(size) - 1)
-	mode := p.nodes[th.Proc()].mode
-	for pg := first; pg <= last; pg++ {
-		m := mode[pg]
-		if write {
-			if m == modeReadWrite {
-				continue
-			}
-		} else if m != modeInvalid {
-			continue
-		}
-		p.ensure(th, pg, write)
+func (ns *nodeState) markHeld(pg int64) {
+	if ns.held == nil {
+		ns.held = make(map[int64]struct{})
+	}
+	ns.held[pg] = struct{}{}
+}
+
+// policy is LRC's side of the lazyrc seam: diffs retained at the writer
+// and collected at faults.  A separate type keeps the hooks off
+// Protocol's method set.
+type policy struct{ *Protocol }
+
+// Unit: the coherence unit is always the page.
+func (p policy) Unit(u int64) (int64, int64) { return u, 1 }
+
+// Current: no copy is kept current eagerly; the manager's base copy
+// goes stale like any other.
+func (p policy) Current(node int, pg int64) bool { return false }
+
+// WriteFault twins every page, the manager's included: a diff against a
+// missing twin would be wrong, and diffs are the only way writes leave
+// the writer.
+func (p policy) WriteFault(th proto.Thread, pg, span int64) { p.MakeTwin(th, pg, span) }
+
+// AwaitFlush: retained diffs need no acknowledgement.
+func (p policy) AwaitFlush(th proto.Thread, cat stats.Category) {}
+
+// CountsInvalidationFlush: a page flushed because a notice invalidates
+// it is committed through the ordinary interval close, which counts its
+// write notice and charges its mprotect.
+func (p policy) CountsInvalidationFlush() bool { return true }
+
+// Invalidated clears the page's applied vector and held marker, so the
+// next fault rebuilds the copy from the base plus the full diff history
+// (classic LRC without GC).
+func (p policy) Invalidated(node int, pg int64) {
+	ns := p.nodes[node]
+	delete(ns.applied, pg)
+	if ns.held != nil {
+		delete(ns.held, pg)
 	}
 }
 
-func (p *Protocol) ensure(th proto.Thread, pg int64, write bool) {
+func (p policy) AtBarrier(h proto.HandlerCtx) int64 { return 0 }
+
+// Flush creates and retains the diffs of the interval's dirty pages.
+// Unlike HLRC there is nothing to send — the cheap release is classic
+// LRC's selling point, paid back later at faults.
+func (p policy) Flush(th proto.Thread, pages []int64, seq int32) {
 	me := th.Proc()
-	ns := p.nodes[me]
-	m := ns.mode[pg]
-	if write {
-		if m == modeReadWrite {
-			return
+	ns, ls := p.Nodes[me], p.nodes[me]
+	iv := &interval{owner: me, seq: seq, diffs: make(map[int64][]wdiff.Word)}
+	st := p.Env.Metrics()
+	for _, pg := range pages {
+		frame := p.Env.NodeMem(me).Frame(pg)
+		twin, ok := ns.Twin[pg]
+		if !ok {
+			panic("lrc: dirty page without twin")
 		}
-	} else if m != modeInvalid {
-		return
+		// Diff into the protocol scratch (8-byte-wide compare), then
+		// right-size into the retained interval diff.  Retained diffs are
+		// never garbage collected (classic LRC without GC), so they get
+		// exact-size allocations rather than append-grown capacity.
+		p.diffScratch = wdiff.Append(p.diffScratch[:0], twin, frame[:])
+		var d []wdiff.Word
+		if len(p.diffScratch) > 0 {
+			d = make([]wdiff.Word, len(p.diffScratch))
+			copy(d, p.diffScratch)
+		}
+		iv.diffs[pg] = d
+		p.DropTwin(ns, pg)
+		cost := proto.WordCost(p.Costs.DiffCompareQ4, wordsPerPage) +
+			proto.WordCost(p.Costs.DiffWriteQ4, int64(len(d)))
+		cost += p.Env.CacheTouch(me, mem.PageBase(pg), mem.PageSize, false)
+		st.AddDiff(me, cost)
+		th.Charge(stats.Protocol, cost)
+		st.Inc(me, stats.DiffsCreated, 1)
+		st.Inc(me, stats.DiffWordsCompared, wordsPerPage)
+		st.Inc(me, stats.DiffWordsWritten, int64(len(d)))
+		p.Tr.DiffCreate(p.Env.Now(), int32(me), pg, int64(len(d)))
+		// Our own copy reflects our interval.
+		ls.appliedFor(pg, p.NProcs)[me] = seq
+		ls.markHeld(pg)
 	}
-	st := p.env.Metrics()
-	p.tr.PageFault(p.env.Now(), int32(me), pg, write)
-
-	if m == modeInvalid {
-		th.Charge(stats.Protocol, p.cfg.Costs.FaultBase)
-		st.Inc(me, stats.PageFetches, 1)
-		p.fault(th, pg)
-		ns.mode[pg] = modeReadOnly
-		th.Charge(stats.Protocol, p.cfg.Costs.MprotectCost(1))
-		st.Inc(me, stats.PageProtects, 1)
+	for _, v := range ns.VC {
+		iv.vcSum += int64(v)
 	}
-	if write {
-		p.makeTwin(th, pg)
-		ns.dirty = append(ns.dirty, pg)
-		ns.mode[pg] = modeReadWrite
-		th.Charge(stats.Protocol, p.cfg.Costs.MprotectCost(1))
-		st.Inc(me, stats.PageProtects, 1)
-	}
+	p.intervals[me] = append(p.intervals[me], iv)
 }
 
-// fault collects the base copy (if needed) and all unseen diffs for pg,
+// Fetch collects the base copy (if needed) and all unseen diffs for pg,
 // in parallel, then applies them in happened-before order.
-func (p *Protocol) fault(th proto.Thread, pg int64) {
+func (p policy) Fetch(th proto.Thread, pg, span int64) {
 	me := th.Proc()
-	ns := p.nodes[me]
-	applied := ns.appliedFor(pg, p.nprocs)
+	vc, ns := p.Nodes[me].VC, p.nodes[me]
+	applied := ns.appliedFor(pg, p.NProcs)
 
 	// Which writers have intervals covering pg that we have seen notices
 	// for (vc) but not yet merged (applied)?
@@ -293,9 +253,9 @@ func (p *Protocol) fault(th proto.Thread, pg int64) {
 	}
 	var wants []want
 	var ownIvs []*interval
-	for w := 0; w < p.nprocs; w++ {
+	for w := 0; w < p.NProcs; w++ {
 		var lo, hi int32 = 0, 0
-		for s := applied[w] + 1; s <= ns.vc[w]; s++ {
+		for s := applied[w] + 1; s <= vc[w]; s++ {
 			iv := p.intervals[w][s-1]
 			if _, ok := iv.diffs[pg]; ok {
 				if lo == 0 {
@@ -315,7 +275,7 @@ func (p *Protocol) fault(th proto.Thread, pg int64) {
 
 	base := !ns.everHeld(pg) && p.manager(pg) != me
 
-	fetchStart := p.env.Now()
+	fetchStart := p.Env.Now()
 	ns.faultWait = 0
 	if base {
 		ns.faultWait++
@@ -330,7 +290,6 @@ func (p *Protocol) fault(th proto.Thread, pg int64) {
 	replies := make([][]*interval, 0, len(wants))
 	for _, wn := range wants {
 		ns.faultWait++
-		wn := wn
 		slot := len(replies)
 		replies = append(replies, nil)
 		req := &comm.Message{
@@ -345,7 +304,7 @@ func (p *Protocol) fault(th proto.Thread, pg int64) {
 	for ns.faultWait > 0 {
 		th.BlockFor(stats.DataWait)
 	}
-	p.tr.PageFetch(fetchStart, p.env.Now(), int32(me), pg)
+	p.Tr.PageFetch(fetchStart, p.Env.Now(), int32(me), pg)
 	ns.markHeld(pg)
 
 	// Merge in a linear extension of happened-before (vc-sum order).
@@ -354,107 +313,25 @@ func (p *Protocol) fault(th proto.Thread, pg int64) {
 		ivs = append(ivs, r...)
 	}
 	sortIntervals(ivs)
-	frame := p.env.NodeMem(me).Frame(pg)
-	st := p.env.Metrics()
+	frame := p.Env.NodeMem(me).Frame(pg)
+	st := p.Env.Metrics()
 	var applyCost int64
 	for _, iv := range ivs {
 		d := iv.diffs[pg]
 		wdiff.Apply(frame[:], d)
-		applyCost += proto.WordCost(p.cfg.Costs.DiffApplyQ4, int64(len(d)))
+		applyCost += proto.WordCost(p.Costs.DiffApplyQ4, int64(len(d)))
 		if iv.seq > applied[iv.owner] {
 			applied[iv.owner] = iv.seq
 		}
 		st.Inc(me, stats.DiffsApplied, 1)
-		p.tr.DiffApply(p.env.Now(), int32(me), pg, int64(len(d)))
+		p.Tr.DiffApply(p.Env.Now(), int32(me), pg, int64(len(d)))
 	}
-	applyCost += p.env.CacheTouch(me, mem.PageBase(pg), mem.PageSize, true)
+	applyCost += p.Env.CacheTouch(me, mem.PageBase(pg), mem.PageSize, true)
 	if applyCost > 0 {
 		st.AddDiff(me, applyCost)
 		th.Charge(stats.Protocol, applyCost)
 	}
 }
 
-// newTwinBuf returns a page-sized twin buffer from the free list (or a
-// fresh one); dropTwin recycles.  Contents are overwritten by the user.
-func (p *Protocol) newTwinBuf() []byte {
-	if n := len(p.twinFree); n > 0 {
-		buf := p.twinFree[n-1]
-		p.twinFree = p.twinFree[:n-1]
-		return buf
-	}
-	return make([]byte, mem.PageSize)
-}
-
-// dropTwin removes pg's twin (if any) and recycles its buffer.
-func (p *Protocol) dropTwin(ns *nodeState, pg int64) {
-	if twin, ok := ns.twin[pg]; ok {
-		delete(ns.twin, pg)
-		p.twinFree = append(p.twinFree, twin)
-	}
-}
-
-// everHeld / markHeld track whether this node ever had a copy of pg
-// (whether a base fetch is needed).  Implemented with a sentinel entry
-// in the applied map plus a held set.
-func (ns *nodeState) everHeld(pg int64) bool {
-	_, ok := ns.held[pg]
-	return ok
-}
-
-func (ns *nodeState) markHeld(pg int64) {
-	if ns.held == nil {
-		ns.held = make(map[int64]struct{})
-	}
-	ns.held[pg] = struct{}{}
-}
-
-// makeTwin snapshots a page before its first write in an interval.
-func (p *Protocol) makeTwin(th proto.Thread, pg int64) {
-	me := th.Proc()
-	ns := p.nodes[me]
-	if _, ok := ns.twin[pg]; ok {
-		return
-	}
-	frame := p.env.NodeMem(me).Frame(pg)
-	twin := p.newTwinBuf()
-	copy(twin, frame[:])
-	ns.twin[pg] = twin
-	cost := proto.WordCost(p.cfg.Costs.TwinQ4, wordsPerPage)
-	cost += p.env.CacheTouch(me, mem.PageBase(pg), mem.PageSize, false)
-	th.Charge(stats.Protocol, cost)
-	st := p.env.Metrics()
-	st.Inc(me, stats.TwinsCreated, 1)
-	st.AddDiff(me, cost)
-	p.tr.Twin(p.env.Now(), int32(me), pg)
-}
-
-// payloads
-
-type baseReq struct {
-	page      int64
-	requester int
-}
-
-type diffReq struct {
-	page      int64
-	requester int
-	from, to  int32
-	deliver   func([]*interval)
-}
-
-// sortIntervals orders intervals in a linear extension of
-// happened-before: componentwise-smaller vector clocks have strictly
-// smaller sums, so vc-sum order respects causality; ties (concurrent
-// intervals, which data-race-free programs keep word-disjoint) break
-// deterministically by owner and sequence.
-func sortIntervals(ivs []*interval) {
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].vcSum != ivs[j].vcSum {
-			return ivs[i].vcSum < ivs[j].vcSum
-		}
-		if ivs[i].owner != ivs[j].owner {
-			return ivs[i].owner < ivs[j].owner
-		}
-		return ivs[i].seq < ivs[j].seq
-	})
-}
+var _ proto.Protocol = (*Protocol)(nil)
+var _ proto.TableProtocol = (*Protocol)(nil)

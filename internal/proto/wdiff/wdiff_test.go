@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
 )
 
 // naive is the reference word-by-word implementation.
@@ -83,5 +84,108 @@ func TestApplyReconstructs(t *testing.T) {
 		if frame[i] != cur[i] {
 			t.Fatalf("byte %d: got %d, want %d", i, frame[i], cur[i])
 		}
+	}
+}
+
+func TestDiffEmpty(t *testing.T) {
+	twin := make([]byte, 4096)
+	cur := make([]byte, 4096)
+	if d := Append(nil, twin, cur); len(d) != 0 {
+		t.Fatalf("identical pages produced %d diff words", len(d))
+	}
+}
+
+func TestDiffSingleWord(t *testing.T) {
+	twin := make([]byte, 4096)
+	cur := make([]byte, 4096)
+	binary.LittleEndian.PutUint32(cur[100*WordSize:], 0xdeadbeef)
+	d := Append(nil, twin, cur)
+	if len(d) != 1 || d[0].Off != 100 || d[0].Val != 0xdeadbeef {
+		t.Fatalf("diff = %+v", d)
+	}
+}
+
+// TestDiffApplyIsIdentity checks Apply(twin, Append(twin, cur)) == cur
+// for pages with a few random words rewritten.
+func TestDiffApplyIsIdentity(t *testing.T) {
+	const words = 4096 / WordSize
+	r := rand.New(rand.NewSource(7))
+	f := func(seed int64, nWrites uint8) bool {
+		r.Seed(seed)
+		twin := make([]byte, 4096)
+		r.Read(twin)
+		cur := append([]byte(nil), twin...)
+		for i := 0; i < int(nWrites); i++ {
+			w := r.Intn(words)
+			binary.LittleEndian.PutUint32(cur[w*WordSize:], r.Uint32())
+		}
+		frame := append([]byte(nil), twin...)
+		Apply(frame, Append(nil, twin, cur))
+		return reflect.DeepEqual(frame, cur)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDisjointDiffsCommute checks that concurrent diffs touching
+// disjoint words commute (the multiple-writer guarantee for
+// data-race-free programs).
+func TestDisjointDiffsCommute(t *testing.T) {
+	const words = 4096 / WordSize
+	base := make([]byte, 4096)
+	curA := make([]byte, 4096)
+	curB := make([]byte, 4096)
+	for w := 0; w < words; w++ {
+		v := uint32(w * 3)
+		binary.LittleEndian.PutUint32(base[w*WordSize:], v)
+		binary.LittleEndian.PutUint32(curA[w*WordSize:], v)
+		binary.LittleEndian.PutUint32(curB[w*WordSize:], v)
+	}
+	// A writes even words, B writes odd words.
+	for w := 0; w < words; w++ {
+		if w%2 == 0 {
+			binary.LittleEndian.PutUint32(curA[w*WordSize:], uint32(1000+w))
+		} else {
+			binary.LittleEndian.PutUint32(curB[w*WordSize:], uint32(2000+w))
+		}
+	}
+	dA := Append(nil, base, curA)
+	dB := Append(nil, base, curB)
+
+	ab := append([]byte(nil), base...)
+	ba := append([]byte(nil), base...)
+	Apply(ab, dA)
+	Apply(ab, dB)
+	Apply(ba, dB)
+	Apply(ba, dA)
+	for i := range ab {
+		if ab[i] != ba[i] {
+			t.Fatalf("diff application order matters at byte %d", i)
+		}
+	}
+	// And both writers' updates survive.
+	for w := 0; w < words; w++ {
+		got := binary.LittleEndian.Uint32(ab[w*WordSize:])
+		want := uint32(1000 + w)
+		if w%2 == 1 {
+			want = uint32(2000 + w)
+		}
+		if got != want {
+			t.Fatalf("word %d = %d, want %d", w, got, want)
+		}
+	}
+}
+
+// BenchmarkApplyDiff measures patching a page with a diff of every
+// eighth word.
+func BenchmarkApplyDiff(b *testing.B) {
+	twin, cur := benchInput(8)
+	d := Append(nil, twin, cur)
+	page := append([]byte(nil), twin...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Apply(page, d)
 	}
 }
