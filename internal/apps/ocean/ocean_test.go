@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"swsm/internal/apps"
+	"swsm/internal/core"
+	"swsm/internal/proto/ideal"
 )
 
 func TestSquareDims(t *testing.T) {
@@ -58,6 +60,50 @@ func TestCellOwnerMatchesRegion(t *testing.T) {
 			for j := clo; j < chi; j++ {
 				if got := o.cellOwner(i+1, j+1, p); got != id {
 					t.Fatalf("cellOwner(%d,%d) = %d, region says %d", i+1, j+1, got, id)
+				}
+			}
+		}
+	}
+}
+
+// TestSetupLayoutMatchesPerProcessorScan pins Setup's cell layout to
+// the straightforward construction it replaces: for each processor in
+// turn, allocate its cells and number them in row-major order by
+// scanning the whole grid with cellOwner.
+func TestSetupLayoutMatchesPerProcessorScan(t *testing.T) {
+	newMachine := func(o *Ocean, procs int) *core.Machine {
+		cfg := core.DefaultConfig()
+		cfg.Procs = procs
+		cfg.MemLimit = o.MemBytes()
+		return core.NewMachine(cfg, ideal.New())
+	}
+	for _, rowwise := range []bool{false, true} {
+		for _, procs := range []int{1, 4, 8, 16} {
+			o := build(apps.Tiny, rowwise)
+			o.Setup(newMachine(o, procs))
+
+			m := newMachine(o, procs)
+			w := o.n + 2
+			want := make([]int64, w*w)
+			for p := 0; p < procs; p++ {
+				count := int64(0)
+				for c := range want {
+					if o.cellOwner(c/w, c%w, procs) == p {
+						count++
+					}
+				}
+				addr := m.AllocPage(count * 8)
+				for c := range want {
+					if o.cellOwner(c/w, c%w, procs) == p {
+						want[c] = addr
+						addr += 8
+					}
+				}
+			}
+			for c := range want {
+				if o.addrOf[c] != want[c] {
+					t.Fatalf("rowwise=%v procs=%d: cell (%d,%d) at %#x, want %#x",
+						rowwise, procs, c/w, c%w, o.addrOf[c], want[c])
 				}
 			}
 		}

@@ -38,6 +38,9 @@ type Message struct {
 	// for its packet-arrival and delivery events (see HandleEvent),
 	// keeping the per-packet hot path closure-free.
 	nw *Network
+	// frame is non-nil on the reliable transport's wire frames: delivery
+	// hands the frame back to the transport instead of calling OnDeliver.
+	frame *frame
 }
 
 // HandleEvent arg encodings for the closure-free packet pipeline: a
@@ -238,6 +241,10 @@ func (nw *Network) deliver(m *Message) {
 			panic("comm: no dispatch function installed")
 		}
 		nw.Dispatch(m, now)
+		return
+	}
+	if m.frame != nil {
+		m.frame.rn.land(m.frame)
 		return
 	}
 	if m.OnDeliver != nil {

@@ -38,6 +38,11 @@ type ReliableNetwork struct {
 	send   []sendChan
 	recv   []recvChan
 
+	// Free lists: a frame or pendingMsg is reused once no live event
+	// refers to it, so the steady state allocates neither.
+	freeFrames  []*frame
+	freePending []*pendingMsg
+
 	// Per-node counters (indexed by the node that performed the action).
 	retransmits []int64 // retransmissions sent by node i
 	acks        []int64 // acks sent by node i
@@ -76,9 +81,11 @@ func DefaultReliableParams() ReliableParams {
 
 // sendChan is the sender half of one directed (src, dst) pair.
 type sendChan struct {
-	nextSeq  int64
-	ackedTo  int64 // every seq < ackedTo is acknowledged
-	inflight map[int64]*pendingMsg
+	nextSeq int64
+	ackedTo int64 // every seq < ackedTo is acknowledged
+	// inflight[i] is the message at seq ackedTo+i: acks are cumulative,
+	// so the unacknowledged messages are exactly [ackedTo, nextSeq).
+	inflight []*pendingMsg
 }
 
 // recvChan is the receiver half: next expected sequence number plus the
@@ -88,14 +95,63 @@ type recvChan struct {
 	buf  map[int64]*Message
 }
 
-// pendingMsg tracks one unacknowledged logical message.
+// pendingMsg tracks one unacknowledged logical message.  It is also the
+// receiver of its own retransmission timer and deferred-transmit events
+// (see HandleEvent): each arms a new generation, and an ack bumps it
+// again, so an event whose generation is stale fires as a no-op.  The
+// event queue has no removal, so this is how a timer is cancelled.
 type pendingMsg struct {
+	rn       *ReliableNetwork
 	m        *Message
 	seq      int64
 	attempts int
 	rto      sim.Time
-	timer    *sim.Timer
+	gen      int64
 }
+
+// pendingMsg event ops, in the low bit of the event arg above the
+// generation.
+const (
+	opTimeout  = 0
+	opTransmit = 1
+)
+
+// arm schedules op on pm at time at under a fresh generation.
+func (pm *pendingMsg) arm(at sim.Time, op int64) {
+	pm.gen++
+	pm.rn.eng.AtHandler(at, pm, pm.gen<<1|op)
+}
+
+// HandleEvent runs a timer or deferred transmission armed by arm,
+// unless an ack or a later arm has superseded it.
+func (pm *pendingMsg) HandleEvent(now sim.Time, arg int64) {
+	if arg>>1 != pm.gen {
+		return
+	}
+	if arg&1 == opTimeout {
+		pm.rn.timeout(pm)
+	} else {
+		pm.rn.transmit(pm)
+	}
+}
+
+// frame is one wire transmission of the transport: a data frame
+// carrying logical message m at sequence seq, or an ack (m == nil)
+// covering every seq <= seq of its pair.  The frame's own Message is
+// what travels the inner network; its frame pointer routes delivery
+// back here, so no closure is built per frame.  Frames are recycled
+// after delivery and after a wire drop.
+type frame struct {
+	Message
+	rn    *ReliableNetwork
+	m     *Message
+	seq   int64
+	delay int64 // injected delay still to wait out at the destination
+}
+
+// HandleEvent re-runs a frame's arrival once an injected delay or the
+// receiver's pause window has passed.
+func (f *frame) HandleEvent(now sim.Time, arg int64) { f.rn.land(f) }
 
 // NewReliableNetwork wraps nw in the reliable transport driven by spec.
 func NewReliableNetwork(nw *Network, spec fault.Spec, p ReliableParams) *ReliableNetwork {
@@ -137,14 +193,42 @@ func (rn *ReliableNetwork) Send(m *Message) {
 	}
 	rn.nw.checkEndpoints(m)
 	sc := &rn.send[m.Src*rn.n+m.Dst]
-	if sc.inflight == nil {
-		sc.inflight = make(map[int64]*pendingMsg)
-	}
 	m.SendTime = rn.eng.Now()
-	pm := &pendingMsg{m: m, seq: sc.nextSeq, rto: rn.initialRTO(m.Size)}
+	pm := rn.newPending()
+	pm.m, pm.seq, pm.rto = m, sc.nextSeq, rn.initialRTO(m.Size)
 	sc.nextSeq++
-	sc.inflight[pm.seq] = pm
-	rn.transmit(sc, pm)
+	sc.inflight = append(sc.inflight, pm)
+	rn.transmit(pm)
+}
+
+// newPending returns a recycled or fresh pendingMsg.  A recycled one
+// keeps its generation, so events armed in its previous life stay stale.
+func (rn *ReliableNetwork) newPending() *pendingMsg {
+	if n := len(rn.freePending); n > 0 {
+		pm := rn.freePending[n-1]
+		rn.freePending = rn.freePending[:n-1]
+		return pm
+	}
+	return &pendingMsg{rn: rn}
+}
+
+// newFrame returns a recycled or fresh frame for one wire transmission.
+func (rn *ReliableNetwork) newFrame() *frame {
+	if n := len(rn.freeFrames); n > 0 {
+		f := rn.freeFrames[n-1]
+		rn.freeFrames = rn.freeFrames[:n-1]
+		return f
+	}
+	f := &frame{rn: rn}
+	f.frame = f
+	return f
+}
+
+// recycle returns f to the free list once no event refers to it.  The
+// next putFrame or putAck sets every field a frame uses.
+func (rn *ReliableNetwork) recycle(f *frame) {
+	f.m = nil
+	rn.freeFrames = append(rn.freeFrames, f)
 }
 
 // initialRTO estimates a first retransmission timeout from the message
@@ -167,10 +251,7 @@ func (rn *ReliableNetwork) initialRTO(size int64) sim.Time {
 // network and arms the retransmission timer.  Transmissions initiated
 // inside the source node's pause window or its NI's stall window wait
 // for the window to end.
-func (rn *ReliableNetwork) transmit(sc *sendChan, pm *pendingMsg) {
-	if cur, ok := sc.inflight[pm.seq]; !ok || cur != pm {
-		return // acked while this transmission was deferred
-	}
+func (rn *ReliableNetwork) transmit(pm *pendingMsg) {
 	now := rn.eng.Now()
 	src, dst := pm.m.Src, pm.m.Dst
 	defer1 := rn.inj.PauseUntil(src, now)
@@ -178,7 +259,7 @@ func (rn *ReliableNetwork) transmit(sc *sendChan, pm *pendingMsg) {
 		defer1 = t
 	}
 	if defer1 > now {
-		rn.eng.At(defer1, func() { rn.transmit(sc, pm) })
+		pm.arm(defer1, opTransmit)
 		return
 	}
 	if pm.attempts >= rn.p.MaxAttempts {
@@ -196,32 +277,36 @@ func (rn *ReliableNetwork) transmit(sc *sendChan, pm *pendingMsg) {
 		// original's fate (delivered); the receiver suppresses it.
 		rn.putFrame(pm, fault.Decision{Delay: d.Delay})
 	}
-	rto := pm.rto
-	pm.timer = rn.eng.NewTimer(rto, func() { rn.timeout(sc, pm) })
+	pm.arm(now+pm.rto, opTimeout)
 }
 
 // putFrame sends one data frame through the inner network.
 func (rn *ReliableNetwork) putFrame(pm *pendingMsg, d fault.Decision) {
-	src, dst, seq := pm.m.Src, pm.m.Dst, pm.seq
-	m, delay := pm.m, d.Delay
+	m := pm.m
 	if d.Drop {
-		rn.drops[src]++
-		rn.eng.Tracer().MsgDrop(rn.eng.Now(), int32(src), int64(m.Kind), seq)
+		rn.drops[m.Src]++
+		rn.eng.Tracer().MsgDrop(rn.eng.Now(), int32(m.Src), int64(m.Kind), pm.seq)
 	}
-	rn.nw.Send(&Message{
-		Src: src, Dst: dst, Kind: m.Kind,
-		Size:       m.Size + rn.p.SeqBytes,
-		DropOnWire: d.Drop,
-		OnDeliver:  func(sim.Time) { rn.arrive(src, dst, seq, m, delay) },
-	})
+	f := rn.newFrame()
+	f.Src, f.Dst, f.Kind = m.Src, m.Dst, m.Kind
+	f.Size = m.Size + rn.p.SeqBytes
+	f.m, f.seq, f.delay = m, pm.seq, d.Delay
+	rn.sendFrame(f, d.Drop)
+}
+
+// sendFrame puts f on the inner network.  A frame lost on the wire
+// schedules no event there, so it is recycled at once.
+func (rn *ReliableNetwork) sendFrame(f *frame, drop bool) {
+	f.DropOnWire = drop
+	rn.nw.Send(&f.Message)
+	if drop {
+		rn.recycle(f)
+	}
 }
 
 // timeout fires when pm's ack did not arrive in time: back off and
 // retransmit.
-func (rn *ReliableNetwork) timeout(sc *sendChan, pm *pendingMsg) {
-	if cur, ok := sc.inflight[pm.seq]; !ok || cur != pm {
-		return // acked after the timer was already committed to fire
-	}
+func (rn *ReliableNetwork) timeout(pm *pendingMsg) {
 	src := pm.m.Src
 	pm.rto *= 2
 	if pm.rto > rn.p.RTOCap {
@@ -229,22 +314,35 @@ func (rn *ReliableNetwork) timeout(sc *sendChan, pm *pendingMsg) {
 	}
 	rn.retransmits[src]++
 	rn.eng.Tracer().MsgRetransmit(rn.eng.Now(), int32(src), int64(pm.m.Kind), int64(pm.attempts))
-	rn.transmit(sc, pm)
+	rn.transmit(pm)
 }
 
-// arrive processes one data frame deposited at the destination NI:
-// apply injected delay, wait out the destination's pause window, then
-// run duplicate suppression and in-order delivery, and ack.
-func (rn *ReliableNetwork) arrive(src, dst int, seq int64, m *Message, delay int64) {
+// land handles a frame deposited at its destination NI: it waits out
+// the injected delay and the receiver's pause window, then hands the
+// frame to arrive or ackArrive and recycles it.
+func (rn *ReliableNetwork) land(f *frame) {
 	now := rn.eng.Now()
-	if delay > 0 {
-		rn.eng.After(delay, func() { rn.arrive(src, dst, seq, m, 0) })
+	if f.delay > 0 {
+		at := now + f.delay
+		f.delay = 0
+		rn.eng.AtHandler(at, f, 0)
 		return
 	}
-	if t := rn.inj.PauseUntil(dst, now); t > now {
-		rn.eng.At(t, func() { rn.arrive(src, dst, seq, m, 0) })
+	if t := rn.inj.PauseUntil(f.Dst, now); t > now {
+		rn.eng.AtHandler(t, f, 0)
 		return
 	}
+	if f.m == nil {
+		rn.ackArrive(f.Dst, f.Src, f.seq)
+	} else {
+		rn.arrive(f.Src, f.Dst, f.seq, f.m)
+	}
+	rn.recycle(f)
+}
+
+// arrive runs duplicate suppression and in-order delivery for one data
+// frame of the (src, dst) pair, and acks.
+func (rn *ReliableNetwork) arrive(src, dst int, seq int64, m *Message) {
 	rc := &rn.recv[src*rn.n+dst]
 	switch {
 	case seq < rc.next:
@@ -293,49 +391,42 @@ func (rn *ReliableNetwork) sendAck(src, dst int, ackSeq int64) {
 		rn.drops[dst]++
 		rn.eng.Tracer().MsgDrop(rn.eng.Now(), int32(dst), -1, ackSeq)
 	}
-	delay := d.Delay
-	rn.nw.Send(&Message{
-		Src: dst, Dst: src, Kind: -1,
-		Size:       rn.p.AckBytes,
-		DropOnWire: d.Drop,
-		OnDeliver:  func(sim.Time) { rn.ackArrive(src, dst, ackSeq, delay) },
-	})
+	rn.putAck(src, dst, ackSeq, d.Delay, d.Drop)
 	if d.Dup {
-		rn.nw.Send(&Message{
-			Src: dst, Dst: src, Kind: -1,
-			Size:      rn.p.AckBytes,
-			OnDeliver: func(sim.Time) { rn.ackArrive(src, dst, ackSeq, delay) },
-		})
+		rn.putAck(src, dst, ackSeq, d.Delay, false)
 	}
+}
+
+// putAck sends one ack frame for the (src, dst) data pair from dst to
+// src.
+func (rn *ReliableNetwork) putAck(src, dst int, ackSeq, delay int64, drop bool) {
+	f := rn.newFrame()
+	f.Src, f.Dst, f.Kind = dst, src, -1
+	f.Size = rn.p.AckBytes
+	f.seq, f.delay = ackSeq, delay
+	rn.sendFrame(f, drop)
 }
 
 // ackArrive retires every in-flight message of the (src, dst) pair with
 // seq <= ackSeq.  Cumulative acks make loss of any individual ack
 // harmless.
-func (rn *ReliableNetwork) ackArrive(src, dst int, ackSeq int64, delay int64) {
-	now := rn.eng.Now()
-	if delay > 0 {
-		rn.eng.After(delay, func() { rn.ackArrive(src, dst, ackSeq, 0) })
-		return
-	}
-	if t := rn.inj.PauseUntil(src, now); t > now {
-		rn.eng.At(t, func() { rn.ackArrive(src, dst, ackSeq, 0) })
-		return
-	}
+func (rn *ReliableNetwork) ackArrive(src, dst int, ackSeq int64) {
 	sc := &rn.send[src*rn.n+dst]
-	// Walk sequence numbers, not the map, so retirement order is
-	// deterministic.
-	for s := sc.ackedTo; s <= ackSeq; s++ {
-		if pm, ok := sc.inflight[s]; ok {
-			if pm.timer != nil {
-				pm.timer.Stop()
-			}
-			delete(sc.inflight, s)
-		}
+	k := int(ackSeq + 1 - sc.ackedTo)
+	if k <= 0 {
+		return // a stale or duplicate ack
 	}
-	if ackSeq+1 > sc.ackedTo {
-		sc.ackedTo = ackSeq + 1
+	// Retiring bumps the generation, which turns the pending timer into
+	// a no-op, and recycles the record.
+	for _, pm := range sc.inflight[:k] {
+		pm.gen++
+		pm.m, pm.attempts = nil, 0
+		rn.freePending = append(rn.freePending, pm)
 	}
+	n := copy(sc.inflight, sc.inflight[k:])
+	clear(sc.inflight[n:])
+	sc.inflight = sc.inflight[:n]
+	sc.ackedTo = ackSeq + 1
 }
 
 // --- counters (per node and total) ---

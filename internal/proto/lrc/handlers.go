@@ -1,6 +1,7 @@
 package lrc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -89,14 +90,44 @@ func (p *Protocol) handleDiffReq(h proto.HandlerCtx, req diffReq) int64 {
 	return p.Costs.HandlerBase + p.Costs.HandlerPerItem*items
 }
 
+// readback caches the page ReadCoherent reconstructed last, so a
+// verification pass that reads a page word by word rebuilds it once.
+// The cache fills only after every node has run Finalize — until then
+// threads still write their frames, and the manager's frame is one of
+// them — and anything that changes the inputs of a reconstruction
+// afterwards empties it: a new interval, InitWrite and AssignHome.
+type readback struct {
+	ok   bool
+	pg   int64
+	page [mem.PageSize]byte
+	ivs  []*interval // reconstruction scratch
+}
+
+// Finalize closes the node's last interval and counts the node as done.
+func (p *Protocol) Finalize(th proto.Thread) {
+	p.Core.Finalize(th)
+	p.finalized++
+}
+
 // ReadCoherent reconstructs the authoritative value: the manager's base
 // copy with every interval's diffs applied in happened-before order.
 func (p *Protocol) ReadCoherent(addr int64) uint32 {
 	pg := mem.PageOf(addr)
+	rb := &p.rb
+	if !rb.ok || rb.pg != pg {
+		p.reconstruct(pg)
+		rb.pg, rb.ok = pg, p.finalized == p.NProcs
+	}
+	off := addr & (mem.PageSize - 1)
+	return binary.LittleEndian.Uint32(rb.page[off:])
+}
+
+// reconstruct rebuilds page pg into the readback buffer.
+func (p *Protocol) reconstruct(pg int64) {
+	rb := &p.rb
 	frame := p.Env.NodeMem(p.manager(pg)).Frame(pg)
-	var page [mem.PageSize]byte
-	copy(page[:], frame[:])
-	var ivs []*interval
+	rb.page = *frame
+	ivs := rb.ivs[:0]
 	for o := 0; o < p.NProcs; o++ {
 		for _, iv := range p.intervals[o] {
 			if _, ok := iv.diffs[pg]; ok {
@@ -106,15 +137,14 @@ func (p *Protocol) ReadCoherent(addr int64) uint32 {
 	}
 	sortIntervals(ivs)
 	for _, iv := range ivs {
-		wdiff.Apply(page[:], iv.diffs[pg])
+		wdiff.Apply(rb.page[:], iv.diffs[pg])
 	}
-	off := addr & (mem.PageSize - 1)
-	return uint32(page[off]) | uint32(page[off+1])<<8 |
-		uint32(page[off+2])<<16 | uint32(page[off+3])<<24
+	rb.ivs = ivs
 }
 
 // InitWrite seeds the manager's base copy.
 func (p *Protocol) InitWrite(addr int64, v uint32) {
+	p.rb.ok = false
 	p.Env.NodeMem(p.manager(mem.PageOf(addr))).WriteWord(addr, v)
 }
 

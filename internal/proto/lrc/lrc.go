@@ -79,6 +79,9 @@ type Protocol struct {
 	nodes     []*nodeState
 	intervals [][]*interval // per owner, indexed seq-1
 
+	finalized int      // nodes that have run Finalize
+	rb        readback // ReadCoherent's last page
+
 	// diffScratch collects a page's modified words before they are
 	// right-sized into the retained interval diff (single-threaded
 	// engine; it never survives a yield point).
@@ -125,6 +128,7 @@ func (p *Protocol) AssignHome(addr, size int64, node int) {
 		copy(dst[:], src[:])
 		p.Nodes[old].Mode[pg] = lazyrc.Invalid
 		p.managers[pg] = int32(node)
+		p.rb.ok = false
 		p.Nodes[node].Mode[pg] = lazyrc.ReadOnly
 	}
 }
@@ -235,7 +239,14 @@ func (p policy) Flush(th proto.Thread, pages []int64, seq int32) {
 	for _, v := range ns.VC {
 		iv.vcSum += int64(v)
 	}
-	p.intervals[me] = append(p.intervals[me], iv)
+	p.addInterval(iv)
+}
+
+// addInterval retains a closed interval's diffs; the new diffs make any
+// cached readback stale.
+func (p *Protocol) addInterval(iv *interval) {
+	p.intervals[iv.owner] = append(p.intervals[iv.owner], iv)
+	p.rb.ok = false
 }
 
 // Fetch collects the base copy (if needed) and all unseen diffs for pg,

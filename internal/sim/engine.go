@@ -10,8 +10,8 @@
 //
 // The event loop is built for raw speed.  Events are value-typed records
 // in a calendar/bucket queue (see queue.go) instead of heap-allocated
-// closures; the dominant kinds — coroutine steps, timers, network
-// packets — are closure-free.  The loop itself ("the pump") is
+// closures; the dominant kinds — coroutine steps, network packets and
+// transport timers — are closure-free.  The loop itself ("the pump") is
 // re-entrant: whichever stack currently holds control (Run, a coroutine
 // inside Sleep/Block, or a finished coroutine on its way out) pops and
 // dispatches events in place, handing off directly to the next coroutine
@@ -105,7 +105,7 @@ func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
 // everything else defers to scheduleSlow.
 func (e *Engine) schedule(at Time, kind uint8, obj any, arg int64) {
 	e.seq++
-	if !e.regSet && e.q.count == 0 && len(e.q.overflow) == 0 {
+	if !e.regSet && e.q.n == 0 {
 		e.reg.at = at
 		e.reg.seq = e.seq
 		e.reg.arg = arg
@@ -125,18 +125,6 @@ func (e *Engine) scheduleSlow(at Time, kind uint8, obj any, arg int64) {
 		e.q.insert(e.reg, e.now)
 	}
 	e.q.insert(event{at: at, seq: e.seq, arg: arg, obj: obj, kind: kind}, e.now)
-}
-
-// popEvent removes the earliest queued event and returns a pointer to
-// it.  The pointed-to record (the register, a bucket slot, or the
-// queue's overflow scratch) is only guaranteed until the next schedule
-// or pop: callers must read every field they need before dispatching.
-func (e *Engine) popEvent() (*event, bool) {
-	if e.regSet {
-		e.regSet = false
-		return &e.reg, true
-	}
-	return e.q.popNext()
 }
 
 // peekTime reports the earliest queued timestamp, if any.
@@ -183,6 +171,11 @@ func (e *Engine) atStep(t Time, c *Coro) {
 
 // Stop terminates Run after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
+
+// Fail aborts the run: Run drains no further events and returns err.
+// The reliable transport uses it when a message exhausts its retransmit
+// budget (a partitioned or dead node), which no protocol can survive.
+func (e *Engine) Fail(err error) { e.fail(err) }
 
 // fail records a fatal simulation error and stops the engine.
 func (e *Engine) fail(err error) {
@@ -245,12 +238,6 @@ func (e *Engine) pump(self *Coro, dying bool) {
 				return
 			}
 			<-e.mainCh
-		case evTimer:
-			t := ev.obj.(*Timer)
-			if !t.stopped {
-				t.fired = true
-				t.fn()
-			}
 		case evHandler:
 			ev.obj.(EventHandler).HandleEvent(e.now, ev.arg)
 		}

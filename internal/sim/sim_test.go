@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -274,5 +275,23 @@ func TestStop(t *testing.T) {
 	}
 	if ran != 1 {
 		t.Fatalf("ran = %d, want 1 (Stop should halt)", ran)
+	}
+}
+
+func TestFailAbortsRun(t *testing.T) {
+	eng := NewEngine()
+	boom := errors.New("boom")
+	late := false
+	eng.At(10, func() { eng.Fail(boom) })
+	eng.At(20, func() { late = true })
+	at, err := eng.Run()
+	if !errors.Is(err, boom) {
+		t.Fatalf("Run returned %v, want the injected failure", err)
+	}
+	if at != 10 {
+		t.Fatalf("failure reported at %d, want 10", at)
+	}
+	if late {
+		t.Fatal("events after Fail still ran")
 	}
 }
