@@ -13,7 +13,7 @@ package radix
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"swsm/internal/apps"
 	"swsm/internal/core"
@@ -203,7 +203,7 @@ func (r *Radix) permuteLocal(t *core.Thread, src, dst apps.U32, lo, hi, shift in
 // Verify checks the final array is the sorted input.
 func (r *Radix) Verify(m *core.Machine) error {
 	want := append([]uint32(nil), r.input...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	slices.Sort(want)
 	// Two passes: result back in `from`.
 	final := r.from
 	for i := 0; i < r.n; i++ {

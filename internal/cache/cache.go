@@ -6,7 +6,10 @@
 // simulator.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Config describes the hierarchy.  All sizes in bytes; latencies in
 // processor cycles.  The L1 hit cost is folded into the 1-IPC model, so
@@ -41,35 +44,42 @@ func DefaultConfig() Config {
 	}
 }
 
-// noMRU is the most-recently-used tag sentinel; no line address shifts
-// down to it.
-const noMRU = int64(-1) << 62
-
-// freeTag marks an invalid line.  Real tags are non-negative (simulated
-// addresses are), so -1 never collides.
-const freeTag = int64(-1)
-
 // level is one set-associative array, stored structure-of-arrays: the
 // hit scan compares against a dense row of tags (one 64-byte line holds
 // a whole 8-way set), and the LRU/dirty metadata — packed as tick<<1 |
 // dirty — is touched only on the hit way or during victim selection.
-// Validity is encoded in the tag itself (freeTag).  A one-entry MRU
-// filter short-circuits the very common case of consecutive references
-// to the same line (sequential word accesses within a 32-byte line)
-// without perturbing the LRU bookkeeping: the filtered path performs
-// exactly the tick/lru/dirty updates the full probe would.
+// Validity is encoded in the tag itself: a way's tag is its line number
+// plus one, and 0 marks an invalid way, so a zeroed array is an empty
+// level.  The set index is taken from the line number itself.  A
+// one-entry MRU filter short-circuits the very common case of
+// consecutive references to the same line (sequential word accesses
+// within a 32-byte line) without perturbing the LRU bookkeeping: the
+// filtered path performs exactly the tick/lru/dirty updates the full
+// probe would.
 type level struct {
-	tags     []int64  // per line: tag, or freeTag when invalid
+	tags     []int64  // per line: line number + 1, or 0 when invalid
 	meta     []uint64 // per line: lru tick<<1 | dirty bit
+	buf      *lines   // holds tags and meta for the pool on release
 	assoc    int
 	setMask  int64
 	lineBits uint
 	tick     uint64
 	mruIdx   int32
-	mruTag   int64 // noMRU when the filter is empty
+	mruTag   int64 // 0 when the filter is empty
 }
 
-func (l *level) init(size, assoc, lineSize int) {
+// lines holds one level's arrays while they wait in a pool.
+type lines struct {
+	tags []int64
+	meta []uint64
+}
+
+// linePools recycles released levels' arrays, one pool per level, so a
+// sequence of runs neither allocates nor faults in each node's 264 KB of
+// L1 and L2 arrays again.  sync.Pool because concurrent runs share it.
+var linePools [2]sync.Pool
+
+func (l *level) init(size, assoc, lineSize int, pool *sync.Pool) {
 	nLines := size / lineSize
 	if nLines < assoc {
 		assoc = nLines
@@ -86,15 +96,29 @@ func (l *level) init(size, assoc, lineSize int) {
 	for 1<<lineBits < lineSize {
 		lineBits++
 	}
-	l.tags = make([]int64, nSets*assoc)
-	for i := range l.tags {
-		l.tags[i] = freeTag
+	n := nSets * assoc
+	b, _ := pool.Get().(*lines)
+	if b == nil || len(b.tags) != n {
+		// A pooled array of another geometry is left to the collector.
+		b = &lines{tags: make([]int64, n), meta: make([]uint64, n)}
+	} else {
+		// Zero tags empty the level.  meta is left as it is: an invalid
+		// way's meta is never read, and installing a line rewrites it.
+		clear(b.tags)
 	}
-	l.meta = make([]uint64, nSets*assoc)
+	l.tags, l.meta, l.buf = b.tags, b.meta, b
 	l.assoc = assoc
 	l.setMask = int64(nSets - 1)
 	l.lineBits = lineBits
-	l.mruTag = noMRU
+}
+
+// release hands the level's arrays to pool and empties the level, so a
+// later probe panics instead of reading another run's lines.
+func (l *level) release(pool *sync.Pool) {
+	if l.buf != nil {
+		pool.Put(l.buf)
+	}
+	*l = level{}
 }
 
 // access probes the level; on miss it installs the line, returning the
@@ -105,13 +129,14 @@ func (l *level) access(addr int64, write bool) (hit, victimDirty bool) {
 	if write {
 		w = 1
 	}
-	tag := addr >> l.lineBits
+	line := addr >> l.lineBits
+	tag := line + 1
 	if tag == l.mruTag {
 		i := l.mruIdx
 		l.meta[i] = l.tick<<1 | l.meta[i]&1 | w
 		return true, false
 	}
-	base := int(tag&l.setMask) * l.assoc
+	base := int(line&l.setMask) * l.assoc
 	tags := l.tags[base : base+l.assoc]
 	for i := range tags {
 		if tags[i] == tag {
@@ -125,10 +150,10 @@ func (l *level) access(addr int64, write bool) (hit, victimDirty bool) {
 	// last invalid way if any, else the first way with the minimum LRU
 	// tick (strict < keeps earlier ways on ties).
 	victim := 0
-	vFree := tags[0] == freeTag
+	vFree := tags[0] == 0
 	vLRU := l.meta[base] >> 1
 	for i := 1; i < len(tags); i++ {
-		if tags[i] == freeTag {
+		if tags[i] == 0 {
 			victim, vFree = i, true
 		} else if !vFree {
 			if lru := l.meta[base+i] >> 1; lru < vLRU {
@@ -137,7 +162,7 @@ func (l *level) access(addr int64, write bool) (hit, victimDirty bool) {
 		}
 	}
 	idx := base + victim
-	victimDirty = tags[victim] != freeTag && l.meta[idx]&1 != 0
+	victimDirty = tags[victim] != 0 && l.meta[idx]&1 != 0
 	tags[victim] = tag
 	l.meta[idx] = l.tick<<1 | w
 	l.mruIdx, l.mruTag = int32(idx), tag
@@ -147,17 +172,18 @@ func (l *level) access(addr int64, write bool) (hit, victimDirty bool) {
 // invalidate drops the line containing addr if present, reporting whether
 // it was dirty.
 func (l *level) invalidate(addr int64) (present, dirty bool) {
-	tag := addr >> l.lineBits
-	base := int(tag&l.setMask) * l.assoc
+	line := addr >> l.lineBits
+	tag := line + 1
+	base := int(line&l.setMask) * l.assoc
 	tags := l.tags[base : base+l.assoc]
 	for i := range tags {
 		if tags[i] == tag {
 			idx := base + i
 			dirty = l.meta[idx]&1 != 0
-			tags[i] = freeTag
+			tags[i] = 0
 			l.meta[idx] = 0
 			if l.mruTag == tag {
-				l.mruTag = noMRU
+				l.mruTag = 0
 			}
 			return true, dirty
 		}
@@ -179,16 +205,42 @@ type Cache struct {
 	L2Misses int64
 }
 
-// New builds a hierarchy from the config.
+// New builds an empty hierarchy from the config, reusing the arrays of
+// a released cache of the same geometry when one is pooled.
 func New(cfg Config) *Cache {
 	c := &Cache{cfg: cfg}
-	c.l1.init(cfg.L1Size, cfg.L1Assoc, cfg.LineSize)
-	c.l2.init(cfg.L2Size, cfg.L2Assoc, cfg.LineSize)
+	c.l1.init(cfg.L1Size, cfg.L1Assoc, cfg.LineSize, &linePools[0])
+	c.l2.init(cfg.L2Size, cfg.L2Assoc, cfg.LineSize, &linePools[1])
 	return c
+}
+
+// Release hands the cache's arrays back for a later New to reuse.  The
+// cache must not be probed afterwards; a probe panics.
+func (c *Cache) Release() {
+	c.l1.release(&linePools[0])
+	c.l2.release(&linePools[1])
 }
 
 // LineSize reports the configured line size.
 func (c *Cache) LineSize() int { return c.cfg.LineSize }
+
+// HitMRU is Access's fast path for a reference lying wholly in the L1's
+// most recently used line: it counts the access, sets the line's dirty
+// bit on a write and reports true, for no stall.  It leaves the level's
+// tick alone, which is exact: the MRU line already holds the newest
+// tick, so no set's LRU order changes.  On false, call Access.
+func (c *Cache) HitMRU(addr int64, size int, write bool) bool {
+	l := &c.l1
+	tag := addr>>l.lineBits + 1
+	if tag != l.mruTag || (addr+int64(size)-1)>>l.lineBits+1 != tag {
+		return false
+	}
+	c.Accesses++
+	if write {
+		l.meta[l.mruIdx] |= 1
+	}
+	return true
+}
 
 // Access simulates one data reference of `size` bytes at addr and returns
 // the stall cycles beyond the 1-IPC instruction cost, plus miss flags for
@@ -257,8 +309,9 @@ func (c *Cache) Contains(addr int64) bool {
 }
 
 func (l *level) contains(addr int64) bool {
-	tag := addr >> l.lineBits
-	base := int(tag&l.setMask) * l.assoc
+	line := addr >> l.lineBits
+	tag := line + 1
+	base := int(line&l.setMask) * l.assoc
 	for _, t := range l.tags[base : base+l.assoc] {
 		if t == tag {
 			return true

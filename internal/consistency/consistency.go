@@ -25,6 +25,7 @@ package consistency
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"swsm/internal/proto"
 )
@@ -68,10 +69,26 @@ type Recorder struct {
 	floor, cover []int32
 }
 
+// tables holds a released recorder's word, location and write tables,
+// cleared, so that the next recorder grows into them instead of
+// allocating and copying its way up again.
+type tables struct {
+	words  []word
+	locs   []loc
+	writes []writeRec
+}
+
+// tablePool recycles released tables; sync.Pool because concurrent runs
+// share it.
+var tablePool sync.Pool
+
 // NewRecorder builds a recorder for a machine of `procs` processors
 // whose protocol declares `model`.
 func NewRecorder(model proto.Model, procs int) *Recorder {
 	r := &Recorder{model: model, procs: procs, sum: Summary{Model: model}}
+	if t, _ := tablePool.Get().(*tables); t != nil {
+		r.words, r.locs, r.writes = t.words, t.locs, t.writes
+	}
 	if model != proto.ModelSC {
 		r.clocks = make([]int32, procs*procs)
 		r.cur = make([]int32, procs)
@@ -145,19 +162,20 @@ func (r *Recorder) access(proc int32, addr int64, size int, write bool, val uint
 	r.fail(v)
 }
 
-// Acquire records that proc completed an acquire of lock l (recorded
-// after the protocol-level acquire returns, so every release whose
-// interval the grant carried is already in the history).
-func (r *Recorder) Acquire(proc int32, lock int, now int64) {
+// LockAcquire records that proc completed an acquire of lock l
+// (recorded after the protocol-level acquire returns, so every release
+// whose interval the grant carried is already in the history).
+func (r *Recorder) LockAcquire(proc int32, lock int, now int64) {
 	if r == nil {
 		return
 	}
 	r.sync(opAcquire, proc, int64(lock), now)
 }
 
-// Release records that proc is about to release lock l (recorded before
-// the protocol-level release, so it precedes any acquire it enables).
-func (r *Recorder) Release(proc int32, lock int, now int64) {
+// LockRelease records that proc is about to release lock l (recorded
+// before the protocol-level release, so it precedes any acquire it
+// enables).
+func (r *Recorder) LockRelease(proc int32, lock int, now int64) {
 	if r == nil {
 		return
 	}
@@ -202,6 +220,20 @@ func (r *Recorder) Check() *Violation {
 		r.sum.Locations = int64(len(r.locs))
 	}
 	return r.viol
+}
+
+// Release clears the recorder's tables and hands them back for a later
+// recorder to reuse.  Only the used prefix of each needs clearing: extend
+// keeps spare capacity zero.  The recorder must not be used afterwards.
+func (r *Recorder) Release() {
+	if r == nil {
+		return
+	}
+	clear(r.words)
+	clear(r.locs)
+	clear(r.writes)
+	tablePool.Put(&tables{words: r.words[:0], locs: r.locs[:0], writes: r.writes[:0]})
+	r.words, r.locs, r.writes = nil, nil, nil
 }
 
 // CheckSummary reports what Check covered (valid after Check).

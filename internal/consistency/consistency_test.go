@@ -1,6 +1,7 @@
 package consistency
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -22,8 +23,8 @@ func (h *history) tick() int64 { h.cy += 10; return h.cy }
 
 func (h *history) store(p int32, a int64, v uint32) { h.r.Access(p, a, 4, true, uint64(v), h.tick()) }
 func (h *history) load(p int32, a int64, v uint32)  { h.r.Access(p, a, 4, false, uint64(v), h.tick()) }
-func (h *history) acq(p int32, l int)               { h.r.Acquire(p, l, h.tick()) }
-func (h *history) rel(p int32, l int)               { h.r.Release(p, l, h.tick()) }
+func (h *history) acq(p int32, l int)               { h.r.LockAcquire(p, l, h.tick()) }
+func (h *history) rel(p int32, l int)               { h.r.LockRelease(p, l, h.tick()) }
 func (h *history) barrier(ps ...int32) {
 	for _, p := range ps {
 		h.r.BarrierArrive(p, 0, h.tick())
@@ -263,8 +264,8 @@ func TestNilRecorderIsFreeAndSafe(t *testing.T) {
 	var r *Recorder
 	r.Init(0, 4, 0)
 	r.Access(0, 0, 4, false, 0, 0)
-	r.Acquire(0, 0, 0)
-	r.Release(0, 0, 0)
+	r.LockAcquire(0, 0, 0)
+	r.LockRelease(0, 0, 0)
 	r.BarrierArrive(0, 0, 0)
 	r.BarrierDepart(0, 0, 0)
 	if v := r.Check(); v != nil {
@@ -275,8 +276,8 @@ func TestNilRecorderIsFreeAndSafe(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.Access(0, 0x1000, 4, true, 7, 100)
-		r.Acquire(0, 1, 100)
-		r.Release(0, 1, 100)
+		r.LockAcquire(0, 1, 100)
+		r.LockRelease(0, 1, 100)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil recorder hooks allocate: %v allocs/op", allocs)
@@ -364,6 +365,112 @@ func TestRecorderSteadyStateAllocs(t *testing.T) {
 	}
 	if v := r.Check(); v != nil {
 		t.Fatal(v)
+	}
+}
+
+// phases records a seeded history on h: in each phase every processor
+// stores a stripe of words, meets the others at a barrier and loads its
+// neighbour's stripe, then hands a lock round a ring.  stale, if set,
+// makes the last load return an overwritten value, a violation.
+func phases(h *history, procs int32, words, rounds int, seed int64, stale bool) {
+	r := rand.New(rand.NewSource(seed))
+	vals := make([]uint32, int(procs)*words)
+	addr := func(i int) int64 { return 0x100 + int64(i)*4 }
+	for k := 0; k < rounds; k++ {
+		for p := int32(0); p < procs; p++ {
+			for i := 0; i < words; i++ {
+				w := int(p)*words + i
+				vals[w] = r.Uint32()
+				h.store(p, addr(w), vals[w])
+			}
+		}
+		h.barrier(seq(procs)...)
+		for p := int32(0); p < procs; p++ {
+			q := (p + 1) % procs
+			for i := 0; i < words; i++ {
+				w := int(q)*words + i
+				h.load(p, addr(w), vals[w])
+			}
+		}
+		for p := int32(0); p < procs; p++ {
+			h.acq(p, k)
+			h.rel(p, k)
+		}
+	}
+	if stale {
+		h.store(0, addr(0), vals[0]+1)
+		h.barrier(seq(procs)...)
+		h.load(1, addr(0), vals[0])
+	}
+}
+
+func seq(n int32) []int32 {
+	ps := make([]int32, n)
+	for i := range ps {
+		ps[i] = int32(i)
+	}
+	return ps
+}
+
+// spareZero reports whether s's capacity beyond its length is all zero,
+// the condition extend relies on.
+func spareZero[T comparable](s []T) bool {
+	var zero T
+	for _, x := range s[len(s):cap(s)] {
+		if x != zero {
+			return false
+		}
+	}
+	return true
+}
+
+// TestReusedRecorderMatchesFresh runs a larger checked history, releases
+// its recorder, and runs smaller ones on recorders built after it: each
+// must report what a recorder with fresh tables reports, and keep its
+// tables' spare capacity zero.  The pool may drop a release (the race
+// detector drops some on purpose), so the test repeats until a recorder
+// has actually reused released tables.
+func TestReusedRecorderMatchesFresh(t *testing.T) {
+	for _, model := range []proto.Model{proto.ModelRC, proto.ModelSC} {
+		reused := 0
+		for i := int64(0); i < 50 && reused < 3; i++ {
+			big := newHistory(model, 4)
+			phases(big, 4, 300, 4, i, false)
+			if v := big.r.Check(); v != nil {
+				t.Fatalf("%s: larger history: %v", model, v)
+			}
+			big.r.Release()
+			for _, stale := range []bool{false, true} {
+				h := newHistory(model, 3)
+				if cap(h.r.words) > 0 {
+					reused++
+				}
+				if !spareZero(h.r.words[:0]) || !spareZero(h.r.locs[:0]) || !spareZero(h.r.writes[:0]) {
+					t.Fatalf("%s: a reused recorder's tables are not zero", model)
+				}
+				fresh := newHistory(model, 3)
+				fresh.r.words, fresh.r.locs, fresh.r.writes = nil, nil, nil
+				phases(h, 3, 40, 3, 100+i, stale)
+				phases(fresh, 3, 40, 3, 100+i, stale)
+				if !spareZero(h.r.words) || !spareZero(h.r.locs) || !spareZero(h.r.writes) {
+					t.Fatalf("%s: a reused recorder's spare capacity is not zero", model)
+				}
+				got, want := h.r.Check(), fresh.r.Check()
+				if (got != nil) != stale || (want != nil) != stale {
+					t.Fatalf("%s stale=%v: got violation %v, fresh %v", model, stale, got, want)
+				}
+				if got != nil && got.Error() != want.Error() {
+					t.Fatalf("%s: violation %q, fresh %q", model, got, want)
+				}
+				if h.r.CheckSummary() != fresh.r.CheckSummary() {
+					t.Fatalf("%s: summary %+v, fresh %+v", model, h.r.CheckSummary(), fresh.r.CheckSummary())
+				}
+				h.r.Release()
+			}
+		}
+		if reused == 0 {
+			t.Fatalf("%s: no recorder reused released tables", model)
+		}
 	}
 }
 

@@ -205,6 +205,21 @@ func NewMachine(cfg Config, p proto.Protocol) *Machine {
 	return m
 }
 
+// Release hands every node's cache arrays and memory frames back for a
+// later machine to reuse, then drops them from the nodes, so that a use
+// after Release panics instead of reading another run's data.  Call it
+// once the run's results have been read out.
+func (m *Machine) Release() {
+	for _, n := range m.Nodes {
+		if n.Cache != nil {
+			n.Cache.Release()
+			n.Cache = nil
+		}
+		n.Mem.Release()
+		n.Mem = nil
+	}
+}
+
 // netSend routes a message through the reliable transport when fault
 // injection is on, and straight to the plain network otherwise.
 func (m *Machine) netSend(msg *comm.Message) {

@@ -310,7 +310,7 @@ func (t *Thread) post(addr int64, size int, write bool, val uint64) {
 	if t.chk != nil {
 		t.chk.Access(int32(t.node.ID), addr, size, write, val, t.Now())
 	}
-	if c := t.node.Cache; c != nil {
+	if c := t.node.Cache; c != nil && !c.HitMRU(addr, size, write) {
 		stall, _, _ := c.Access(addr, size, write)
 		if stall > 0 {
 			// tick(stats.CacheStall, stall), open-coded.
@@ -379,7 +379,7 @@ func (t *Thread) Acquire(l int) {
 	t.m.Prot.Acquire(t, l)
 	// Recorded after the protocol-level acquire: every release whose
 	// interval this grant carries is already in the checker's history.
-	t.m.Cfg.Check.Acquire(int32(t.node.ID), l, t.co.Now())
+	t.m.Cfg.Check.LockAcquire(int32(t.node.ID), l, t.co.Now())
 	t.m.Cfg.Tracer.LockWait(start, t.co.Now(), int32(t.node.ID), int64(l))
 }
 
@@ -388,7 +388,7 @@ func (t *Thread) Release(l int) {
 	t.sync()
 	// Recorded before the protocol-level release: it precedes any
 	// acquire it enables.
-	t.m.Cfg.Check.Release(int32(t.node.ID), l, t.co.Now())
+	t.m.Cfg.Check.LockRelease(int32(t.node.ID), l, t.co.Now())
 	t.m.Prot.Release(t, l)
 	t.m.Cfg.Tracer.LockRelease(t.co.Now(), int32(t.node.ID), int64(l))
 }

@@ -1,0 +1,82 @@
+package harness
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+
+	"swsm/internal/apps"
+)
+
+// recycleSpecs is a sequence that hands each run a previous run's
+// released buffers of another shape: a Base/16p Figure-3 ladder cell,
+// then Tiny cells at 2, 4 and 8 processors (checked, faulted, ideal and
+// adaptive among them), then the first cell again.
+func recycleSpecs(t *testing.T) []RunSpec {
+	t.Helper()
+	first := DefaultSpec("fft", HLRC)
+	tiny := func(app string, p ProtocolKind, procs int) RunSpec {
+		s := DefaultSpec(app, p)
+		s.Scale, s.Procs = apps.Tiny, procs
+		return s
+	}
+	checked := tiny("radix", LRC, 4)
+	checked.Check = true
+	faulted := FaultedSpec(tiny("ocean", SC, 8), 3, 10_000)
+	adaptive := tiny("water-nsquared", HLRC, 8)
+	hs, err := HeteroSpec("mixed", "adaptive")
+	if err != nil {
+		t.Fatal(err)
+	}
+	adaptive.Hetero = hs
+	adaptive.Check = true
+	return []RunSpec{
+		first,
+		tiny("lu", HLRC, 2),
+		checked,
+		tiny("fft", Ideal, 4),
+		faulted,
+		adaptive,
+		first,
+	}
+}
+
+func rowJSON(t *testing.T, res *Result) []byte {
+	t.Helper()
+	b, err := json.Marshal(NewRunRow(res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestRecycledBuffersKeepRowsIdentical runs a sequence of differently
+// shaped runs in one process, serially and then through a parallel
+// session, so that each run reuses caches, frames and checker tables
+// released by runs of other sizes.  Every row must be byte-identical to
+// its spec's first run.
+func TestRecycledBuffersKeepRowsIdentical(t *testing.T) {
+	specs := recycleSpecs(t)
+	first := make(map[string][]byte)
+	for _, spec := range specs {
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rowJSON(t, res)
+		if want, ok := first[spec.Key()]; !ok {
+			first[spec.Key()] = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("%s: rerun row differs:\n got %s\nwant %s", spec.Key(), got, want)
+		}
+	}
+	res, err := NewSession(4).RunAll(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if got, want := rowJSON(t, r), first[specs[i].Key()]; !bytes.Equal(got, want) {
+			t.Fatalf("%s: parallel row differs:\n got %s\nwant %s", specs[i].Key(), got, want)
+		}
+	}
+}

@@ -114,10 +114,9 @@ func DefaultSpec(app string, prot ProtocolKind) RunSpec {
 
 // Result is one run's outcome.
 type Result struct {
-	Spec    RunSpec
-	Cycles  int64
-	Stats   *stats.Machine
-	Machine *core.Machine
+	Spec   RunSpec
+	Cycles int64
+	Stats  *stats.Machine
 	// Trace holds the captured observability data when Spec.Trace was
 	// set: events, breakdown timeline samples, hot-object profile.
 	Trace *trace.Data
@@ -272,7 +271,7 @@ func RunInstance(spec RunSpec, inst apps.Instance, newProt func() proto.Protocol
 	if err := inst.Verify(m); err != nil {
 		return nil, fmt.Errorf("harness: %s on %s failed verification: %w", spec.App, spec.Protocol, err)
 	}
-	res := &Result{Spec: spec, Cycles: cycles, Stats: m.Stats, Machine: m}
+	res := &Result{Spec: spec, Cycles: cycles, Stats: m.Stats}
 	if rec != nil {
 		if v := rec.Check(); v != nil {
 			return nil, fmt.Errorf("harness: %s on %s: %w", spec.App, spec.Protocol, v)
@@ -284,6 +283,11 @@ func RunInstance(spec RunSpec, inst apps.Instance, newProt func() proto.Protocol
 		res.Trace = tr.Data()
 		res.Trace.Procs = spec.Procs
 	}
+	// The result holds nothing of the machine's memories, caches or
+	// checker tables, so they go back for the next run to reuse.  The
+	// error paths above leave theirs to the garbage collector.
+	m.Release()
+	rec.Release()
 	return res, nil
 }
 

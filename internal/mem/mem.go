@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Page geometry of the simulated virtual memory system.
@@ -57,11 +58,32 @@ func (m *NodeMem) Frame(pn int64) *[PageSize]byte {
 	return f
 }
 
+// framePool recycles the frames of released memories, so a sequence of
+// runs does not allocate and fault in its pages again.  sync.Pool
+// because concurrent runs share it.
+var framePool sync.Pool
+
 //go:noinline
 func (m *NodeMem) newFrame(pn int64) *[PageSize]byte {
-	f := new([PageSize]byte)
+	f, _ := framePool.Get().(*[PageSize]byte)
+	if f == nil {
+		f = new([PageSize]byte)
+	} else {
+		clear(f[:])
+	}
 	m.frames[pn] = f
 	return f
+}
+
+// Release returns every frame for a later memory to reuse.  The memory
+// must not be used afterwards; an access panics.
+func (m *NodeMem) Release() {
+	for _, f := range m.frames {
+		if f != nil {
+			framePool.Put(f)
+		}
+	}
+	m.frames = nil
 }
 
 // Allocated reports whether page pn has a frame (for tests).

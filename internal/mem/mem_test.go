@@ -118,3 +118,56 @@ func TestPageOfBase(t *testing.T) {
 		t.Fatal("PageBase wrong")
 	}
 }
+
+// TestReusedFrameReadsZero fills frames with ones, releases them and
+// checks that a later memory's frames read all zero, whether or not they
+// are the recycled ones.  The pool may drop a release (the race detector
+// drops some on purpose), so the test repeats until a frame has actually
+// been reused.
+func TestReusedFrameReadsZero(t *testing.T) {
+	reused := 0
+	for i := 0; i < 50 && reused < 3; i++ {
+		old := NewNodeMem(4 * PageSize)
+		released := make(map[*[PageSize]byte]bool)
+		for pn := int64(0); pn < 4; pn++ {
+			f := old.Frame(pn)
+			for j := range f {
+				f[j] = 0xff
+			}
+			released[f] = true
+		}
+		old.Release()
+		m := NewNodeMem(4 * PageSize)
+		for pn := int64(0); pn < 4; pn++ {
+			f := m.Frame(pn)
+			if released[f] {
+				reused++
+			}
+			if *f != [PageSize]byte{} {
+				t.Fatalf("frame of page %d is not zero", pn)
+			}
+			if m.ReadU64(PageBase(pn)+8) != 0 {
+				t.Fatalf("page %d reads nonzero", pn)
+			}
+		}
+		m.Release()
+	}
+	if reused == 0 {
+		t.Fatal("no frame was reused")
+	}
+}
+
+func TestReleasedMemPanics(t *testing.T) {
+	m := NewNodeMem(PageSize)
+	m.WriteWord(16, 7)
+	m.Release()
+	if m.Allocated(0) {
+		t.Fatal("released memory still reports a frame")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ReadWord after Release did not panic")
+		}
+	}()
+	m.ReadWord(16)
+}

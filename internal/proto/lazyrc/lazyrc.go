@@ -22,7 +22,7 @@ package lazyrc
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"swsm/internal/comm"
 	"swsm/internal/mem"
@@ -387,7 +387,7 @@ func (c *Core) flush(th proto.Thread, waitCat stats.Category) {
 		// Deterministic unit order; a unit can fault read-only->write
 		// twice across nested invalidation flushes, hence the dedup.
 		units := append([]int64(nil), ns.dirty...)
-		sort.Slice(units, func(i, j int) bool { return units[i] < units[j] })
+		slices.Sort(units)
 		uniq := units[:0]
 		for i, u := range units {
 			if i == 0 || u != units[i-1] {
