@@ -19,10 +19,12 @@
 //	svmd -coordinator -addr :7101 -standby-of http://127.0.0.1:7100
 //	svmd -addr :7110 -join http://127.0.0.1:7100,http://127.0.0.1:7101 -node-id w1
 //
-// A coordinator serves the daemon's job API unchanged and shards
+// A coordinator is the daemon's job front end over a cluster executor:
+// it serves the same job API (traces and pprof included) and shards
 // admitted work across joined workers by consistent hashing on the
 // result content key; a worker is a normal daemon plus an agent that
-// leases jobs from the coordinator and executes them locally.
+// leases jobs from the coordinator and executes them locally.  A flag
+// the selected mode ignores is rejected (exit 2).
 //
 // Observability: structured leveled logs go to stderr (-log-level,
 // -log-json), every job's records carry its ID from enqueue to store
@@ -41,7 +43,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -80,6 +81,12 @@ func main() {
 		leasePoll   = flag.Duration("lease-poll", 200*time.Millisecond, "worker: lease poll / heartbeat interval")
 	)
 	flag.Parse()
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkFlags(set, *coordinator, *joinURLs != ""); err != nil {
+		fmt.Fprintf(os.Stderr, "svmd: %v\n", err)
+		os.Exit(2)
+	}
 
 	level, err := obs.ParseLevel(*logLevel)
 	if err != nil {
@@ -95,152 +102,158 @@ func main() {
 	if id == "" {
 		id = *addr
 	}
-	if *coordinator {
-		runCoordinator(logger, coordConfig{
-			addr: *addr, nodeID: id,
-			storeDir: *storeDir, storeMax: *storeMax,
-			queueDepth: *queue,
-			hbTTL:      *hbTTL, leaseTTL: *leaseTTL, failAfter: *failAfter,
-			standbyOf: *standbyOf, exploreLimit: *explores,
-		})
-		return
-	}
-
-	srv, err := server.New(server.Config{
-		Parallel:      *parallel,
-		QueueDepth:    *queue,
-		StoreDir:      *storeDir,
-		StoreMaxBytes: *storeMax,
-		Logger:        logger,
-		SLO:           time.Duration(*sloMS) * time.Millisecond,
-		DebugDir:      *debugDir,
-		ExploreLimit:  *explores,
-	})
-	if err != nil {
-		logger.Error("startup failed", "error", err)
-		os.Exit(1)
-	}
-	st := srv.StoreStats()
-	logger.Info("listening",
-		"addr", *addr, "store", *storeDir,
-		"warmEntries", st.Entries, "warmBytes", st.Bytes)
-
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
-	// Worker mode: lease jobs from the coordinator(s) alongside the
-	// local HTTP API (a worker is still a fully usable daemon).
-	workerDone := make(chan struct{})
-	if *joinURLs != "" {
-		urls := strings.Split(*joinURLs, ",")
-		for i := range urls {
-			urls[i] = strings.TrimSpace(urls[i])
-		}
-		agent, err := cluster.NewWorker(cluster.WorkerConfig{
-			ID: id, Coordinators: urls, Server: srv,
-			Poll: *leasePoll, Logger: logger,
+	// Both modes serve the same job front end; they differ in what runs
+	// the jobs and in how they stop.
+	var (
+		handler  http.Handler
+		shutdown func()
+	)
+	if *coordinator {
+		c, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
+			NodeID:        id,
+			StoreDir:      *storeDir,
+			StoreMaxBytes: *storeMax,
+			QueueDepth:    *queue,
+			HeartbeatTTL:  *hbTTL,
+			LeaseTTL:      *leaseTTL,
+			FailoverAfter: *failAfter,
+			Standby:       *standbyOf != "",
+			PeerURL:       *standbyOf,
+			Logger:        logger,
+			ExploreLimit:  *explores,
 		})
 		if err != nil {
-			logger.Error("worker startup failed", "error", err)
+			logger.Error("coordinator startup failed", "error", err)
 			os.Exit(1)
 		}
-		logger.Info("joining cluster", "id", id, "coordinators", urls)
-		go func() {
-			defer close(workerDone)
-			agent.Run(ctx)
-		}()
+		logger.Info("coordinator listening",
+			"addr", *addr, "id", id, "role", c.Role(),
+			"store", *storeDir, "standbyOf", *standbyOf)
+		handler = c.Handler()
+		shutdown = func() {
+			c.Stop()
+			st := c.Status()
+			logger.Info("coordinator stopped",
+				"role", st.Role, "epoch", st.Epoch, "logSeq", st.LogSeq,
+				"redispatches", st.Redispatches, "duplicates", st.Duplicates)
+		}
 	} else {
-		close(workerDone)
+		srv, err := server.New(server.Config{
+			Parallel:      *parallel,
+			QueueDepth:    *queue,
+			StoreDir:      *storeDir,
+			StoreMaxBytes: *storeMax,
+			Logger:        logger,
+			SLO:           time.Duration(*sloMS) * time.Millisecond,
+			DebugDir:      *debugDir,
+			ExploreLimit:  *explores,
+		})
+		if err != nil {
+			logger.Error("startup failed", "error", err)
+			os.Exit(1)
+		}
+		st := srv.StoreStats()
+		logger.Info("listening",
+			"addr", *addr, "store", *storeDir,
+			"warmEntries", st.Entries, "warmBytes", st.Bytes)
+		handler = srv.Handler()
+
+		// Worker mode: lease jobs from the coordinator(s) alongside the
+		// local HTTP API (a worker is still a fully usable daemon).
+		workerDone := make(chan struct{})
+		if *joinURLs != "" {
+			urls := strings.Split(*joinURLs, ",")
+			for i := range urls {
+				urls[i] = strings.TrimSpace(urls[i])
+			}
+			agent, err := cluster.NewWorker(cluster.WorkerConfig{
+				ID: id, Coordinators: urls, Server: srv,
+				Poll: *leasePoll, Logger: logger,
+			})
+			if err != nil {
+				logger.Error("worker startup failed", "error", err)
+				os.Exit(1)
+			}
+			logger.Info("joining cluster", "id", id, "coordinators", urls)
+			go func() {
+				defer close(workerDone)
+				agent.Run(ctx)
+			}()
+		} else {
+			close(workerDone)
+		}
+		shutdown = func() {
+			logger.Info("draining", "timeout", *drainTO)
+			<-workerDone
+			drainCtx, cancel := context.WithTimeout(context.Background(), *drainTO)
+			defer cancel()
+			if err := srv.Drain(drainCtx); err != nil {
+				logger.Warn("drain incomplete, queued work cancelled", "error", err)
+			}
+			m := srv.Metrics()
+			logger.Info("stopped",
+				"simulations", m.Runner.Runs,
+				"storeHitRatio", m.StoreHitRatio,
+				"evictions", m.Store.Evictions)
+		}
 	}
 
-	select {
-	case <-ctx.Done():
-		logger.Info("draining", "timeout", *drainTO)
-	case err := <-errc:
-		logger.Error("serve failed", "error", err)
-		os.Exit(1)
-	}
-
-	<-workerDone
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTO)
-	defer cancel()
-	if err := srv.Drain(drainCtx); err != nil {
-		logger.Warn("drain incomplete, queued work cancelled", "error", err)
-	}
-	shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel2()
-	if err := hs.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Warn("shutdown", "error", err)
-	}
-	m := srv.Metrics()
-	logger.Info("stopped",
-		"simulations", m.Runner.Runs,
-		"storeHitRatio", m.StoreHitRatio,
-		"evictions", m.Store.Evictions)
-}
-
-type coordConfig struct {
-	addr, nodeID    string
-	storeDir        string
-	storeMax        int64
-	queueDepth      int
-	hbTTL, leaseTTL time.Duration
-	failAfter       time.Duration
-	standbyOf       string
-	exploreLimit    int
-}
-
-func runCoordinator(logger *slog.Logger, cfg coordConfig) {
-	c, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
-		NodeID:        cfg.nodeID,
-		StoreDir:      cfg.storeDir,
-		StoreMaxBytes: cfg.storeMax,
-		QueueDepth:    cfg.queueDepth,
-		HeartbeatTTL:  cfg.hbTTL,
-		LeaseTTL:      cfg.leaseTTL,
-		FailoverAfter: cfg.failAfter,
-		Standby:       cfg.standbyOf != "",
-		PeerURL:       cfg.standbyOf,
-		Logger:        logger,
-		ExploreLimit:  cfg.exploreLimit,
-	})
-	if err != nil {
-		logger.Error("coordinator startup failed", "error", err)
-		os.Exit(1)
-	}
-	role := c.Role()
-	logger.Info("coordinator listening",
-		"addr", cfg.addr, "id", cfg.nodeID, "role", role,
-		"store", cfg.storeDir, "standbyOf", cfg.standbyOf)
-
-	hs := &http.Server{Addr: cfg.addr, Handler: c.Handler()}
+	hs := &http.Server{Addr: *addr, Handler: handler}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
 	select {
 	case <-ctx.Done():
-		logger.Info("coordinator stopping")
 	case err := <-errc:
 		logger.Error("serve failed", "error", err)
 		os.Exit(1)
 	}
-
+	shutdown()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Warn("shutdown", "error", err)
 	}
-	c.Stop()
-	st := c.Status()
-	logger.Info("coordinator stopped",
-		"role", st.Role, "epoch", st.Epoch, "logSeq", st.LogSeq,
-		"redispatches", st.Redispatches, "duplicates", st.Duplicates)
+}
+
+// flagModes names the modes that use each mode-specific flag; a flag
+// set in any other mode would be silently ignored, so it is rejected.
+var flagModes = map[string]string{
+	"parallel":       "daemon worker",
+	"drain-timeout":  "daemon worker",
+	"slo-ms":         "daemon worker",
+	"debug-dir":      "daemon worker",
+	"node-id":        "worker coordinator",
+	"join":           "worker",
+	"lease-poll":     "worker",
+	"standby-of":     "coordinator",
+	"heartbeat-ttl":  "coordinator",
+	"lease-ttl":      "coordinator",
+	"failover-after": "coordinator",
+}
+
+// checkFlags rejects the explicitly set flags (in flag.Visit's sorted
+// order) that the selected mode ignores.
+func checkFlags(set []string, coordinator, join bool) error {
+	mode := "daemon"
+	switch {
+	case coordinator:
+		mode = "coordinator"
+	case join:
+		mode = "worker"
+	}
+	var bad []string
+	for _, name := range set {
+		if modes, ok := flagModes[name]; ok && !strings.Contains(modes, mode) {
+			bad = append(bad, "-"+name)
+		}
+	}
+	if len(bad) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s mode ignores %s", mode, strings.Join(bad, ", "))
 }
 
 // defaultStoreDir places the store under the user cache dir, falling

@@ -4,17 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log/slog"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
-	"swsm/internal/explore"
 	"swsm/internal/harness"
 	"swsm/internal/server"
 	"swsm/internal/server/api"
-	"swsm/internal/store"
 )
 
 // Scheduling and failure-detection defaults.  Heartbeats ride on the
@@ -28,13 +26,16 @@ const (
 	DefaultPollWait     = time.Second
 )
 
-// Admission errors the HTTP layer maps to status codes.
+// Admission and completion errors the HTTP layer maps to status codes.
 var (
 	// ErrNotPrimary rejects writes on a standby (or fenced) coordinator.
-	ErrNotPrimary = errors.New("cluster: not the primary coordinator")
+	ErrNotPrimary = fmt.Errorf("cluster: not the primary coordinator: %w", server.ErrUnavailable)
 	// errUnknownJob rejects a completion for a job this coordinator never
 	// heard of (a log tail lost across failover).
 	errUnknownJob = errors.New("cluster: unknown job")
+	// errBadCompletion rejects a completion with neither a row nor an
+	// error, or with a row for another spec; the job stays leased.
+	errBadCompletion = errors.New("cluster: completion carries no row for the job's spec")
 )
 
 // CoordinatorConfig parameterizes a Coordinator.
@@ -72,42 +73,14 @@ type CoordinatorConfig struct {
 	ExploreLimit int
 }
 
-// cjob is one job in the coordinator's table.  Mutable fields are
-// guarded by Coordinator.mu; done is closed exactly once on terminal.
-type cjob struct {
-	id   string
-	key  string // spec content key (ring placement + store address)
-	ckey string // coalescing/store key (content key + request shape)
-	req  api.RunRequest
-
-	state  string
-	worker string // dispatch target / executor ("" = unassigned)
-	stolen bool
-
+// task is the coordinator's scheduling record for one live job: where
+// the ring placed it and, once leased, until when the lease holds.  The
+// job itself — state, row, watchers, sweeps — lives in the front end.
+type task struct {
+	job          *server.Job
+	worker       string // dispatch target or lease holder ("" = unassigned)
 	redispatches int
-	leaseUntil   time.Time
-	enqueued     time.Time
-	wall         time.Duration
-
-	row    *harness.RunRow
-	cached bool
-	errMsg string
-
-	done   chan struct{}
-	sweeps []*csweep
-}
-
-func (j *cjob) terminal() bool {
-	switch j.state {
-	case api.StateDone, api.StateFailed, api.StateCanceled:
-		return true
-	}
-	return false
-}
-
-type csweep struct {
-	id   string
-	jobs []*cjob
+	leaseUntil   time.Time // zero while queued
 }
 
 // workerState is one joined worker.
@@ -115,40 +88,34 @@ type workerState struct {
 	id       string
 	slots    int
 	lastSeen time.Time
-	queue    []*cjob          // dispatch queue (queued jobs placed here)
-	leased   map[string]*cjob // running jobs held under lease
+	queue    []*task          // dispatch queue (queued jobs placed here)
+	leased   map[string]*task // running jobs held under lease
 	done     int64
 	stolen   int64 // jobs stolen FROM this worker
 }
 
-// Coordinator is the cluster's scheduling brain.  It accepts the
-// daemon's job API unchanged, shards admitted jobs across workers by
-// consistent hashing on the content key, and replicates its decisions
-// to a standby through a sequenced log so a crash mid-sweep fails over
-// without losing or duplicating completed results.
+// Coordinator is the cluster executor behind the daemon's job front end.
+// It shards admitted jobs across workers by consistent hashing on the
+// content key, leases them to the workers' agents, and replicates its
+// decisions to a standby through a sequenced log so a crash mid-sweep
+// fails over without losing or duplicating completed results.
 type Coordinator struct {
 	cfg CoordinatorConfig
-	st  *store.Store
-	bus *server.EventBus
+	fe  *server.Server
 	met *clusterMetrics
 	log *slog.Logger
 
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-	start  time.Time
 
-	mu         sync.Mutex
+	// Guarded by the front end's lock (fe.Lock).
 	role       string
 	epoch      int64
 	ring       *Ring
 	workers    map[string]*workerState
-	jobs       map[string]*cjob
-	inflight   map[string]*cjob // coalescing key -> live job
-	sweeps     map[string]*csweep
-	unassigned []*cjob
-	nextJob    int64
-	nextSweep  int64
+	tasks      map[string]*task // job ID -> live job's schedule
+	unassigned []*task
 	lastSeq    int64
 	wal        []api.ClusterLogRecord
 	walNotify  chan struct{}
@@ -160,12 +127,11 @@ type Coordinator struct {
 	followerSeq int64
 	primarySeq  int64
 	following   bool
-
-	expl *explore.Manager // set once in NewCoordinator
 }
 
-// NewCoordinator builds a coordinator and starts its janitor (and, on a
-// standby, the follower loop).  Stop releases both.
+// NewCoordinator builds a coordinator behind its own job front end and
+// starts its janitor (and, on a standby, the follower loop).  Stop
+// releases both.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.NodeID == "" {
 		cfg.NodeID = "coordinator"
@@ -185,38 +151,31 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.PollWait <= 0 {
 		cfg.PollWait = DefaultPollWait
 	}
-	var st *store.Store
-	if cfg.StoreDir != "" {
-		var err error
-		if st, err = store.Open(cfg.StoreDir, cfg.StoreMaxBytes); err != nil {
-			return nil, err
-		}
-		st.SetLogger(cfg.Logger)
-	}
 	if cfg.Standby && cfg.PeerURL == "" {
 		return nil, errors.New("cluster: standby needs a peer URL to follow")
 	}
-	met := newClusterMetrics()
-	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
 		cfg:       cfg,
-		st:        st,
-		bus:       server.NewEventBus(met.sseEvents, met.sseDropped),
-		met:       met,
 		log:       cfg.Logger,
-		ctx:       ctx,
-		cancel:    cancel,
-		start:     time.Now(),
 		role:      api.RolePrimary,
 		epoch:     1,
 		ring:      NewRing(cfg.RingReplicas),
 		workers:   make(map[string]*workerState),
-		jobs:      make(map[string]*cjob),
-		inflight:  make(map[string]*cjob),
-		sweeps:    make(map[string]*csweep),
+		tasks:     make(map[string]*task),
 		walNotify: make(chan struct{}),
 	}
-	c.expl = newExploreManager(c)
+	c.ctx, c.cancel = context.WithCancel(context.Background())
+	_, err := server.NewWith(server.Config{
+		StoreDir: cfg.StoreDir, StoreMaxBytes: cfg.StoreMaxBytes,
+		Logger: cfg.Logger, ExploreLimit: cfg.ExploreLimit,
+	}, func(fe *server.Server) server.Executor {
+		c.fe = fe
+		c.met = newClusterMetrics(fe.Registry())
+		return c
+	})
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Standby {
 		c.role = api.RoleStandby
 		c.epoch = 0
@@ -224,130 +183,144 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		c.wg.Add(1)
 		go c.follow()
 	}
-	c.mu.Lock()
+	c.fe.Lock()
 	c.updateGaugesLocked()
-	c.mu.Unlock()
+	c.fe.Unlock()
 	c.wg.Add(1)
 	go c.janitor()
 	return c, nil
 }
 
-// Stop shuts the coordinator down: background loops exit, the event bus
-// closes.  In-flight worker executions are not interrupted — their
-// completions simply have nowhere to land (the failover peer, if any,
-// accepts them).
+// Stop shuts the coordinator down through its front end's drain:
+// explorations stop, background loops exit, the event bus closes.
+// In-flight worker executions are not interrupted — their completions
+// simply have nowhere to land (the failover peer, if any, accepts them).
 func (c *Coordinator) Stop() {
-	// Cancel explorations first and wait for their drivers: they park on
-	// job completions and exit promptly once their contexts end.
-	c.expl.Shutdown()
-	c.cancel()
-	c.wg.Wait()
-	c.bus.Close()
+	// A second Stop finds the front end already draining: nothing to do.
+	_ = c.fe.Drain(context.Background())
 }
 
 // Role reports "primary" or "standby".
-func (c *Coordinator) Role() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.role
-}
+func (c *Coordinator) Role() string { return c.Status().Role }
 
 // Epoch reports the current coordination epoch.
-func (c *Coordinator) Epoch() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
+func (c *Coordinator) Epoch() int64 { return c.Status().Epoch }
+
+// Admit implements server.Executor: only the primary takes new work.
+func (c *Coordinator) Admit() error {
+	if c.role != api.RolePrimary {
+		return ErrNotPrimary
+	}
+	return nil
 }
 
-// submit admits one request: coalesce onto an identical live job,
-// answer from the coordinator's own store, or place on a worker queue
-// chosen by the ring.  Mirrors the daemon's submit contract (429 when
-// every eligible queue is full) so the client-visible API is unchanged.
-func (c *Coordinator) submit(req api.RunRequest) (*cjob, bool, error) {
-	key := req.Spec.Key()
-	ckey := key
-	if req.Speedup {
-		ckey += "+speedup"
-	}
-	// Cheap existence probe first: Has is a stat, Get decodes and
-	// checksums.  Only a likely hit pays the full read.
-	var hit *harness.RunRow
-	if c.st != nil && c.st.Has(ckey) {
-		if payload, ok := c.st.Get(ckey); ok {
-			var row harness.RunRow
-			if json.Unmarshal(payload, &row) == nil && row.Spec == req.Spec {
-				hit = &row
-			}
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.role != api.RolePrimary {
-		return nil, false, ErrNotPrimary
-	}
-	if j, ok := c.inflight[ckey]; ok {
-		c.met.coalesced.Inc()
-		return j, false, nil
-	}
-	j := &cjob{
-		key: key, ckey: ckey, req: req,
-		state:    api.StateQueued,
-		enqueued: time.Now(),
-		done:     make(chan struct{}),
-	}
-	if hit == nil {
-		if err := c.placeLocked(j, false); err != nil {
-			return nil, false, err
-		}
-	}
-	c.nextJob++
-	j.id = "j" + strconv.FormatInt(c.nextJob, 10)
-	c.jobs[j.id] = j
-	c.inflight[ckey] = j
-	c.met.created.Inc()
-	c.appendLogLocked(api.ClusterLogRecord{Type: api.ClusterLogSubmit, JobID: j.id, Req: &req})
-	c.bus.Publish(api.Event{Type: "jobQueued", Job: c.statusLocked(j), Worker: j.worker})
-	if c.log != nil {
-		c.log.LogAttrs(c.ctx, slog.LevelInfo, "job queued",
-			slog.String("job", j.id),
-			slog.String("app", req.Spec.App),
-			slog.String("protocol", string(req.Spec.Protocol)),
-			slog.Int("procs", req.Spec.Procs),
-			slog.String("worker", j.worker))
-	}
-	if hit != nil {
+// Enqueue implements server.Executor: answer the job from the
+// coordinator's own store, or place it on a worker queue chosen by the
+// ring (429 when every eligible queue is full).  Either way the
+// decision enters the replicated log.
+func (c *Coordinator) Enqueue(j *server.Job) (string, *harness.RunRow, error) {
+	req := j.Request()
+	if hit := c.storeHit(j); hit != nil {
+		c.appendLogLocked(api.ClusterLogRecord{Type: api.ClusterLogSubmit, JobID: j.ID(), Req: &req})
+		c.appendLogLocked(api.ClusterLogRecord{
+			Type: api.ClusterLogComplete, JobID: j.ID(),
+			Row: hit, Cached: true, Worker: c.cfg.NodeID,
+		})
 		c.met.coordCacheHits.Inc()
-		c.finishLocked(j, c.cfg.NodeID, hit, true, "")
+		return c.cfg.NodeID, hit, nil
 	}
+	t := &task{job: j}
+	if err := c.placeLocked(t, false); err != nil {
+		return "", nil, err
+	}
+	c.tasks[j.ID()] = t
+	c.appendLogLocked(api.ClusterLogRecord{Type: api.ClusterLogSubmit, JobID: j.ID(), Req: &req})
 	c.updateGaugesLocked()
-	return j, true, nil
+	return t.worker, nil, nil
+}
+
+// storeHit probes the coordinator's store for the job's row, under the
+// front end's lock: a cheap existence check first (Has is a stat, Get
+// reads, checksums and decodes), so only a likely hit pays the read.
+func (c *Coordinator) storeHit(j *server.Job) *harness.RunRow {
+	st := c.fe.Store()
+	if st == nil || !st.Has(j.CoalesceKey()) {
+		return nil
+	}
+	payload, ok := st.Get(j.CoalesceKey())
+	var row harness.RunRow
+	if !ok || json.Unmarshal(payload, &row) != nil || row.Spec != j.Request().Spec {
+		return nil
+	}
+	return &row
+}
+
+// Cancel implements server.Executor.  A queued job leaves the schedule;
+// a running one is dropped from its lease and its eventual completion
+// discarded as a duplicate (the coordinator has no channel to interrupt
+// a worker mid-simulation).  A standby cancels nothing.
+func (c *Coordinator) Cancel(j *server.Job) bool {
+	if c.role != api.RolePrimary {
+		return false
+	}
+	if t := c.tasks[j.ID()]; t != nil {
+		c.dequeueLocked(t)
+		delete(c.tasks, j.ID())
+	}
+	c.appendLogLocked(api.ClusterLogRecord{Type: api.ClusterLogCancel, JobID: j.ID()})
+	c.updateGaugesLocked()
+	return true
+}
+
+// Sweep implements server.Executor: the sweep enters the replicated log.
+func (c *Coordinator) Sweep(id string, jobs []*server.Job) {
+	ids := make([]string, len(jobs))
+	for i, j := range jobs {
+		ids[i] = j.ID()
+	}
+	c.appendLogLocked(api.ClusterLogRecord{Type: api.ClusterLogSweep, SweepID: id, JobIDs: ids})
+}
+
+// Load implements server.Executor.
+func (c *Coordinator) Load() server.Load {
+	queued := len(c.unassigned)
+	for _, w := range c.workers {
+		queued += len(w.queue)
+	}
+	return server.Load{
+		Queued: queued, Capacity: c.cfg.QueueDepth * len(c.workers), Workers: len(c.workers),
+		Role: c.role, Epoch: c.epoch,
+	}
+}
+
+// Close implements server.Executor: the janitor and follower exit.
+func (c *Coordinator) Close(context.Context) error {
+	c.cancel()
+	c.wg.Wait()
+	return nil
 }
 
 // placeLocked assigns a queued job to a worker: the key's ring home
 // first, then successors whose queues have room.  With force (re-
 // dispatch paths, where dropping is not an option) or with no workers
 // at all, the job parks on the unassigned list instead of erroring.
-func (c *Coordinator) placeLocked(j *cjob, force bool) error {
-	for _, n := range c.ring.Successors(j.key, 0) {
-		w := c.workers[n]
-		if w == nil || len(w.queue) >= c.cfg.QueueDepth {
-			continue
+func (c *Coordinator) placeLocked(t *task, force bool) error {
+	t.worker = ""
+	for _, n := range c.ring.Successors(t.job.Key(), 0) {
+		if w := c.workers[n]; w != nil && len(w.queue) < c.cfg.QueueDepth {
+			t.worker = n
+			w.queue = append(w.queue, t)
+			break
 		}
-		j.worker = n
-		j.state = api.StateQueued
-		w.queue = append(w.queue, j)
-		return nil
 	}
-	if force || len(c.workers) == 0 {
-		if !force && len(c.unassigned) >= 4*c.cfg.QueueDepth {
+	if t.worker == "" {
+		if !force && (len(c.workers) > 0 || len(c.unassigned) >= 4*c.cfg.QueueDepth) {
 			return server.ErrQueueFull
 		}
-		j.worker = ""
-		j.state = api.StateQueued
-		c.unassigned = append(c.unassigned, j)
-		return nil
+		c.unassigned = append(c.unassigned, t)
 	}
-	return server.ErrQueueFull
+	c.fe.MoveLocked(t.job, api.StateQueued, t.worker)
+	return nil
 }
 
 // lease is the worker protocol's heart: register/refresh the worker,
@@ -356,8 +329,8 @@ func (c *Coordinator) placeLocked(j *cjob, force bool) error {
 // most backlogged other worker.
 func (c *Coordinator) lease(req api.ClusterLeaseRequest) api.ClusterLeaseResponse {
 	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.fe.Lock()
+	defer c.fe.Unlock()
 	if req.Epoch > c.epoch {
 		c.stepDownLocked(req.Epoch, "lease from "+req.WorkerID)
 	}
@@ -370,43 +343,41 @@ func (c *Coordinator) lease(req api.ClusterLeaseRequest) api.ClusterLeaseRespons
 		w.slots = req.Slots
 	}
 	for _, id := range req.Held {
-		if j := c.jobs[id]; j != nil && j.state == api.StateRunning && j.worker == req.WorkerID {
-			j.leaseUntil = now.Add(c.cfg.LeaseTTL)
+		if t := w.leased[id]; t != nil {
+			t.leaseUntil = now.Add(c.cfg.LeaseTTL)
 		}
 	}
 	var out []api.ClusterLeasedJob
 	for len(out) < req.Max && len(w.queue) > 0 {
-		j := w.queue[0]
+		t := w.queue[0]
 		w.queue = w.queue[1:]
-		out = append(out, c.leaseJobLocked(j, w, false, now))
+		out = append(out, c.leaseJobLocked(t, w, false, now))
 	}
 	for len(out) < req.Max {
 		v := c.stealVictimLocked(w.id)
 		if v == nil {
 			break
 		}
-		j := v.queue[len(v.queue)-1]
+		t := v.queue[len(v.queue)-1]
 		v.queue = v.queue[:len(v.queue)-1]
 		v.stolen++
 		c.met.stolen.With(w.id).Inc()
 		if c.log != nil {
 			c.log.LogAttrs(c.ctx, slog.LevelInfo, "job stolen",
-				slog.String("job", j.id), slog.String("from", v.id), slog.String("by", w.id))
+				slog.String("job", t.job.ID()), slog.String("from", v.id), slog.String("by", w.id))
 		}
-		out = append(out, c.leaseJobLocked(j, w, true, now))
+		out = append(out, c.leaseJobLocked(t, w, true, now))
 	}
 	c.updateGaugesLocked()
 	return api.ClusterLeaseResponse{Epoch: c.epoch, Role: c.role, Jobs: out}
 }
 
-func (c *Coordinator) leaseJobLocked(j *cjob, w *workerState, stolen bool, now time.Time) api.ClusterLeasedJob {
-	j.state = api.StateRunning
-	j.worker = w.id
-	j.stolen = j.stolen || stolen
-	j.leaseUntil = now.Add(c.cfg.LeaseTTL)
-	w.leased[j.id] = j
-	c.bus.Publish(api.Event{Type: "jobStarted", Job: c.statusLocked(j), Worker: w.id})
-	return api.ClusterLeasedJob{ID: j.id, Req: j.req, Stolen: stolen}
+func (c *Coordinator) leaseJobLocked(t *task, w *workerState, stolen bool, now time.Time) api.ClusterLeasedJob {
+	t.worker = w.id
+	t.leaseUntil = now.Add(c.cfg.LeaseTTL)
+	w.leased[t.job.ID()] = t
+	c.fe.MoveLocked(t.job, api.StateRunning, w.id)
+	return api.ClusterLeasedJob{ID: t.job.ID(), Req: t.job.Request(), Stolen: stolen}
 }
 
 // stealVictimLocked picks the most backlogged other worker worth
@@ -416,12 +387,7 @@ func (c *Coordinator) leaseJobLocked(j *cjob, w *workerState, stolen bool, now t
 // only cost cache locality.
 func (c *Coordinator) stealVictimLocked(thief string) *workerState {
 	var best *workerState
-	ids := make([]string, 0, len(c.workers))
-	for id := range c.workers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range c.workerIDsLocked() {
 		v := c.workers[id]
 		if id == thief || len(v.queue) == 0 {
 			continue
@@ -436,6 +402,15 @@ func (c *Coordinator) stealVictimLocked(thief string) *workerState {
 	return best
 }
 
+func (c *Coordinator) workerIDsLocked() []string {
+	ids := make([]string, 0, len(c.workers))
+	for id := range c.workers {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
 // ensureWorkerLocked registers a worker on first contact (join or lease
 // — after a failover the new primary learns its membership this way)
 // and drains any unassigned backlog onto the grown ring.
@@ -446,11 +421,11 @@ func (c *Coordinator) ensureWorkerLocked(id string, slots int, now time.Time) *w
 	if slots <= 0 {
 		slots = 1
 	}
-	w := &workerState{id: id, slots: slots, lastSeen: now, leased: make(map[string]*cjob)}
+	w := &workerState{id: id, slots: slots, lastSeen: now, leased: make(map[string]*task)}
 	c.workers[id] = w
 	c.ring.Add(id)
 	c.appendLogLocked(api.ClusterLogRecord{Type: api.ClusterLogJoin, Worker: id})
-	c.bus.Publish(api.Event{Type: "workerJoined", Worker: id})
+	c.fe.Publish(api.Event{Type: "workerJoined", Worker: id})
 	if c.log != nil {
 		c.log.LogAttrs(c.ctx, slog.LevelInfo, "worker joined",
 			slog.String("worker", id), slog.Int("slots", slots))
@@ -466,18 +441,24 @@ func (c *Coordinator) ensureWorkerLocked(id string, slots int, now time.Time) *w
 // current ring.  Running jobs are left alone — their lease, not the
 // ring, owns them now.
 func (c *Coordinator) rebalanceLocked() {
-	var queued []*cjob
+	queued := c.unassigned
+	c.unassigned = nil
 	for _, w := range c.workers {
 		queued = append(queued, w.queue...)
 		w.queue = w.queue[:0]
 	}
-	queued = append(queued, c.unassigned...)
-	c.unassigned = nil
-	sort.Slice(queued, func(i, k int) bool { return jobSeq(queued[i].id) < jobSeq(queued[k].id) })
-	for _, j := range queued {
-		j.worker = ""
-		c.placeLocked(j, true)
+	sortByID(queued)
+	for _, t := range queued {
+		c.placeLocked(t, true)
 	}
+}
+
+// sortByID orders tasks by admission: job IDs are "j<seq>".
+func sortByID(ts []*task) {
+	sort.Slice(ts, func(i, k int) bool {
+		a, b := ts[i].job.ID(), ts[k].job.ID()
+		return len(a) < len(b) || len(a) == len(b) && a < b
+	})
 }
 
 // loseWorkerLocked removes a dead worker and re-dispatches everything
@@ -492,179 +473,131 @@ func (c *Coordinator) loseWorkerLocked(w *workerState) {
 	c.met.queueDepth.With(w.id).Set(0)
 	c.met.leased.With(w.id).Set(0)
 	c.appendLogLocked(api.ClusterLogRecord{Type: api.ClusterLogLost, Worker: w.id})
-	c.bus.Publish(api.Event{Type: "workerLost", Worker: w.id})
+	c.fe.Publish(api.Event{Type: "workerLost", Worker: w.id})
 	if c.log != nil {
 		c.log.LogAttrs(c.ctx, slog.LevelWarn, "worker lost",
 			slog.String("worker", w.id),
 			slog.Int("queued", len(w.queue)), slog.Int("leased", len(w.leased)))
 	}
-	for _, j := range w.queue {
-		j.worker = ""
-		c.placeLocked(j, true)
+	for _, t := range w.queue {
+		c.placeLocked(t, true)
 	}
 	w.queue = nil
-	for _, j := range w.leased {
-		c.redispatchLocked(j, "worker "+w.id+" lost")
+	for _, t := range w.leased {
+		c.redispatchLocked(t, "worker "+w.id+" lost")
 	}
-	w.leased = make(map[string]*cjob)
+	w.leased = make(map[string]*task)
 }
 
 // redispatchLocked returns a running job to the queued state and places
 // it again.
-func (c *Coordinator) redispatchLocked(j *cjob, reason string) {
-	if j.terminal() {
-		return
-	}
-	c.dequeueLocked(j)
-	j.worker = ""
-	j.state = api.StateQueued
-	j.leaseUntil = time.Time{}
-	j.redispatches++
+func (c *Coordinator) redispatchLocked(t *task, reason string) {
+	c.dequeueLocked(t)
+	t.leaseUntil = time.Time{}
+	t.redispatches++
 	c.met.redispatches.Inc()
 	if c.log != nil {
 		c.log.LogAttrs(c.ctx, slog.LevelWarn, "job re-dispatched",
-			slog.String("job", j.id), slog.String("reason", reason))
+			slog.String("job", t.job.ID()), slog.String("reason", reason))
 	}
-	c.placeLocked(j, true)
-	c.bus.Publish(api.Event{Type: "jobQueued", Job: c.statusLocked(j), Worker: j.worker})
+	c.placeLocked(t, true)
 }
 
 // dequeueLocked detaches a job from whatever scheduling structure
 // currently holds it (owner queue, owner lease table, or unassigned).
-func (c *Coordinator) dequeueLocked(j *cjob) {
-	if j.worker != "" {
-		if w := c.workers[j.worker]; w != nil {
-			for i, q := range w.queue {
-				if q == j {
-					w.queue = append(w.queue[:i], w.queue[i+1:]...)
-					break
-				}
+func (c *Coordinator) dequeueLocked(t *task) {
+	remove := func(q []*task) []*task {
+		for i, x := range q {
+			if x == t {
+				return append(q[:i], q[i+1:]...)
 			}
-			delete(w.leased, j.id)
 		}
-		return
+		return q
 	}
-	for i, q := range c.unassigned {
-		if q == j {
-			c.unassigned = append(c.unassigned[:i], c.unassigned[i+1:]...)
-			break
-		}
+	if w := c.workers[t.worker]; w != nil {
+		w.queue = remove(w.queue)
+		delete(w.leased, t.job.ID())
+	} else {
+		c.unassigned = remove(c.unassigned)
 	}
 }
 
-// complete lands one worker-reported result.  Idempotent: a job
-// already terminal acknowledges as a duplicate and changes nothing.
+// complete lands one worker-reported result through the front end's
+// finish path.  Idempotent: a job already terminal acknowledges as a
+// duplicate and changes nothing.  A completion without a row for the
+// job's spec (and without an error) is rejected and the job stays
+// leased.
 func (c *Coordinator) complete(req api.ClusterCompleteRequest) (api.ClusterCompleteResponse, error) {
-	now := time.Now()
-	c.mu.Lock()
+	c.fe.Lock()
 	if req.Epoch > c.epoch {
 		c.stepDownLocked(req.Epoch, "completion from "+req.WorkerID)
 	}
+	resp := api.ClusterCompleteResponse{Epoch: c.epoch}
+	t, err := c.completeLocked(req)
+	c.fe.Unlock()
+	if err != nil || t == nil {
+		resp.Duplicate = err == nil
+		return resp, err
+	}
+	// Write-back outside the lock; store damage must not fail the ack.
+	if st := c.fe.Store(); st != nil && req.Error == "" {
+		if payload, err := json.Marshal(req.Row); err == nil {
+			_ = st.Put(t.job.CoalesceKey(), payload)
+		}
+	}
+	return resp, nil
+}
+
+// completeLocked finishes the job a completion reports (nil task: a
+// duplicate).
+func (c *Coordinator) completeLocked(req api.ClusterCompleteRequest) (*task, error) {
 	if c.role != api.RolePrimary {
-		epoch := c.epoch
-		c.mu.Unlock()
-		return api.ClusterCompleteResponse{Epoch: epoch}, ErrNotPrimary
+		return nil, ErrNotPrimary
 	}
-	j, ok := c.jobs[req.JobID]
-	if !ok {
-		epoch := c.epoch
-		c.mu.Unlock()
-		return api.ClusterCompleteResponse{Epoch: epoch}, errUnknownJob
+	w := c.workers[req.WorkerID]
+	if w != nil {
+		w.lastSeen = time.Now()
 	}
-	if w := c.workers[req.WorkerID]; w != nil {
-		w.lastSeen = now
-	}
-	if j.terminal() {
+	t := c.tasks[req.JobID]
+	if t == nil {
+		if c.fe.JobLocked(req.JobID) == nil {
+			return nil, errUnknownJob
+		}
 		c.met.duplicates.Inc()
-		epoch := c.epoch
-		c.mu.Unlock()
-		return api.ClusterCompleteResponse{Epoch: epoch, Duplicate: true}, nil
+		return nil, nil
 	}
-	c.dequeueLocked(j)
+	if req.Error == "" && (req.Row == nil || req.Row.Spec != t.job.Request().Spec) {
+		return nil, errBadCompletion
+	}
+	c.dequeueLocked(t)
+	delete(c.tasks, req.JobID)
 	if req.Cached {
 		c.met.workerCacheHits.Inc()
 	}
 	c.met.workerDone.With(req.WorkerID).Inc()
-	if w := c.workers[req.WorkerID]; w != nil {
+	if w != nil {
 		w.done++
 	}
-	c.finishLocked(j, req.WorkerID, req.Row, req.Cached, req.Error)
-	c.updateGaugesLocked()
-	epoch := c.epoch
-	ckey := j.ckey
-	c.mu.Unlock()
-	// Write-back outside the lock; store damage must not fail the ack.
-	if req.Row != nil && req.Error == "" && c.st != nil {
-		if payload, err := json.Marshal(req.Row); err == nil {
-			_ = c.st.Put(ckey, payload)
-		}
-	}
-	return api.ClusterCompleteResponse{Epoch: epoch}, nil
-}
-
-// finishLocked moves a job to done/failed, logs the transition to the
-// replicated log and unparks watchers.  Cancellation goes through
-// cancelLocked instead (its log record type differs).
-func (c *Coordinator) finishLocked(j *cjob, worker string, row *harness.RunRow, cached bool, errMsg string) {
-	j.worker = worker
-	j.wall = time.Since(j.enqueued)
-	if errMsg != "" {
-		j.state = api.StateFailed
-		j.errMsg = errMsg
-		c.met.jobsFailed.Inc()
-	} else {
-		j.state = api.StateDone
-		j.row = row
-		j.cached = cached
-		c.met.jobsDone.Inc()
-	}
-	delete(c.inflight, j.ckey)
-	close(j.done)
 	c.appendLogLocked(api.ClusterLogRecord{
-		Type: api.ClusterLogComplete, JobID: j.id,
-		Row: row, Cached: cached, Error: errMsg, Worker: worker,
+		Type: api.ClusterLogComplete, JobID: req.JobID,
+		Row: req.Row, Cached: req.Cached, Error: req.Error, Worker: req.WorkerID,
 	})
-	typ := "jobDone"
-	if errMsg != "" {
-		typ = "jobFailed"
-	}
-	c.bus.Publish(api.Event{Type: typ, Job: c.statusLocked(j), Worker: worker})
-	for _, sw := range j.sweeps {
-		c.bus.Publish(api.Event{Type: "sweepProgress", Sweep: c.sweepStatusLocked(sw, false)})
-	}
+	c.fe.FinishLocked(t.job, req.WorkerID, req.Row, req.Cached, errOf(req.Error))
 	if c.log != nil {
-		lvl := slog.LevelInfo
-		if errMsg != "" {
-			lvl = slog.LevelWarn
-		}
-		c.log.LogAttrs(c.ctx, lvl, "job "+j.state,
-			slog.String("job", j.id), slog.String("worker", worker),
-			slog.Bool("cached", cached), slog.Duration("wall", j.wall))
+		c.log.LogAttrs(c.ctx, slog.LevelInfo, "job completed",
+			slog.String("job", req.JobID), slog.String("worker", req.WorkerID),
+			slog.Bool("cached", req.Cached), slog.String("error", req.Error))
 	}
+	c.updateGaugesLocked()
+	return t, nil
 }
 
-// cancelLocked cancels a job.  Queued jobs leave the schedule
-// immediately; a running job is marked terminal here and its eventual
-// completion discarded as a duplicate (the coordinator has no channel
-// to interrupt a worker mid-simulation).  Reports whether the job was
-// still live.
-func (c *Coordinator) cancelLocked(j *cjob) bool {
-	if j.terminal() {
-		return false
+// errOf turns a wire error message back into a job error (nil for "").
+func errOf(msg string) error {
+	if msg == "" {
+		return nil
 	}
-	c.dequeueLocked(j)
-	j.state = api.StateCanceled
-	j.errMsg = context.Canceled.Error()
-	j.wall = time.Since(j.enqueued)
-	c.met.jobsCanceled.Inc()
-	delete(c.inflight, j.ckey)
-	close(j.done)
-	c.appendLogLocked(api.ClusterLogRecord{Type: api.ClusterLogCancel, JobID: j.id})
-	c.bus.Publish(api.Event{Type: "jobCanceled", Job: c.statusLocked(j)})
-	for _, sw := range j.sweeps {
-		c.bus.Publish(api.Event{Type: "sweepProgress", Sweep: c.sweepStatusLocked(sw, false)})
-	}
-	return true
+	return errors.New(msg)
 }
 
 // janitor is the failure detector: it declares workers lost after
@@ -690,41 +623,29 @@ func (c *Coordinator) janitor() {
 
 func (c *Coordinator) janitorOnce() {
 	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.fe.Lock()
+	defer c.fe.Unlock()
 	if c.role != api.RolePrimary {
 		return
 	}
-	ids := make([]string, 0, len(c.workers))
-	for id := range c.workers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range c.workerIDsLocked() {
 		if w := c.workers[id]; now.Sub(w.lastSeen) > c.cfg.HeartbeatTTL {
 			c.loseWorkerLocked(w)
 		}
 	}
-	for _, j := range c.jobs {
-		if j.state == api.StateRunning && now.After(j.leaseUntil) {
-			c.redispatchLocked(j, "lease expired")
+	for _, t := range c.tasks {
+		if !t.leaseUntil.IsZero() && now.After(t.leaseUntil) {
+			c.redispatchLocked(t, "lease expired")
 		}
 	}
-	c.drainUnassignedLocked()
+	if len(c.workers) > 0 {
+		pending := c.unassigned
+		c.unassigned = nil
+		for _, t := range pending {
+			c.placeLocked(t, true)
+		}
+	}
 	c.updateGaugesLocked()
-}
-
-func (c *Coordinator) drainUnassignedLocked() {
-	if len(c.unassigned) == 0 || len(c.workers) == 0 {
-		return
-	}
-	pending := c.unassigned
-	c.unassigned = nil
-	for _, j := range pending {
-		if err := c.placeLocked(j, false); err != nil {
-			c.unassigned = append(c.unassigned, j)
-		}
-	}
 }
 
 // appendLogLocked sequences a record into the replicated log and wakes
@@ -749,7 +670,7 @@ func (c *Coordinator) waitLog(ctx context.Context, from int64, wait bool) api.Cl
 	}
 	deadline := time.Now().Add(c.cfg.PollWait)
 	for {
-		c.mu.Lock()
+		c.fe.Lock()
 		// A poll from seq N is the follower's acknowledgement of every
 		// record below N — the primary side of the replication-lag
 		// measurement.
@@ -765,7 +686,7 @@ func (c *Coordinator) waitLog(ctx context.Context, from int64, wait bool) api.Cl
 			Epoch: c.epoch, Role: c.role, NextSeq: c.lastSeq + 1, Records: recs,
 		}
 		notify := c.walNotify
-		c.mu.Unlock()
+		c.fe.Unlock()
 		if len(recs) > 0 || !wait {
 			return resp
 		}
@@ -783,34 +704,6 @@ func (c *Coordinator) waitLog(ctx context.Context, from int64, wait bool) api.Cl
 	}
 }
 
-// registerSweep groups already-admitted jobs as one tracked sweep.
-func (c *Coordinator) registerSweep(jobs []*cjob) *csweep {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.nextSweep++
-	sw := &csweep{id: "s" + strconv.FormatInt(c.nextSweep, 10), jobs: jobs}
-	c.sweeps[sw.id] = sw
-	ids := make([]string, len(jobs))
-	for i, j := range jobs {
-		j.sweeps = append(j.sweeps, sw)
-		ids[i] = j.id
-	}
-	c.appendLogLocked(api.ClusterLogRecord{Type: api.ClusterLogSweep, SweepID: sw.id, JobIDs: ids})
-	return sw
-}
-
-// waitJob parks until the job is terminal or ctx expires.  Coordinator
-// jobs are always detached — a sweep in flight on three machines does
-// not stop because one HTTP watcher went away.
-func (c *Coordinator) waitJob(ctx context.Context, j *cjob) error {
-	select {
-	case <-j.done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // stepDownLocked fences this coordinator: a message carried a higher
 // epoch, so a peer has been promoted and this node's writes must stop.
 // It does not auto-rejoin as a follower — the operator restarts it as a
@@ -818,7 +711,7 @@ func (c *Coordinator) waitJob(ctx context.Context, j *cjob) error {
 func (c *Coordinator) stepDownLocked(newEpoch int64, why string) {
 	if c.role == api.RolePrimary {
 		c.role = api.RoleStandby
-		c.bus.Publish(api.Event{Type: "fenced", Worker: c.cfg.NodeID})
+		c.fe.Publish(api.Event{Type: "fenced", Worker: c.cfg.NodeID})
 		if c.log != nil {
 			c.log.LogAttrs(c.ctx, slog.LevelWarn, "fenced: stepping down",
 				slog.Int64("seenEpoch", newEpoch), slog.String("via", why))
@@ -832,15 +725,10 @@ func (c *Coordinator) stepDownLocked(newEpoch int64, why string) {
 
 // Status snapshots membership and scheduling state.
 func (c *Coordinator) Status() api.ClusterStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ids := make([]string, 0, len(c.workers))
-	for id := range c.workers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	ws := make([]api.ClusterWorker, 0, len(ids))
-	for _, id := range ids {
+	c.fe.Lock()
+	defer c.fe.Unlock()
+	ws := make([]api.ClusterWorker, 0, len(c.workers))
+	for _, id := range c.workerIDsLocked() {
 		w := c.workers[id]
 		ws = append(ws, api.ClusterWorker{
 			ID: w.id, Slots: w.slots,
@@ -867,7 +755,7 @@ func (c *Coordinator) Status() api.ClusterStatus {
 // replicationLagLocked measures the replication link's backlog in log
 // records.  On the primary it is how far the best follower trails the
 // log head; on a live standby, how far this node trails the primary's
-// head as of the last poll.  Caller holds c.mu.
+// head as of the last poll.
 func (c *Coordinator) replicationLagLocked() int64 {
 	var lag int64
 	if c.following {
@@ -881,40 +769,9 @@ func (c *Coordinator) replicationLagLocked() int64 {
 	return lag
 }
 
-// statusLocked snapshots one job as the wire RunStatus.
-func (c *Coordinator) statusLocked(j *cjob) *api.RunStatus {
-	st := &api.RunStatus{
-		ID: j.id, Key: j.key, State: j.state, Cached: j.cached,
-		Row: j.row, Worker: j.worker,
-	}
-	if j.state == api.StateFailed || j.state == api.StateCanceled {
-		st.Error = j.errMsg
-	}
-	if j.wall > 0 {
-		st.WallMS = j.wall.Milliseconds()
-	}
-	return st
-}
-
-func (c *Coordinator) sweepStatusLocked(sw *csweep, includePoints bool) *api.SweepStatus {
-	st := &api.SweepStatus{ID: sw.id, Total: len(sw.jobs)}
-	for _, j := range sw.jobs {
-		switch j.state {
-		case api.StateDone:
-			st.Done++
-		case api.StateFailed, api.StateCanceled:
-			st.Failed++
-		}
-		if includePoints {
-			st.Points = append(st.Points, *c.statusLocked(j))
-		}
-	}
-	return st
-}
-
 // updateGaugesLocked refreshes the aggregate and per-worker gauges from
 // scheduler state.  Called at the end of every mutating entry point so
-// scrapes read current values without taking c.mu.
+// scrapes read current values without taking the lock.
 func (c *Coordinator) updateGaugesLocked() {
 	c.met.workers.Set(float64(len(c.workers)))
 	c.met.epoch.Set(float64(c.epoch))
@@ -930,28 +787,4 @@ func (c *Coordinator) updateGaugesLocked() {
 		c.met.queueDepth.With(id).Set(float64(len(w.queue)))
 		c.met.leased.With(id).Set(float64(len(w.leased)))
 	}
-}
-
-// jobSeq extracts the numeric part of a "j<n>" job ID (0 on mismatch).
-func jobSeq(id string) int64 {
-	if len(id) < 2 || id[0] != 'j' {
-		return 0
-	}
-	n, err := strconv.ParseInt(id[1:], 10, 64)
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
-// sweepSeq extracts the numeric part of an "s<n>" sweep ID (0 on mismatch).
-func sweepSeq(id string) int64 {
-	if len(id) < 2 || id[0] != 's' {
-		return 0
-	}
-	n, err := strconv.ParseInt(id[1:], 10, 64)
-	if err != nil {
-		return 0
-	}
-	return n
 }

@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -33,6 +37,45 @@ func crow(i int) *harness.RunRow {
 	return &harness.RunRow{Key: spec.Key(), Spec: spec, Cycles: int64(1000 + i)}
 }
 
+// submit admits one request through the coordinator's job front end,
+// as POST /runs without wait does, and reports the job's status and the
+// HTTP code.
+func submit(c *Coordinator, req api.RunRequest) (api.RunStatus, int) {
+	var st api.RunStatus
+	code := serve(c, http.MethodPost, "/runs", req, &st)
+	return st, code
+}
+
+// job fetches one job's status; wait parks until it is terminal.
+func job(t *testing.T, c *Coordinator, id string, wait bool) api.RunStatus {
+	t.Helper()
+	path := "/runs/" + id
+	if wait {
+		path += "?wait=1"
+	}
+	var st api.RunStatus
+	if code := serve(c, http.MethodGet, path, nil, &st); code != http.StatusOK {
+		t.Fatalf("GET %s = %d", path, code)
+	}
+	return st
+}
+
+// serve runs one request against the coordinator's handler in-process
+// and decodes the JSON reply into out.
+func serve(c *Coordinator, method, path string, body, out any) int {
+	var rd io.Reader
+	if body != nil {
+		b, _ := json.Marshal(body)
+		rd = bytes.NewReader(b)
+	}
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, rd))
+	if out != nil {
+		json.Unmarshal(rec.Body.Bytes(), out)
+	}
+	return rec.Code
+}
+
 func newTestCoordinator(t *testing.T, cfg CoordinatorConfig) *Coordinator {
 	t.Helper()
 	if cfg.NodeID == "" {
@@ -51,34 +94,31 @@ func newTestCoordinator(t *testing.T, cfg CoordinatorConfig) *Coordinator {
 // — the exact sequence a freshly promoted primary goes through.
 func TestCoordinatorUnassignedThenLease(t *testing.T) {
 	c := newTestCoordinator(t, CoordinatorConfig{HeartbeatTTL: 10 * time.Second})
-	j, created, err := c.submit(creq(2))
-	if err != nil || !created {
-		t.Fatalf("submit: created=%v err=%v", created, err)
+	j, code := submit(c, creq(2))
+	if code != http.StatusAccepted || j.ID == "" {
+		t.Fatalf("submit: code=%d status=%+v", code, j)
 	}
 	if st := c.Status(); st.Unassigned != 1 {
 		t.Fatalf("unassigned = %d, want 1", st.Unassigned)
 	}
 	resp := c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 2, Max: 2})
-	if resp.Role != api.RolePrimary || len(resp.Jobs) != 1 || resp.Jobs[0].ID != j.id {
+	if resp.Role != api.RolePrimary || len(resp.Jobs) != 1 || resp.Jobs[0].ID != j.ID {
 		t.Fatalf("lease = %+v, want the one unassigned job", resp)
 	}
 	if resp.Jobs[0].Stolen {
 		t.Fatal("own-queue grant marked stolen")
 	}
 
-	ack, err := c.complete(api.ClusterCompleteRequest{WorkerID: "a", JobID: j.id, Row: crow(2)})
+	ack, err := c.complete(api.ClusterCompleteRequest{WorkerID: "a", JobID: j.ID, Row: crow(2)})
 	if err != nil || ack.Duplicate {
 		t.Fatalf("complete: %+v err=%v", ack, err)
 	}
-	if err := c.waitJob(context.Background(), j); err != nil {
-		t.Fatalf("waitJob after complete: %v", err)
-	}
-	if j.state != api.StateDone || j.row == nil || j.worker != "a" {
-		t.Fatalf("job after complete: state=%s worker=%s", j.state, j.worker)
+	if j = job(t, c, j.ID, true); j.State != api.StateDone || j.Row == nil || j.Worker != "a" {
+		t.Fatalf("job after complete: state=%s worker=%s", j.State, j.Worker)
 	}
 
 	// Completion is idempotent: a second report acks as a duplicate.
-	ack, err = c.complete(api.ClusterCompleteRequest{WorkerID: "a", JobID: j.id, Row: crow(2)})
+	ack, err = c.complete(api.ClusterCompleteRequest{WorkerID: "a", JobID: j.ID, Row: crow(2)})
 	if err != nil || !ack.Duplicate {
 		t.Fatalf("duplicate complete: %+v err=%v", ack, err)
 	}
@@ -94,13 +134,15 @@ func TestCoordinatorUnassignedThenLease(t *testing.T) {
 // Identical live submissions coalesce onto one job.
 func TestCoordinatorCoalesce(t *testing.T) {
 	c := newTestCoordinator(t, CoordinatorConfig{HeartbeatTTL: 10 * time.Second})
-	j1, created1, err1 := c.submit(creq(3))
-	j2, created2, err2 := c.submit(creq(3))
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
+	j1, code1 := submit(c, creq(3))
+	j2, code2 := submit(c, creq(3))
+	if code1 != http.StatusAccepted || code2 != http.StatusAccepted {
+		t.Fatal(code1, code2)
 	}
-	if !created1 || created2 || j1 != j2 {
-		t.Fatalf("coalesce: created=%v,%v same=%v", created1, created2, j1 == j2)
+	var all []api.RunStatus
+	serve(c, http.MethodGet, "/runs", nil, &all)
+	if len(all) != 1 || j1.ID != j2.ID {
+		t.Fatalf("coalesce: %d jobs, ids %s,%s", len(all), j1.ID, j2.ID)
 	}
 }
 
@@ -118,8 +160,8 @@ func TestCoordinatorSteal(t *testing.T) {
 	ring.Add("b")
 	aOwned := 0
 	for procs := 1; aOwned < 3 && procs < 64; procs++ {
-		if _, _, err := c.submit(creq(procs)); err != nil {
-			t.Fatal(err)
+		if _, code := submit(c, creq(procs)); code != http.StatusAccepted {
+			t.Fatal(code)
 		}
 		if ring.Lookup(cspec(procs).Key()) == "a" {
 			aOwned++
@@ -163,33 +205,36 @@ func TestCoordinatorLeaseExpiry(t *testing.T) {
 		HeartbeatTTL: 10 * time.Second, // keep the worker alive; only the lease lapses
 	})
 	c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 2})
-	j, _, err := c.submit(creq(2))
-	if err != nil {
-		t.Fatal(err)
+	j, code := submit(c, creq(2))
+	if code != http.StatusAccepted {
+		t.Fatal(code)
 	}
 	if got := c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 2, Max: 1}); len(got.Jobs) != 1 {
 		t.Fatalf("lease = %+v", got)
 	}
 	time.Sleep(20 * time.Millisecond)
 	c.janitorOnce()
-	if j.state != api.StateQueued || j.redispatches != 1 {
-		t.Fatalf("after expiry: state=%s redispatches=%d", j.state, j.redispatches)
+	c.fe.Lock()
+	redispatches := c.tasks[j.ID].redispatches
+	c.fe.Unlock()
+	if st := job(t, c, j.ID, false); st.State != api.StateQueued || redispatches != 1 {
+		t.Fatalf("after expiry: state=%s redispatches=%d", st.State, redispatches)
 	}
 	if st := c.Status(); st.Redispatches != 1 {
 		t.Fatalf("Redispatches = %d, want 1", st.Redispatches)
 	}
 	// The job is schedulable again.
-	if got := c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 2, Max: 1}); len(got.Jobs) != 1 || got.Jobs[0].ID != j.id {
+	if got := c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 2, Max: 1}); len(got.Jobs) != 1 || got.Jobs[0].ID != j.ID {
 		t.Fatalf("re-lease = %+v", got)
 	}
 	// A held lease is renewed by polls and does NOT expire.
 	for i := 0; i < 4; i++ {
 		time.Sleep(2 * time.Millisecond)
-		c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 2, Held: []string{j.id}})
+		c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 2, Held: []string{j.ID}})
 	}
 	c.janitorOnce()
-	if j.state != api.StateRunning {
-		t.Fatalf("renewed lease still expired: state=%s", j.state)
+	if st := job(t, c, j.ID, false); st.State != api.StateRunning {
+		t.Fatalf("renewed lease still expired: state=%s", st.State)
 	}
 }
 
@@ -201,8 +246,11 @@ func TestCoordinatorEpochFence(t *testing.T) {
 	if resp.Role != api.RoleStandby || resp.Epoch != 5 {
 		t.Fatalf("fenced lease response = %+v", resp)
 	}
-	if _, _, err := c.submit(creq(2)); !errors.Is(err, ErrNotPrimary) {
-		t.Fatalf("submit on fenced coordinator err = %v", err)
+	c.fe.Lock()
+	err := c.Admit()
+	c.fe.Unlock()
+	if _, code := submit(c, creq(2)); code != http.StatusServiceUnavailable || !errors.Is(err, ErrNotPrimary) {
+		t.Fatalf("submit on fenced coordinator = %d, admit err = %v", code, err)
 	}
 	if got := c.Role(); got != api.RoleStandby {
 		t.Fatalf("role = %s", got)
@@ -216,8 +264,8 @@ func TestCoordinatorWaitLog(t *testing.T) {
 		HeartbeatTTL: 10 * time.Second,
 		PollWait:     150 * time.Millisecond,
 	})
-	if _, _, err := c.submit(creq(2)); err != nil {
-		t.Fatal(err)
+	if _, code := submit(c, creq(2)); code != http.StatusAccepted {
+		t.Fatal(code)
 	}
 	r := c.waitLog(context.Background(), 1, false)
 	if len(r.Records) == 0 || r.Records[0].Seq != 1 || r.NextSeq != r.Records[len(r.Records)-1].Seq+1 {
@@ -230,7 +278,7 @@ func TestCoordinatorWaitLog(t *testing.T) {
 	// A long-poll parked past the tail wakes on the next append.
 	go func() {
 		time.Sleep(20 * time.Millisecond)
-		c.submit(creq(3))
+		submit(c, creq(3))
 	}()
 	start := time.Now()
 	r2 := c.waitLog(context.Background(), r.NextSeq, true)
@@ -260,26 +308,26 @@ func TestCoordinatorStoreTier(t *testing.T) {
 		StoreDir:     t.TempDir(),
 	})
 	c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 2})
-	j1, _, err := c.submit(creq(4))
-	if err != nil {
-		t.Fatal(err)
+	j1, code := submit(c, creq(4))
+	if code != http.StatusAccepted {
+		t.Fatal(code)
 	}
 	if got := c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 2, Max: 1}); len(got.Jobs) != 1 {
 		t.Fatalf("lease = %+v", got)
 	}
-	if _, err := c.complete(api.ClusterCompleteRequest{WorkerID: "a", JobID: j1.id, Row: crow(4)}); err != nil {
+	if _, err := c.complete(api.ClusterCompleteRequest{WorkerID: "a", JobID: j1.ID, Row: crow(4)}); err != nil {
 		t.Fatal(err)
 	}
 
-	j2, created, err := c.submit(creq(4))
-	if err != nil || !created || j2 == j1 {
-		t.Fatalf("resubmit: created=%v same=%v err=%v", created, j2 == j1, err)
+	j2, code := submit(c, creq(4))
+	if code != http.StatusOK || j2.ID == j1.ID {
+		t.Fatalf("resubmit: code=%d same=%v", code, j2.ID == j1.ID)
 	}
-	if j2.state != api.StateDone || !j2.cached || j2.row == nil {
-		t.Fatalf("resubmit not served from store: state=%s cached=%v", j2.state, j2.cached)
+	if j2.State != api.StateDone || !j2.Cached || j2.Row == nil {
+		t.Fatalf("resubmit not served from store: state=%s cached=%v", j2.State, j2.Cached)
 	}
-	if j2.row.Cycles != crow(4).Cycles {
-		t.Fatalf("cached row cycles = %d, want %d", j2.row.Cycles, crow(4).Cycles)
+	if j2.Row.Cycles != crow(4).Cycles {
+		t.Fatalf("cached row cycles = %d, want %d", j2.Row.Cycles, crow(4).Cycles)
 	}
 	st := c.Status()
 	if st.CacheHits != 1 {
@@ -297,11 +345,11 @@ func TestCoordinatorStoreTier(t *testing.T) {
 // drives the lag back to zero.
 func TestCoordinatorReplicationLagPrimary(t *testing.T) {
 	c := newTestCoordinator(t, CoordinatorConfig{HeartbeatTTL: 10 * time.Second})
-	if _, _, err := c.submit(creq(0)); err != nil {
-		t.Fatal(err)
+	if _, code := submit(c, creq(0)); code != http.StatusAccepted {
+		t.Fatal(code)
 	}
-	if _, _, err := c.submit(creq(1)); err != nil {
-		t.Fatal(err)
+	if _, code := submit(c, creq(1)); code != http.StatusAccepted {
+		t.Fatal(code)
 	}
 	st := c.Status()
 	if st.LogSeq != 2 || st.StandbySeq != 0 || st.ReplicationLag != 2 {
@@ -342,8 +390,8 @@ func TestCoordinatorReplicationLagStandby(t *testing.T) {
 		PollWait:      50 * time.Millisecond,
 	})
 	for i := 0; i < 3; i++ {
-		if _, _, err := a.submit(creq(i)); err != nil {
-			t.Fatal(err)
+		if _, code := submit(a, creq(i)); code != http.StatusAccepted {
+			t.Fatal(code)
 		}
 	}
 	target := a.Status().LogSeq
@@ -375,5 +423,63 @@ func TestCoordinatorReplicationLagStandby(t *testing.T) {
 			t.Fatalf("primary still reports lag %d", a.Status().ReplicationLag)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// leasedJob submits creq(i) and leases it to worker "a".
+func leasedJob(t *testing.T, c *Coordinator, i int) api.RunStatus {
+	t.Helper()
+	c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 2})
+	j, code := submit(c, creq(i))
+	if code != http.StatusAccepted {
+		t.Fatal(code)
+	}
+	if got := c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 2, Max: 1}); len(got.Jobs) != 1 {
+		t.Fatalf("lease = %+v", got)
+	}
+	return j
+}
+
+// A completion must carry a row for the job's own spec, or an error:
+// anything else is rejected with 400, the job stays leased, and the
+// coordinator's store stays empty.
+func TestCoordinatorRejectsBadCompletions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		row  *harness.RunRow
+	}{
+		{"neither row nor error", nil},
+		{"row for another spec", crow(2)}, // creq(1) is a 2-proc spec, crow(2) a 4-proc row
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCoordinator(t, CoordinatorConfig{HeartbeatTTL: 10 * time.Second, StoreDir: t.TempDir()})
+			j := leasedJob(t, c, 1)
+			req := api.ClusterCompleteRequest{WorkerID: "a", JobID: j.ID, Row: tc.row}
+			if code := serve(c, http.MethodPost, "/cluster/complete", req, nil); code != http.StatusBadRequest {
+				t.Fatalf("complete = %d, want 400", code)
+			}
+			if st := job(t, c, j.ID, false); st.State != api.StateRunning || st.Row != nil {
+				t.Fatalf("job after rejected completion: state=%s row=%v", st.State, st.Row)
+			}
+			if n := c.fe.StoreStats().Puts; n != 0 {
+				t.Fatalf("rejected completion wrote %d store entries", n)
+			}
+		})
+	}
+}
+
+// GET /cluster/log reads an absent from as 1 and rejects a non-numeric
+// one with 400.
+func TestCoordinatorLogFrom(t *testing.T) {
+	c := newTestCoordinator(t, CoordinatorConfig{HeartbeatTTL: 10 * time.Second})
+	if _, code := submit(c, creq(2)); code != http.StatusAccepted {
+		t.Fatal(code)
+	}
+	var r api.ClusterLogResponse
+	if code := serve(c, http.MethodGet, "/cluster/log", nil, &r); code != http.StatusOK || len(r.Records) == 0 || r.Records[0].Seq != 1 {
+		t.Fatalf("log without from = %d %+v", code, r)
+	}
+	if code := serve(c, http.MethodGet, "/cluster/log?from=x", nil, nil); code != http.StatusBadRequest {
+		t.Fatalf("log from=x = %d, want 400", code)
 	}
 }

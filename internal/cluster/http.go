@@ -3,23 +3,18 @@ package cluster
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"net/http/pprof"
-	"sort"
 	"strconv"
-	"strings"
-	"time"
 
-	"swsm/internal/harness"
 	"swsm/internal/server"
 	"swsm/internal/server/api"
 )
 
-// Handler returns the coordinator's HTTP API.  The job surface (/runs,
-// /sweeps, /events, /metrics, /healthz) is the daemon's API unchanged —
-// svmbench -server and the thin client cannot tell a coordinator from a
-// single daemon — plus the cluster protocol underneath:
+// Handler returns the coordinator's HTTP API: the daemon's job front end
+// (/runs, /sweeps, /explore, /events, /metrics, /healthz, traces and
+// pprof) — svmbench -server and the thin client cannot tell a
+// coordinator from a single daemon — plus the cluster protocol
+// underneath:
 //
 //	POST /cluster/join      worker registration
 //	POST /cluster/lease     heartbeat + lease renewal + job handout
@@ -31,344 +26,67 @@ import (
 // submissions with 503 until promoted.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /runs", c.handleSubmitRun)
-	mux.HandleFunc("GET /runs", c.handleListRuns)
-	mux.HandleFunc("GET /runs/{id}", c.handleGetRun)
-	mux.HandleFunc("DELETE /runs/{id}", c.handleCancelRun)
-	mux.HandleFunc("POST /sweeps", c.handleSubmitSweep)
-	mux.HandleFunc("GET /sweeps/{id}", c.handleGetSweep)
-	mux.HandleFunc("POST /explore", c.expl.HandleSubmit)
-	mux.HandleFunc("GET /explore", c.expl.HandleList)
-	mux.HandleFunc("GET /explore/{id}", c.expl.HandleGet)
-	mux.HandleFunc("GET /explore/{id}/frontier", c.expl.HandleFrontierCSV)
-	mux.HandleFunc("DELETE /explore/{id}", c.expl.HandleCancel)
-	mux.HandleFunc("GET /events", c.handleEvents)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
-	mux.HandleFunc("GET /healthz", c.handleHealthz)
+	mux.Handle("/", c.fe.Handler())
 	mux.HandleFunc("POST /cluster/join", c.handleJoin)
 	mux.HandleFunc("POST /cluster/lease", c.handleLease)
 	mux.HandleFunc("POST /cluster/complete", c.handleComplete)
 	mux.HandleFunc("GET /cluster/log", c.handleLog)
 	mux.HandleFunc("GET /cluster/status", c.handleStatus)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	return mux
-}
-
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-// submitError maps admission errors exactly as the daemon does, adding
-// the standby case (503, like draining: back off and come back).
-func submitError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, ErrNotPrimary):
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
-	case errors.Is(err, server.ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, "%v", err)
-	default:
-		httpError(w, http.StatusBadRequest, "%v", err)
-	}
-}
-
-func wantWait(r *http.Request) bool {
-	switch r.URL.Query().Get("wait") {
-	case "", "0", "false":
-		return false
-	}
-	return true
-}
-
-func (c *Coordinator) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
-	var req api.RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	// Same admission gate as the daemon: a bad spec is rejected here,
-	// before it is dispatched to (and fails on) a worker.
-	if err := server.ValidateRequest(req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid spec: %v", err)
-		return
-	}
-	j, _, err := c.submit(req)
-	if err != nil {
-		submitError(w, err)
-		return
-	}
-	if wantWait(r) {
-		if err := c.waitJob(r.Context(), j); err != nil {
-			return
-		}
-	}
-	c.mu.Lock()
-	st := c.statusLocked(j)
-	c.mu.Unlock()
-	code := http.StatusAccepted
-	if st.State == api.StateDone || st.State == api.StateFailed || st.State == api.StateCanceled {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, st)
-}
-
-func (c *Coordinator) handleListRuns(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	out := make([]api.RunStatus, 0, len(c.jobs))
-	for _, j := range c.jobs {
-		out = append(out, *c.statusLocked(j))
-	}
-	c.mu.Unlock()
-	sort.Slice(out, func(i, k int) bool { return jobSeq(out[i].ID) > jobSeq(out[k].ID) })
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (c *Coordinator) jobByID(r *http.Request) (*cjob, bool) {
-	c.mu.Lock()
-	j, ok := c.jobs[r.PathValue("id")]
-	c.mu.Unlock()
-	return j, ok
-}
-
-func (c *Coordinator) handleGetRun(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.jobByID(r)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
-		return
-	}
-	if wantWait(r) {
-		if err := c.waitJob(r.Context(), j); err != nil {
-			return
-		}
-	}
-	c.mu.Lock()
-	st := c.statusLocked(j)
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (c *Coordinator) handleCancelRun(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.jobByID(r)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
-		return
-	}
-	c.mu.Lock()
-	live := c.cancelLocked(j)
-	st := c.statusLocked(j)
-	c.updateGaugesLocked()
-	c.mu.Unlock()
-	if !live && st.State != api.StateCanceled {
-		httpError(w, http.StatusConflict, "job %s already %s", st.ID, st.State)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (c *Coordinator) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
-	var req api.SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if len(req.Points) == 0 {
-		httpError(w, http.StatusBadRequest, "sweep has no points")
-		return
-	}
-	for i, p := range req.Points {
-		if err := server.ValidateRequest(p); err != nil {
-			httpError(w, http.StatusBadRequest, "invalid point %d: %v", i, err)
-			return
-		}
-	}
-	// All-or-nothing admission, as on the daemon: rollback cancels only
-	// jobs this sweep created, never coalesced ones.
-	jobs := make([]*cjob, 0, len(req.Points))
-	var ours []*cjob
-	for i, p := range req.Points {
-		j, created, err := c.submit(p)
-		if err != nil {
-			c.mu.Lock()
-			for _, mine := range ours {
-				if mine.state == api.StateQueued {
-					c.cancelLocked(mine)
-				}
-			}
-			c.updateGaugesLocked()
-			c.mu.Unlock()
-			if errors.Is(err, server.ErrQueueFull) {
-				err = fmt.Errorf("%w admitting point %d of %d", err, i, len(req.Points))
-			}
-			submitError(w, err)
-			return
-		}
-		jobs = append(jobs, j)
-		if created {
-			ours = append(ours, j)
-		}
-	}
-	sw := c.registerSweep(jobs)
-
-	if wantWait(r) {
-		for _, j := range jobs {
-			if err := c.waitJob(r.Context(), j); err != nil {
-				return
-			}
-		}
-	}
-	c.mu.Lock()
-	st := c.sweepStatusLocked(sw, true)
-	c.mu.Unlock()
-	code := http.StatusAccepted
-	if st.Done+st.Failed == st.Total {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, st)
-}
-
-func (c *Coordinator) handleGetSweep(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	sw, ok := c.sweeps[r.PathValue("id")]
-	var st *api.SweepStatus
-	if ok {
-		st = c.sweepStatusLocked(sw, true)
-	}
-	c.mu.Unlock()
-	if !ok {
-		httpError(w, http.StatusNotFound, "no sweep %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-// handleEvents is the coordinator's SSE fan-in: every worker's job
-// transitions, membership changes and failover events on one stream.
-func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	ch, cancel := c.bus.Subscribe()
-	defer cancel()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintf(w, ": %s coordinator connected\n\n", server.Version)
-	fl.Flush()
-
-	ping := time.NewTicker(15 * time.Second)
-	defer ping.Stop()
-	for {
-		select {
-		case e, open := <-ch:
-			if !open {
-				return
-			}
-			data, err := json.Marshal(e)
-			if err != nil {
-				continue
-			}
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Type, data)
-			fl.Flush()
-		case <-ping.C:
-			fmt.Fprint(w, ": ping\n\n")
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "json" ||
-		strings.Contains(r.Header.Get("Accept"), "application/json") {
-		writeJSON(w, http.StatusOK, c.Status())
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	c.met.reg.WritePrometheus(w)
-}
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	role, epoch, workers := c.role, c.epoch, len(c.workers)
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, api.Health{
-		OK: true, Version: server.Version, KeyVersion: harness.KeyVersion,
-		Role: role, Epoch: epoch, Workers: workers,
-	})
 }
 
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req api.ClusterJoinRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.WorkerID == "" {
-		httpError(w, http.StatusBadRequest, "bad join body")
+		server.WriteError(w, http.StatusBadRequest, "bad join body")
 		return
 	}
-	c.mu.Lock()
-	if req.Epoch > c.epoch {
-		c.stepDownLocked(req.Epoch, "join from "+req.WorkerID)
-	}
-	if c.role == api.RolePrimary {
-		c.ensureWorkerLocked(req.WorkerID, req.Slots, time.Now())
-	}
-	resp := api.ClusterJoinResponse{Epoch: c.epoch, Role: c.role}
-	c.updateGaugesLocked()
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	// A join is a lease poll that asks for nothing: it registers the
+	// worker (on a primary) and reports the epoch and role.
+	resp := c.lease(api.ClusterLeaseRequest{WorkerID: req.WorkerID, Slots: req.Slots, Epoch: req.Epoch})
+	server.WriteJSON(w, http.StatusOK, api.ClusterJoinResponse{Epoch: resp.Epoch, Role: resp.Role})
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req api.ClusterLeaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.WorkerID == "" {
-		httpError(w, http.StatusBadRequest, "bad lease body")
+		server.WriteError(w, http.StatusBadRequest, "bad lease body")
 		return
 	}
-	writeJSON(w, http.StatusOK, c.lease(req))
+	server.WriteJSON(w, http.StatusOK, c.lease(req))
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req api.ClusterCompleteRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.JobID == "" {
-		httpError(w, http.StatusBadRequest, "bad complete body")
+		server.WriteError(w, http.StatusBadRequest, "bad complete body")
 		return
 	}
 	resp, err := c.complete(req)
 	switch {
 	case errors.Is(err, ErrNotPrimary):
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		server.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, errUnknownJob):
-		httpError(w, http.StatusNotFound, "no job %q", req.JobID)
-	case err != nil:
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		server.WriteError(w, http.StatusNotFound, "no job %q", req.JobID)
+	case err != nil: // errBadCompletion
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 	default:
-		writeJSON(w, http.StatusOK, resp)
+		server.WriteJSON(w, http.StatusOK, resp)
 	}
 }
 
 func (c *Coordinator) handleLog(w http.ResponseWriter, r *http.Request) {
-	from, _ := strconv.ParseInt(r.URL.Query().Get("from"), 10, 64)
-	wait := false
-	switch r.URL.Query().Get("wait") {
-	case "", "0", "false":
-	default:
-		wait = true
+	from := int64(1)
+	if s := r.URL.Query().Get("from"); s != "" {
+		var err error
+		if from, err = strconv.ParseInt(s, 10, 64); err != nil {
+			server.WriteError(w, http.StatusBadRequest, "bad from %q", s)
+			return
+		}
 	}
-	writeJSON(w, http.StatusOK, c.waitLog(r.Context(), from, wait))
+	server.WriteJSON(w, http.StatusOK, c.waitLog(r.Context(), from, server.WantWait(r)))
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Status())
+	server.WriteJSON(w, http.StatusOK, c.Status())
 }

@@ -2,23 +2,12 @@ package cluster
 
 import "swsm/internal/obs"
 
-// clusterMetrics is the coordinator's Prometheus plane, rendered by the
-// same dependency-free obs registry as the daemon's.  Aggregate gauges
-// are explicit instruments refreshed under the coordinator mutex
-// (updateGaugesLocked) rather than scrape-time callbacks: a scrape then
-// never takes c.mu, which keeps the lock order one-directional
-// (coordinator mutex -> registry mutex, only ever on registration).
+// clusterMetrics is the coordinator's own Prometheus series, registered
+// on the front end's registry next to the daemon's job counters.
+// Aggregate gauges are explicit instruments refreshed under the front
+// end's lock (updateGaugesLocked) rather than scrape-time callbacks, so
+// a scrape reads them without taking that lock.
 type clusterMetrics struct {
-	reg *obs.Registry
-
-	// Admission and terminal counters, mirroring the daemon's.
-	created      *obs.Counter
-	coalesced    *obs.Counter
-	jobsDone     *obs.Counter
-	jobsFailed   *obs.Counter
-	jobsCanceled *obs.Counter
-
-	// Cluster-specific counters.
 	coordCacheHits  *obs.Counter // answered from the coordinator's own store
 	workerCacheHits *obs.Counter // worker reported cached=true
 	redispatches    *obs.Counter
@@ -31,30 +20,17 @@ type clusterMetrics struct {
 	queueDepth *obs.GaugeVec
 	leased     *obs.GaugeVec
 
-	// Aggregate gauges refreshed under the coordinator mutex.
+	// Aggregate gauges refreshed under the front end's lock.
 	workers    *obs.Gauge
 	epoch      *obs.Gauge
 	isPrimary  *obs.Gauge
 	unassigned *obs.Gauge
 	logSeq     *obs.Gauge
 	replLag    *obs.Gauge
-
-	// SSE bus counters (shared with server.EventBus).
-	sseEvents  *obs.Counter
-	sseDropped *obs.Counter
 }
 
-func newClusterMetrics() *clusterMetrics {
-	reg := obs.NewRegistry()
+func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 	return &clusterMetrics{
-		reg: reg,
-
-		created:      reg.Counter("svmd_cluster_jobs_created_total", "Jobs admitted by the coordinator.", ""),
-		coalesced:    reg.Counter("svmd_cluster_jobs_coalesced_total", "Submissions coalesced onto an identical in-flight job.", ""),
-		jobsDone:     reg.Counter("svmd_cluster_jobs_total", "Jobs reaching a terminal state.", `state="done"`),
-		jobsFailed:   reg.Counter("svmd_cluster_jobs_total", "Jobs reaching a terminal state.", `state="failed"`),
-		jobsCanceled: reg.Counter("svmd_cluster_jobs_total", "Jobs reaching a terminal state.", `state="canceled"`),
-
 		coordCacheHits:  reg.Counter("svmd_cluster_cache_hits_total", "Jobs answered from a cluster cache tier without simulating.", `tier="coordinator"`),
 		workerCacheHits: reg.Counter("svmd_cluster_cache_hits_total", "Jobs answered from a cluster cache tier without simulating.", `tier="worker"`),
 		redispatches:    reg.Counter("svmd_cluster_redispatches_total", "Jobs re-dispatched after a lost worker or an expired lease.", ""),
@@ -72,8 +48,5 @@ func newClusterMetrics() *clusterMetrics {
 		unassigned: reg.Gauge("svmd_cluster_unassigned_jobs", "Jobs waiting for any worker to join.", ""),
 		logSeq:     reg.Gauge("svmd_cluster_log_seq", "Highest sequence number in the replicated log.", ""),
 		replLag:    reg.Gauge("svmd_cluster_replication_lag", "Replication backlog in log records: head minus last follower-confirmed seq (primary) or last applied seq minus primary head (standby).", ""),
-
-		sseEvents:  reg.Counter("svmd_sse_events_total", "SSE frames delivered to subscribers.", ""),
-		sseDropped: reg.Counter("svmd_sse_dropped_total", "SSE frames dropped on slow subscribers.", ""),
 	}
 }

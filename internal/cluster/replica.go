@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
-	"sort"
 	"time"
 
 	"swsm/internal/server/api"
@@ -13,8 +12,8 @@ import (
 
 // This file is the standby side of the lease/epoch scheme: a follower
 // loop that tails the primary's log, an apply function that replays
-// records into the shadow job table, and the promotion path that turns
-// the shadow into a live schedule under a higher epoch.
+// records into the front end's job table, and the promotion path that
+// turns the replayed jobs into a live schedule under a higher epoch.
 //
 // The scheme is deliberately not consensus.  There is one primary and
 // one standby; the log is a simple sequenced stream; failover is
@@ -24,13 +23,6 @@ import (
 // results are content-addressed and the simulator deterministic, so a
 // record lost off the log tail costs at most a re-dispatch that the
 // owning worker answers from its own store.
-
-// storePut is a deferred store write-back collected under the mutex and
-// applied outside it.
-type storePut struct {
-	key     string
-	payload []byte
-}
 
 // follow tails the primary's log until the coordinator stops or the
 // primary goes silent long enough to trigger promotion.
@@ -63,8 +55,7 @@ func (c *Coordinator) follow() {
 			continue
 		}
 		lastContact = time.Now()
-		var puts []storePut
-		c.mu.Lock()
+		c.fe.Lock()
 		if resp.Epoch > c.epoch {
 			c.epoch = resp.Epoch
 		}
@@ -77,114 +68,52 @@ func (c *Coordinator) follow() {
 			if rec.Seq <= c.lastSeq {
 				continue // replayed tail after a reconnect
 			}
-			if p := c.applyLocked(rec); p != nil {
-				puts = append(puts, *p)
-			}
+			c.applyLocked(rec)
 			from = rec.Seq + 1
 		}
 		c.updateGaugesLocked()
-		c.mu.Unlock()
-		// Warm the standby's store outside the lock: a failover then
-		// serves already-completed specs from its own coordinator cache.
-		for _, p := range puts {
-			if c.st != nil {
-				_ = c.st.Put(p.key, p.payload)
-			}
-		}
+		c.fe.Unlock()
 	}
 }
 
-// applyLocked replays one log record into the shadow state.  Only the
-// job/sweep tables are replicated; queue placement and leases are
+// applyLocked replays one log record into the front end's job table.
+// Only jobs and sweeps are replicated; queue placement and leases are
 // derived state the new primary rebuilds from the ring, and membership
-// is re-learned live from the workers' own lease polls.
-func (c *Coordinator) applyLocked(rec api.ClusterLogRecord) *storePut {
+// is re-learned live from the workers' own lease polls.  A replayed
+// completion warms the standby's store, so a failover serves
+// already-completed specs from its own coordinator cache.
+func (c *Coordinator) applyLocked(rec api.ClusterLogRecord) {
 	c.lastSeq = rec.Seq
 	c.wal = append(c.wal, rec)
 	close(c.walNotify)
 	c.walNotify = make(chan struct{})
+	t := c.tasks[rec.JobID]
 	switch rec.Type {
 	case api.ClusterLogSubmit:
-		if rec.Req == nil {
-			return nil
-		}
-		if _, ok := c.jobs[rec.JobID]; ok {
-			return nil
-		}
-		key := rec.Req.Spec.Key()
-		ckey := key
-		if rec.Req.Speedup {
-			ckey += "+speedup"
-		}
-		j := &cjob{
-			id: rec.JobID, key: key, ckey: ckey, req: *rec.Req,
-			state:    api.StateQueued,
-			enqueued: time.Now(),
-			done:     make(chan struct{}),
-		}
-		c.jobs[j.id] = j
-		if _, ok := c.inflight[ckey]; !ok {
-			c.inflight[ckey] = j
-		}
-		if n := jobSeq(j.id); n > c.nextJob {
-			c.nextJob = n
-		}
-	case api.ClusterLogComplete:
-		j := c.jobs[rec.JobID]
-		if j == nil || j.terminal() {
-			return nil
-		}
-		j.worker = rec.Worker
-		j.wall = time.Since(j.enqueued)
-		if rec.Error != "" {
-			j.state = api.StateFailed
-			j.errMsg = rec.Error
-		} else {
-			j.state = api.StateDone
-			j.row = rec.Row
-			j.cached = rec.Cached
-		}
-		if c.inflight[j.ckey] == j {
-			delete(c.inflight, j.ckey)
-		}
-		close(j.done)
-		if rec.Row != nil && rec.Error == "" {
-			if payload, err := json.Marshal(rec.Row); err == nil {
-				return &storePut{key: j.ckey, payload: payload}
-			}
+		if rec.Req != nil && c.fe.JobLocked(rec.JobID) == nil {
+			c.tasks[rec.JobID] = &task{job: c.fe.ReplayJobLocked(rec.JobID, *rec.Req)}
 		}
 	case api.ClusterLogCancel:
-		j := c.jobs[rec.JobID]
-		if j == nil || j.terminal() {
-			return nil
+		if t != nil {
+			delete(c.tasks, rec.JobID)
+			c.fe.FinishLocked(t.job, "", nil, false, context.Canceled)
 		}
-		j.state = api.StateCanceled
-		j.errMsg = context.Canceled.Error()
-		if c.inflight[j.ckey] == j {
-			delete(c.inflight, j.ckey)
+	case api.ClusterLogComplete:
+		if t == nil {
+			return
 		}
-		close(j.done)
-	case api.ClusterLogSweep:
-		if _, ok := c.sweeps[rec.SweepID]; ok {
-			return nil
-		}
-		sw := &csweep{id: rec.SweepID}
-		for _, id := range rec.JobIDs {
-			if j := c.jobs[id]; j != nil {
-				sw.jobs = append(sw.jobs, j)
-				j.sweeps = append(j.sweeps, sw)
+		delete(c.tasks, rec.JobID)
+		c.fe.FinishLocked(t.job, rec.Worker, rec.Row, rec.Cached, errOf(rec.Error))
+		if st := c.fe.Store(); st != nil && rec.Row != nil && rec.Error == "" {
+			if payload, err := json.Marshal(rec.Row); err == nil {
+				_ = st.Put(t.job.CoalesceKey(), payload)
 			}
 		}
-		c.sweeps[sw.id] = sw
-		if n := sweepSeq(sw.id); n > c.nextSweep {
-			c.nextSweep = n
-		}
-	case api.ClusterLogJoin, api.ClusterLogLost:
-		// Membership records are informational on a standby: liveness is
-		// whatever the workers prove to the *current* primary, so the new
-		// primary always re-learns membership from their lease polls.
+	case api.ClusterLogSweep:
+		c.fe.ReplaySweepLocked(rec.SweepID, rec.JobIDs)
 	}
-	return nil
+	// Membership records (join, lost) are informational on a standby:
+	// liveness is whatever the workers prove to the *current* primary.
 }
 
 // promote turns this standby into the primary under a fresh epoch.
@@ -197,8 +126,8 @@ func (c *Coordinator) applyLocked(rec api.ClusterLogRecord) *storePut {
 // exactly-once at the content-key level even though the job record ran
 // "twice".
 func (c *Coordinator) promote() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.fe.Lock()
+	defer c.fe.Unlock()
 	if c.role == api.RolePrimary {
 		return
 	}
@@ -213,26 +142,17 @@ func (c *Coordinator) promote() {
 	c.ring = NewRing(c.cfg.RingReplicas)
 	c.workers = make(map[string]*workerState)
 	c.unassigned = nil
-	var pending []*cjob
-	for _, j := range c.jobs {
-		if !j.terminal() {
-			pending = append(pending, j)
-		}
+	for _, t := range c.tasks { // replayed, so never placed
+		c.unassigned = append(c.unassigned, t)
 	}
-	sort.Slice(pending, func(i, k int) bool { return jobSeq(pending[i].id) < jobSeq(pending[k].id) })
-	for _, j := range pending {
-		j.worker = ""
-		j.state = api.StateQueued
-		j.leaseUntil = time.Time{}
-		c.unassigned = append(c.unassigned, j)
-	}
+	sortByID(c.unassigned)
 	c.met.failovers.Inc()
-	c.bus.Publish(api.Event{Type: "failover", Worker: c.cfg.NodeID})
+	c.fe.Publish(api.Event{Type: "failover", Worker: c.cfg.NodeID})
 	if c.log != nil {
 		c.log.LogAttrs(c.ctx, slog.LevelWarn, "promoted to primary",
 			slog.Int64("epoch", c.epoch),
 			slog.Int64("logSeq", c.lastSeq),
-			slog.Int("pendingJobs", len(pending)))
+			slog.Int("pendingJobs", len(c.unassigned)))
 	}
 	c.updateGaugesLocked()
 }

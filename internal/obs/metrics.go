@@ -368,23 +368,24 @@ func escapeLabel(s string) string {
 
 // WritePrometheus renders every registered family in sorted name order
 // (series within a family in registration order), in the text
-// exposition format.
+// exposition format.  The families are snapshotted under the registry
+// lock and rendered outside it, so a scrape-time callback may take its
+// owner's lock while that owner registers a series under the same lock.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	bw := bufio.NewWriter(w)
 	r.mu.Lock()
-	names := make([]string, 0, len(r.fams))
-	for name := range r.fams {
-		names = append(names, name)
+	fams := make([]family, 0, len(r.fams))
+	for _, f := range r.fams {
+		fams = append(fams, *f)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		f := r.fams[name]
+	r.mu.Unlock()
+	sort.Slice(fams, func(i, k int) bool { return fams[i].name < fams[k].name })
+	bw := bufio.NewWriter(w)
+	for _, f := range fams {
 		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
 		for _, m := range f.series {
 			m.write(bw, f.name)
 		}
 	}
-	r.mu.Unlock()
 	return bw.Flush()
 }
 

@@ -24,8 +24,7 @@ type EventBus struct {
 }
 
 // NewEventBus creates a bus; the counters may be nil (tests) or the
-// owner's published/dropped instruments.  It is shared with the
-// cluster coordinator, whose SSE endpoint fans in worker progress.
+// owner's published/dropped instruments.
 func NewEventBus(published, dropped *obs.Counter) *EventBus {
 	return &EventBus{
 		subs:      make(map[chan api.Event]struct{}),

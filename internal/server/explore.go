@@ -25,7 +25,7 @@ const submitRetryDelay = 10 * time.Millisecond
 
 func (e serverEvaluator) Evaluate(ctx context.Context, specs []harness.RunSpec) ([]explore.Evaluation, error) {
 	out := make([]explore.Evaluation, len(specs))
-	jobs := make([]*job, len(specs))
+	jobs := make([]*Job, len(specs))
 	for i, spec := range specs {
 		out[i].Spec = spec
 		// Probe caches before execution: the budget ledger charges only
@@ -50,31 +50,22 @@ func (e serverEvaluator) Evaluate(ctx context.Context, specs []harness.RunSpec) 
 		}
 	}
 	for i, j := range jobs {
-		select {
-		case <-j.done:
-		case <-ctx.Done():
+		row, cached, err := e.s.await(ctx, j)
+		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		e.s.mu.Lock()
-		switch {
-		case j.state == api.StateDone:
-			out[i].Row = j.row
-			if j.cached {
-				out[i].Cached = true
-			}
-		case j.err != nil:
-			out[i].Err = j.err.Error()
-		default:
-			out[i].Err = "job " + j.id + " ended in state " + j.state
+		out[i].Row = row
+		out[i].Cached = out[i].Cached || cached
+		if err != nil {
+			out[i].Err = err.Error()
 		}
-		e.s.mu.Unlock()
 	}
 	return out, nil
 }
 
-// newExploreManager builds the daemon's exploration manager: events on
-// the daemon's SSE bus, admission gated on draining, svmd_explore_*
-// registered on the daemon's registry.
+// newExploreManager builds the front end's exploration manager: events
+// on its SSE bus, admission gated like job submissions (draining, or an
+// executor's refusal), svmd_explore_* registered on its registry.
 func newExploreManager(s *Server, limit int) *explore.Manager {
 	m := explore.NewManager(explore.ManagerConfig{
 		Evaluator: serverEvaluator{s},
@@ -84,10 +75,7 @@ func newExploreManager(s *Server, limit int) *explore.Manager {
 		Admit: func() error {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			if s.draining {
-				return ErrDraining
-			}
-			return nil
+			return s.admitLocked()
 		},
 		Limit:  limit,
 		Logger: s.log,

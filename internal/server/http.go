@@ -54,14 +54,15 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// httpError is the uniform JSON error body.
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
+// WriteError writes the uniform JSON error body.
+func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as an indented JSON body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -74,17 +75,18 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // the client should back off, not the daemon buffer without bound).
 func submitError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, ErrDraining):
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+	case errors.Is(err, ErrDraining), errors.Is(err, ErrUnavailable):
+		WriteError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, "%v", err)
+		WriteError(w, http.StatusTooManyRequests, "%v", err)
 	default:
-		httpError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 	}
 }
 
-func wantWait(r *http.Request) bool {
+// WantWait reports whether a request asks to block (?wait=1).
+func WantWait(r *http.Request) bool {
 	switch r.URL.Query().Get("wait") {
 	case "", "0", "false":
 		return false
@@ -95,14 +97,14 @@ func wantWait(r *http.Request) bool {
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var req api.RunRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if err := ValidateRequest(req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid spec: %v", err)
+		WriteError(w, http.StatusBadRequest, "invalid spec: %v", err)
 		return
 	}
-	wait := wantWait(r)
+	wait := WantWait(r)
 	j, _, err := s.submit(req, !wait)
 	if err != nil {
 		submitError(w, err)
@@ -115,13 +117,12 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Lock()
-	st := statusLocked(j)
-	s.mu.Unlock()
-	code := http.StatusAccepted
-	if st.State == api.StateDone || st.State == api.StateFailed || st.State == api.StateCanceled {
+	st, code := statusLocked(j), http.StatusAccepted
+	if j.terminal() {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, st)
+	s.mu.Unlock()
+	WriteJSON(w, code, st)
 }
 
 func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
@@ -136,10 +137,10 @@ func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 		return len(out[i].ID) > len(out[k].ID) ||
 			(len(out[i].ID) == len(out[k].ID) && out[i].ID > out[k].ID)
 	})
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) jobByID(r *http.Request) (*job, bool) {
+func (s *Server) jobByID(r *http.Request) (*Job, bool) {
 	s.mu.Lock()
 	j, ok := s.jobs[r.PathValue("id")]
 	s.mu.Unlock()
@@ -149,10 +150,10 @@ func (s *Server) jobByID(r *http.Request) (*job, bool) {
 func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobByID(r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
-	if wantWait(r) {
+	if WantWait(r) {
 		if err := s.waitJob(r.Context(), j); err != nil {
 			return
 		}
@@ -160,13 +161,13 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	st := statusLocked(j)
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleCancelRun(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobByID(r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
 	s.mu.Lock()
@@ -174,25 +175,25 @@ func (s *Server) handleCancelRun(w http.ResponseWriter, r *http.Request) {
 	st := statusLocked(j)
 	s.mu.Unlock()
 	if !live && st.State != api.StateCanceled {
-		httpError(w, http.StatusConflict, "job %s already %s", st.ID, st.State)
+		WriteError(w, http.StatusConflict, "job %s already %s", st.ID, st.State)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var req api.SweepRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if len(req.Points) == 0 {
-		httpError(w, http.StatusBadRequest, "sweep has no points")
+		WriteError(w, http.StatusBadRequest, "sweep has no points")
 		return
 	}
 	for i, p := range req.Points {
 		if err := ValidateRequest(p); err != nil {
-			httpError(w, http.StatusBadRequest, "invalid point %d: %v", i, err)
+			WriteError(w, http.StatusBadRequest, "invalid point %d: %v", i, err)
 			return
 		}
 	}
@@ -200,8 +201,8 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	// registering the sweep; a full queue rejects the whole batch so the
 	// client never receives a half-admitted sweep.  Rollback cancels only
 	// jobs this sweep created — never jobs coalesced from other clients.
-	jobs := make([]*job, 0, len(req.Points))
-	var ours []*job
+	jobs := make([]*Job, 0, len(req.Points))
+	var ours []*Job
 	for i, p := range req.Points {
 		j, created, err := s.submit(p, true)
 		if err != nil {
@@ -224,15 +225,11 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Lock()
-	s.nextSweep++
-	sw := &sweepState{id: fmt.Sprintf("s%d", s.nextSweep), jobs: jobs}
-	s.sweeps[sw.id] = sw
-	for _, j := range jobs {
-		j.sweeps = append(j.sweeps, sw)
-	}
+	sw := s.addSweepLocked(fmt.Sprintf("s%d", s.nextSweep+1), jobs)
+	s.executor.Sweep(sw.id, jobs)
 	s.mu.Unlock()
 
-	if wantWait(r) {
+	if WantWait(r) {
 		for _, j := range jobs {
 			if err := s.waitJob(r.Context(), j); err != nil {
 				return
@@ -246,7 +243,7 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	if st.Done+st.Failed == st.Total {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, st)
+	WriteJSON(w, code, st)
 }
 
 func (s *Server) handleGetSweep(w http.ResponseWriter, r *http.Request) {
@@ -258,16 +255,16 @@ func (s *Server) handleGetSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if !ok {
-		httpError(w, http.StatusNotFound, "no sweep %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "no sweep %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
+		WriteError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	ch, cancel := s.bus.Subscribe()
@@ -309,7 +306,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "json" ||
 		strings.Contains(r.Header.Get("Accept"), "application/json") {
-		writeJSON(w, http.StatusOK, s.Metrics())
+		WriteJSON(w, http.StatusOK, s.Metrics())
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -331,7 +328,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobByID(r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
 	s.mu.Lock()
@@ -340,17 +337,17 @@ func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 	spans := j.spans.Snapshot()
 	s.mu.Unlock()
 	if state != api.StateDone {
-		httpError(w, http.StatusConflict, "job %s is %s; traces are served for done jobs", j.id, state)
+		WriteError(w, http.StatusConflict, "job %s is %s; traces are served for done jobs", j.id, state)
 		return
 	}
 	spec.Trace = true
 	res, err := s.runFn(r.Context(), spec)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "trace re-run: %v", err)
+		WriteError(w, http.StatusInternalServerError, "trace re-run: %v", err)
 		return
 	}
 	if res.Trace == nil {
-		httpError(w, http.StatusNotImplemented, "this server's run function does not capture traces")
+		WriteError(w, http.StatusNotImplemented, "this server's run function does not capture traces")
 		return
 	}
 	label := fmt.Sprintf("sim %s/%s p%d", spec.App, spec.Protocol, spec.Procs)
@@ -361,10 +358,13 @@ func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, api.Health{
-		OK: true, Draining: draining,
+	h := api.Health{
+		OK: true, Draining: s.draining,
 		Version: Version, KeyVersion: harness.KeyVersion,
-	})
+	}
+	if load := s.executor.Load(); load.Role != "" {
+		h.Role, h.Epoch, h.Workers = load.Role, load.Epoch, load.Workers
+	}
+	s.mu.Unlock()
+	WriteJSON(w, http.StatusOK, h)
 }

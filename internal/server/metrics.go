@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"swsm/internal/obs"
+	"swsm/internal/server/api"
 )
 
 // svmdMetrics bundles the daemon's Prometheus instruments: the
@@ -90,27 +91,34 @@ func newSvmdMetrics(start time.Time) *svmdMetrics {
 }
 
 // registerServer adds the scrape-time gauges and bridged counters that
-// read live server state.  Called once from New, before the server
+// read live server state.  Called once from NewWith, before the server
 // serves traffic; the callbacks take s.mu / the stats locks briefly and
 // never block on job execution (s.mu is never held across a
 // simulation).
 func (m *svmdMetrics) registerServer(s *Server) {
+	load := func(get func(Load) int) func() float64 {
+		return func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(get(s.executor.Load()))
+		}
+	}
 	m.reg.GaugeFunc("svmd_queue_depth",
 		"Jobs admitted but not yet picked up by a worker.", "",
-		func() float64 { return float64(len(s.queue)) })
+		load(func(l Load) int { return l.Queued }))
 	m.reg.GaugeFunc("svmd_queue_capacity",
 		"Admission queue capacity.", "",
-		func() float64 { return float64(cap(s.queue)) })
+		load(func(l Load) int { return l.Capacity }))
 	m.reg.GaugeFunc("svmd_inflight_jobs",
 		"Jobs currently executing on workers.", "",
 		func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			return float64(s.inFlight)
+			return float64(s.stateCount[api.StateRunning])
 		})
 	m.reg.GaugeFunc("svmd_workers",
-		"Worker (concurrent simulation) bound.", "",
-		func() float64 { return float64(s.ses.Parallelism()) })
+		"Execution bound: simulation slots on a daemon, joined workers on a coordinator.", "",
+		load(func(l Load) int { return l.Workers }))
 	m.reg.GaugeFunc("svmd_draining",
 		"1 while the daemon drains, else 0.", "",
 		func() float64 {

@@ -18,14 +18,21 @@
 // Admission control is explicit: when the bounded queue is full the
 // daemon answers 429 with Retry-After rather than buffering without
 // bound, and during drain it answers 503 while in-flight work finishes.
+//
+// Server is the job front end — job table, coalescing, sweeps, wait and
+// cancel, events, metrics, /explore and traces — over an Executor that
+// decides where admitted jobs run.  New uses the local executor (the
+// bounded queue and its workers, local.go); the cluster coordinator
+// supplies its own through NewWith, so a client cannot tell a
+// coordinator from a daemon.
 package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
+	"strconv"
 	"sync"
 	"time"
 
@@ -92,12 +99,51 @@ var (
 	// ErrQueueFull rejects submissions when the admission queue is at
 	// capacity (429 + Retry-After).
 	ErrQueueFull = errors.New("job queue full")
+	// ErrUnavailable marks an executor's refusal to admit work (503):
+	// a standby coordinator, for one.
+	ErrUnavailable = errors.New("service unavailable")
 )
 
-// job is one scheduled simulation (or store lookup).  Mutable fields
-// are guarded by Server.mu; done is closed exactly once when the job
-// reaches a terminal state.
-type job struct {
+// Executor decides where admitted jobs run.  The front end calls every
+// method but Close with its job-table lock held; an executor that acts
+// on its own (a lease poll, a completion) takes that lock through
+// Server.Lock and ends jobs through FinishLocked.
+type Executor interface {
+	// Admit reports whether new work may enter (nil, or an error
+	// wrapping ErrUnavailable).
+	Admit() error
+	// Enqueue places a newly admitted job and names its dispatch target
+	// ("" for local execution).  A non-nil row answers the job at
+	// admission from the executor's cache; ErrQueueFull rejects it.
+	Enqueue(j *Job) (worker string, hit *harness.RunRow, err error)
+	// Cancel withdraws a live job and reports whether the front end
+	// should finish it as canceled now (false: the execution that holds
+	// it ends it through its cancelled context).
+	Cancel(j *Job) bool
+	// Sweep records a sweep registered over already-admitted jobs.
+	Sweep(id string, jobs []*Job)
+	// Load reports capacity and role for /metrics and /healthz.
+	Load() Load
+	// Close stops the executor once the front end refuses new work,
+	// waiting for admitted jobs until ctx expires.
+	Close(ctx context.Context) error
+}
+
+// Load is an executor's capacity snapshot.
+type Load struct {
+	// Queued and Capacity describe admitted-but-not-started jobs;
+	// Workers is the execution bound (simulation slots, or joined
+	// cluster workers).
+	Queued, Capacity, Workers int
+	// Role and Epoch are set by cluster coordinators ("" on a daemon).
+	Role  string
+	Epoch int64
+}
+
+// Job is one admitted simulation (or store lookup).  Mutable fields are
+// guarded by the front end's lock; done is closed exactly once when the
+// job reaches a terminal state.
+type Job struct {
 	id   string
 	key  string // spec content key (store address)
 	ckey string // coalescing key (content key + request shape)
@@ -108,6 +154,7 @@ type job struct {
 	done   chan struct{}
 
 	state    string
+	worker   string // cluster dispatch target or executor ("" = local)
 	cached   bool
 	row      *harness.RunRow
 	err      error
@@ -121,22 +168,44 @@ type job struct {
 	sweeps []*sweepState
 }
 
-type sweepState struct {
-	id   string
-	jobs []*job
+// ID is the job's handle ("j<seq>").
+func (j *Job) ID() string { return j.id }
+
+// Request is the job's submitted request.
+func (j *Job) Request() api.RunRequest { return j.req }
+
+// Key is the spec's content key.
+func (j *Job) Key() string { return j.key }
+
+// CoalesceKey is the content key plus the request shape: the address of
+// the job's row, which a speedup request annotates.
+func (j *Job) CoalesceKey() string { return j.ckey }
+
+func (j *Job) terminal() bool {
+	switch j.state {
+	case api.StateDone, api.StateFailed, api.StateCanceled:
+		return true
+	}
+	return false
 }
 
-// Server is the experiment service.  Construct with New, serve
-// Handler(), stop with Drain.
+type sweepState struct {
+	id   string
+	jobs []*Job
+}
+
+// Server is the experiment service.  Construct with New (or NewWith),
+// serve Handler(), stop with Drain.
 type Server struct {
-	cfg    Config
-	ses    *harness.Session
-	st     *store.Store
-	bus    *EventBus
-	met    *svmdMetrics
-	log    *slog.Logger // nil = service logging disabled
-	flight *obs.Flight
-	expl   *explore.Manager
+	cfg      Config
+	executor Executor
+	ses      *harness.Session
+	st       *store.Store
+	bus      *EventBus
+	met      *svmdMetrics
+	log      *slog.Logger // nil = service logging disabled
+	flight   *obs.Flight
+	expl     *explore.Manager
 	// runFn executes one spec; tests substitute it to make scheduling
 	// behavior (backpressure, cancellation) deterministic.
 	runFn func(context.Context, harness.RunSpec) (*harness.Result, error)
@@ -145,39 +214,47 @@ type Server struct {
 	baseCancel context.CancelFunc
 
 	mu         sync.Mutex
-	jobs       map[string]*job
-	inflight   map[string]*job // coalescing key -> queued/running job
+	jobs       map[string]*Job
+	inflight   map[string]*Job // coalescing key -> queued/running job
 	sweeps     map[string]*sweepState
 	stateCount map[string]int
 	nextJob    int64
 	nextSweep  int64
-	inFlight   int // jobs currently executing on a worker
 	draining   bool
 
-	queue chan *job
-	wg    sync.WaitGroup
 	start time.Time
 }
 
-// New builds a Server and starts its workers.
+// New builds a daemon: the front end over the local executor, whose
+// workers it starts.
 func New(cfg Config) (*Server, error) {
-	ses := harness.NewSession(cfg.Parallel)
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * ses.Parallelism()
-	}
+	return NewWith(cfg, func(s *Server) Executor {
+		depth := cfg.QueueDepth
+		if depth <= 0 {
+			depth = 4 * s.ses.Parallelism()
+		}
+		return newLocalExec(s, depth)
+	})
+}
+
+// NewWith builds a front end over the executor mk returns.  The session
+// still runs in-process work: GET /runs/{id}/trace re-runs, and the
+// local executor's simulations.
+func NewWith(cfg Config, mk func(*Server) Executor) (*Server, error) {
 	var st *store.Store
 	if cfg.StoreDir != "" {
 		var err error
 		if st, err = store.Open(cfg.StoreDir, cfg.StoreMaxBytes); err != nil {
 			return nil, err
 		}
+		st.SetLogger(cfg.Logger)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	start := time.Now()
 	met := newSvmdMetrics(start)
 	s := &Server{
 		cfg:        cfg,
-		ses:        ses,
+		ses:        harness.NewSession(cfg.Parallel),
 		st:         st,
 		bus:        NewEventBus(met.sseEvents, met.sseDropped),
 		met:        met,
@@ -185,31 +262,19 @@ func New(cfg Config) (*Server, error) {
 		flight:     obs.NewFlight(obs.DefaultFlightRecords, cfg.DebugDir, time.Second),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		jobs:       make(map[string]*job),
-		inflight:   make(map[string]*job),
+		jobs:       make(map[string]*Job),
+		inflight:   make(map[string]*Job),
 		sweeps:     make(map[string]*sweepState),
 		stateCount: make(map[string]int),
-		queue:      make(chan *job, cfg.QueueDepth),
 		start:      start,
-	}
-	s.expl = newExploreManager(s, cfg.ExploreLimit)
-	met.registerServer(s)
-	ses.SetObserver(met)
-	if st != nil {
-		st.SetLogger(cfg.Logger)
 	}
 	s.runFn = func(ctx context.Context, spec harness.RunSpec) (*harness.Result, error) {
 		return s.ses.RunCtx(ctx, spec)
 	}
-	for i := 0; i < ses.Parallelism(); i++ {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			for j := range s.queue {
-				s.exec(j)
-			}
-		}()
-	}
+	s.ses.SetObserver(met)
+	s.expl = newExploreManager(s, cfg.ExploreLimit)
+	met.registerServer(s)
+	s.executor = mk(s)
 	return s, nil
 }
 
@@ -227,9 +292,7 @@ func (s *Server) StoreStats() store.Stats {
 }
 
 // ValidateRequest rejects requests the daemon cannot (or will not)
-// serve before they consume a queue slot.  The cluster coordinator
-// applies the same gate at its own admission edge, so a bad spec is
-// rejected before it is dispatched to a worker.
+// serve before they consume a queue slot.
 func ValidateRequest(req api.RunRequest) error {
 	spec := req.Spec
 	if _, err := apps.Lookup(spec.App); err != nil {
@@ -292,6 +355,12 @@ func (s *Server) Execute(ctx context.Context, req api.RunRequest) (*harness.RunR
 	if err != nil {
 		return nil, false, err
 	}
+	return s.await(ctx, j)
+}
+
+// await parks until j is terminal (or ctx ends) and returns its row,
+// cache flag and error.
+func (s *Server) await(ctx context.Context, j *Job) (*harness.RunRow, bool, error) {
 	select {
 	case <-j.done:
 	case <-ctx.Done():
@@ -308,19 +377,25 @@ func (s *Server) Execute(ctx context.Context, req api.RunRequest) (*harness.RunR
 	return nil, false, fmt.Errorf("job %s terminal in state %s without error", j.id, j.state)
 }
 
-// submit admits a request: coalesce onto an identical in-flight job, or
-// create and enqueue a new one (created reports which).  detached jobs
-// survive watcher disconnects (async submissions, sweep points).
-func (s *Server) submit(req api.RunRequest, detached bool) (j *job, created bool, err error) {
-	key := req.Spec.Key()
-	ckey := key
-	if req.Speedup {
-		ckey += "+speedup"
+// admitLocked gates new work: the front end's drain, then the
+// executor's own rule.
+func (s *Server) admitLocked() error {
+	if s.draining {
+		return ErrDraining
 	}
+	return s.executor.Admit()
+}
+
+// submit admits a request: coalesce onto an identical in-flight job, or
+// create one and hand it to the executor (created reports which).
+// detached jobs survive watcher disconnects (async submissions, sweep
+// points).
+func (s *Server) submit(req api.RunRequest, detached bool) (j *Job, created bool, err error) {
+	key, ckey := jobKeys(req)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining {
-		return nil, false, ErrDraining
+	if err := s.admitLocked(); err != nil {
+		return nil, false, err
 	}
 	if j, ok := s.inflight[ckey]; ok {
 		if detached {
@@ -329,9 +404,40 @@ func (s *Server) submit(req api.RunRequest, detached bool) (j *job, created bool
 		s.met.coalesced.Inc()
 		return j, false, nil
 	}
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	j = &job{
-		key: key, ckey: ckey, req: req,
+	s.nextJob++
+	j = s.newJobLocked("j"+strconv.FormatInt(s.nextJob, 10), key, ckey, req, detached)
+	worker, hit, err := s.executor.Enqueue(j)
+	if err != nil {
+		s.nextJob--
+		j.cancel()
+		return nil, false, err
+	}
+	s.addJobLocked(j, worker)
+	if hit != nil {
+		s.FinishLocked(j, worker, hit, true, nil)
+	}
+	return j, true, nil
+}
+
+// jobKeys returns a request's content key and its coalescing key: the
+// content key plus the request shape, which addresses the job's row.
+func jobKeys(req api.RunRequest) (key, ckey string) {
+	key = req.Spec.Key()
+	if req.Speedup {
+		return key, key + "+speedup"
+	}
+	return key, key
+}
+
+// newJobLocked builds a queued job whose context carries its ID, so
+// every log line the layers below emit on its behalf is attributed.
+func (s *Server) newJobLocked(id, key, ckey string, req api.RunRequest, detached bool) *Job {
+	ctx, cancel := context.WithCancel(obs.WithJob(s.baseCtx, id))
+	if s.log != nil {
+		ctx = obs.WithLogger(ctx, s.log)
+	}
+	return &Job{
+		id: id, key: key, ckey: ckey, req: req,
 		ctx: ctx, cancel: cancel,
 		done:     make(chan struct{}),
 		state:    api.StateQueued,
@@ -339,168 +445,111 @@ func (s *Server) submit(req api.RunRequest, detached bool) (j *job, created bool
 		enqueued: time.Now(),
 		spans:    obs.NewSpans(),
 	}
-	select {
-	case s.queue <- j:
-	default:
-		cancel()
-		return nil, false, ErrQueueFull
-	}
-	s.nextJob++
-	j.id = fmt.Sprintf("j%d", s.nextJob)
-	// Annotate the job context for the layers below: every log line the
-	// scheduler, harness, store or transport emits on behalf of this job
-	// carries its ID.  A worker dequeuing j blocks on s.mu (held here)
-	// before reading j.ctx, so the late annotation is safe.
-	j.ctx = obs.WithJob(j.ctx, j.id)
+}
+
+// addJobLocked enters a placed job into the table and announces it.
+func (s *Server) addJobLocked(j *Job, worker string) {
+	j.worker = worker
 	if s.log != nil {
-		j.ctx = obs.WithLogger(j.ctx, s.log)
 		s.log.LogAttrs(j.ctx, slog.LevelInfo, "job queued",
-			slog.String("app", req.Spec.App),
-			slog.String("protocol", string(req.Spec.Protocol)),
-			slog.Int("procs", req.Spec.Procs),
-			slog.Bool("speedup", req.Speedup),
-			slog.Int("queueDepth", len(s.queue)))
+			slog.String("app", j.req.Spec.App),
+			slog.String("protocol", string(j.req.Spec.Protocol)),
+			slog.Int("procs", j.req.Spec.Procs),
+			slog.Bool("speedup", j.req.Speedup),
+			slog.String("worker", worker))
 	}
 	s.met.created.Inc()
-	s.flight.Record(j.id, api.StateQueued, req.Spec.App+"/"+string(req.Spec.Protocol))
+	s.flight.Record(j.id, api.StateQueued, j.req.Spec.App+"/"+string(j.req.Spec.Protocol))
 	s.jobs[j.id] = j
-	s.inflight[ckey] = j
+	if _, ok := s.inflight[j.ckey]; !ok {
+		s.inflight[j.ckey] = j
+	}
 	s.stateCount[api.StateQueued]++
-	s.bus.Publish(api.Event{Type: "jobQueued", Job: statusLocked(j)})
-	return j, true, nil
+	s.bus.Publish(api.Event{Type: "jobQueued", Job: statusLocked(j), Worker: worker})
 }
 
-// exec runs one job on a worker: store lookup, then simulation through
-// the memoized session, then store write-back.
-func (s *Server) exec(j *job) {
-	s.mu.Lock()
-	if j.state != api.StateQueued { // canceled while queued
-		s.mu.Unlock()
+// Lock and Unlock guard the job table.  An executor holds them around
+// its own entry points and calls the *Locked methods inside.
+func (s *Server) Lock()   { s.mu.Lock() }
+func (s *Server) Unlock() { s.mu.Unlock() }
+
+// JobLocked looks a job up by ID (nil if unknown).
+func (s *Server) JobLocked(id string) *Job { return s.jobs[id] }
+
+// ReplayJobLocked enters a job admitted elsewhere under its original,
+// not yet known ID — a standby coordinator replaying its primary's log.
+// It is not handed to the executor.
+func (s *Server) ReplayJobLocked(id string, req api.RunRequest) *Job {
+	key, ckey := jobKeys(req)
+	j := s.newJobLocked(id, key, ckey, req, true)
+	s.addJobLocked(j, "")
+	s.nextJob = max(s.nextJob, idSeq(id))
+	return j
+}
+
+// ReplaySweepLocked registers a sweep admitted elsewhere under its
+// original ID, over the jobs already replayed.
+func (s *Server) ReplaySweepLocked(id string, jobIDs []string) {
+	var jobs []*Job
+	for _, jid := range jobIDs {
+		if j := s.jobs[jid]; j != nil {
+			jobs = append(jobs, j)
+		}
+	}
+	s.addSweepLocked(id, jobs)
+}
+
+// addSweepLocked registers a sweep over admitted jobs.
+func (s *Server) addSweepLocked(id string, jobs []*Job) *sweepState {
+	sw := &sweepState{id: id, jobs: jobs}
+	s.sweeps[id] = sw
+	s.nextSweep = max(s.nextSweep, idSeq(id))
+	for _, j := range jobs {
+		j.sweeps = append(j.sweeps, sw)
+	}
+	return sw
+}
+
+// idSeq extracts the numeric part of a "j<n>" or "s<n>" ID (0 when
+// malformed).
+func idSeq(id string) (n int64) {
+	fmt.Sscanf(id, "%c%d", new(rune), &n)
+	return n
+}
+
+// MoveLocked records an executor's scheduling decision for a live job:
+// its state (queued or running) and its dispatch target.  A state
+// change is published; starting a job closes its queue span.
+func (s *Server) MoveLocked(j *Job, state, worker string) {
+	j.worker = worker
+	if j.state == state {
 		return
 	}
-	if err := j.ctx.Err(); err != nil {
-		s.finishLocked(j, nil, false, err)
-		s.mu.Unlock()
+	s.setStateLocked(j, state)
+	typ := "jobQueued"
+	if state == api.StateRunning {
+		typ = "jobStarted"
+		j.started = time.Now()
+		j.spans.Add(obs.SpanQueue, j.enqueued, j.started)
+		s.met.queueWait.Observe(j.started.Sub(j.enqueued).Seconds())
+	}
+	s.flight.Record(j.id, state, worker)
+	s.bus.Publish(api.Event{Type: typ, Job: statusLocked(j), Worker: worker})
+}
+
+// FinishLocked is the single finish path: it moves a live job to its
+// terminal state (done, or canceled/failed by err), publishes the
+// transition and unparks watchers.  A job already terminal is left
+// alone.
+func (s *Server) FinishLocked(j *Job, worker string, row *harness.RunRow, cached bool, err error) {
+	if j.terminal() {
 		return
 	}
-	s.setStateLocked(j, api.StateRunning)
-	s.inFlight++
-	j.started = time.Now()
-	j.spans.Add(obs.SpanQueue, j.enqueued, j.started)
-	s.met.queueWait.Observe(j.started.Sub(j.enqueued).Seconds())
-	s.flight.Record(j.id, api.StateRunning, "")
-	s.bus.Publish(api.Event{Type: "jobStarted", Job: statusLocked(j)})
-	s.mu.Unlock()
-
-	row, cached, err := s.resolve(j.ctx, j.req.Spec, j.spans, "")
-	if err == nil && j.req.Speedup {
-		spec := j.req.Spec
-		var base *harness.RunRow
-		base, _, err = s.resolve(j.ctx,
-			harness.BaselineSpec(spec.App, spec.Scale, spec.CacheEnabled), j.spans, "baseline.")
-		if err == nil {
-			r := row.WithSpeedup(base.Cycles)
-			row = &r
-		}
-	}
-
-	s.mu.Lock()
-	s.inFlight--
-	j.wall = time.Since(j.started)
-	s.finishLocked(j, row, cached, err)
-	s.mu.Unlock()
-	s.observeTerminal(j)
-}
-
-// observeTerminal runs the post-terminal observability work that must
-// not hold s.mu: latency accounting against the SLO, the per-job
-// outcome log line, and (on failure or SLO breach) an async
-// flight-recorder dump.  j is terminal, so its fields are stable.
-func (s *Server) observeTerminal(j *job) {
-	s.met.runDur.Observe(j.wall.Seconds())
-	breach := s.cfg.SLO > 0 && j.wall > s.cfg.SLO
-	if breach {
-		s.met.sloBreaches.Inc()
-	}
-	if s.log != nil {
-		lvl, msg := slog.LevelInfo, "job "+j.state
-		if j.state == api.StateFailed {
-			lvl = slog.LevelWarn
-		}
-		attrs := []slog.Attr{
-			slog.String("state", j.state),
-			slog.Duration("wall", j.wall),
-			slog.Bool("cached", j.cached),
-		}
-		if j.err != nil {
-			attrs = append(attrs, slog.String("error", j.err.Error()))
-		}
-		if breach {
-			attrs = append(attrs, slog.Duration("slo", s.cfg.SLO))
-		}
-		s.log.LogAttrs(j.ctx, lvl, msg, attrs...)
-	}
-	if j.state == api.StateFailed || breach {
-		reason := "job failed"
-		if j.state != api.StateFailed {
-			reason = "slo breach"
-		}
-		go func() {
-			if path, _ := s.flight.Dump(reason, j.id); path != "" {
-				s.met.flightDumps.Inc()
-				if s.log != nil {
-					s.log.LogAttrs(j.ctx, slog.LevelInfo, "flight recorder dumped",
-						slog.String("path", path), slog.String("reason", reason))
-				}
-			}
-		}()
-	}
-}
-
-// resolve produces the row for one spec: persistent store first, then
-// the memoized session, writing fresh results back to the store.  Each
-// stage is timed into the job's span recorder (names prefixed for the
-// speedup baseline's second resolve) and the store histograms.
-func (s *Server) resolve(ctx context.Context, spec harness.RunSpec, sp *obs.Spans, prefix string) (*harness.RunRow, bool, error) {
-	key := spec.Key()
-	if s.st != nil {
-		t0 := time.Now()
-		payload, ok := s.st.Get(key)
-		s.met.storeGet.ObserveSince(t0)
-		sp.Add(prefix+obs.SpanStoreGet, t0, time.Now())
-		if ok {
-			var row harness.RunRow
-			// A decodable row whose spec disagrees with the requested one
-			// would mean a key collision or encoder drift; recompute.
-			if err := json.Unmarshal(payload, &row); err == nil && row.Spec == spec {
-				return &row, true, nil
-			}
-		}
-	}
-	t0 := time.Now()
-	res, err := s.runFn(ctx, spec)
-	sp.Add(prefix+obs.SpanSim, t0, time.Now())
-	if err != nil {
-		return nil, false, err
-	}
-	row := harness.NewRunRow(res)
-	if s.st != nil {
-		if payload, err := json.Marshal(row); err == nil {
-			// Store damage must not fail the run; the next daemon just
-			// recomputes.
-			t0 := time.Now()
-			_ = s.st.Put(key, payload)
-			s.met.storePut.ObserveSince(t0)
-			sp.Add(prefix+obs.SpanStorePut, t0, time.Now())
-		}
-	}
-	return &row, false, nil
-}
-
-// finishLocked moves a job to its terminal state, publishes the
-// transition and unparks watchers.  Caller holds s.mu.
-func (s *Server) finishLocked(j *job, row *harness.RunRow, cached bool, err error) {
 	respond := time.Now()
+	j.worker = worker
+	if !j.started.IsZero() {
+		j.wall = respond.Sub(j.started)
+	}
 	switch {
 	case err == nil:
 		j.row = row
@@ -527,7 +576,9 @@ func (s *Server) finishLocked(j *job, row *harness.RunRow, cached bool, err erro
 		msg = j.err.Error()
 	}
 	s.flight.Record(j.id, j.state, msg)
-	delete(s.inflight, j.ckey)
+	if s.inflight[j.ckey] == j {
+		delete(s.inflight, j.ckey)
+	}
 	j.cancel()
 	close(j.done)
 	typ := map[string]string{
@@ -535,38 +586,48 @@ func (s *Server) finishLocked(j *job, row *harness.RunRow, cached bool, err erro
 		api.StateFailed:   "jobFailed",
 		api.StateCanceled: "jobCanceled",
 	}[j.state]
-	s.bus.Publish(api.Event{Type: typ, Job: statusLocked(j)})
+	s.bus.Publish(api.Event{Type: typ, Job: statusLocked(j), Worker: worker})
 	for _, sw := range j.sweeps {
 		s.bus.Publish(api.Event{Type: "sweepProgress", Sweep: sweepStatusLocked(sw, false)})
 	}
 	j.spans.Add(obs.SpanRespond, respond, time.Now())
 }
 
-// cancelLocked cancels a queued job immediately; a running job has its
-// context cancelled and reaches a terminal state through exec.  Caller
-// holds s.mu; reports whether the job was still live.
-func (s *Server) cancelLocked(j *job) bool {
-	switch j.state {
-	case api.StateQueued:
-		s.finishLocked(j, nil, false, context.Canceled)
-		return true
-	case api.StateRunning:
-		j.cancel()
-		return true
+// cancelLocked cancels a live job: its context is cancelled, and the
+// executor either withdraws it (finished here) or lets the execution
+// holding it end it.  Reports whether the job was still live.
+func (s *Server) cancelLocked(j *Job) bool {
+	if j.terminal() {
+		return false
 	}
-	return false
+	j.cancel()
+	if s.executor.Cancel(j) {
+		s.FinishLocked(j, j.worker, nil, false, context.Canceled)
+	}
+	return true
 }
 
-func (s *Server) setStateLocked(j *job, state string) {
+func (s *Server) setStateLocked(j *Job, state string) {
 	s.stateCount[j.state]--
 	j.state = state
 	s.stateCount[state]++
 }
 
+// Publish sends an executor's own event (membership, failover) on the
+// front end's SSE bus.
+func (s *Server) Publish(e api.Event) { s.bus.Publish(e) }
+
+// Registry is the front end's metrics registry, on which an executor
+// registers its own series.
+func (s *Server) Registry() *obs.Registry { return s.met.reg }
+
+// Store is the front end's persistent result store (nil without one).
+func (s *Server) Store() *store.Store { return s.st }
+
 // waitJob parks until the job finishes or the watcher's request
 // context is cancelled.  A queued job abandoned by its last watcher is
 // cancelled — the client that wanted it is gone — unless it is detached.
-func (s *Server) waitJob(ctx context.Context, j *job) error {
+func (s *Server) waitJob(ctx context.Context, j *Job) error {
 	s.mu.Lock()
 	j.watchers++
 	s.mu.Unlock()
@@ -588,9 +649,10 @@ func (s *Server) waitJob(ctx context.Context, j *job) error {
 }
 
 // statusLocked snapshots a job.  Caller holds s.mu.
-func statusLocked(j *job) *api.RunStatus {
+func statusLocked(j *Job) *api.RunStatus {
 	st := &api.RunStatus{
 		ID: j.id, Key: j.key, State: j.state, Cached: j.cached, Row: j.row,
+		Worker: j.worker,
 	}
 	if j.err != nil {
 		st.Error = j.err.Error()
@@ -626,13 +688,14 @@ func (s *Server) Metrics() api.Metrics {
 			jobs[k] = v
 		}
 	}
+	load := s.executor.Load()
 	m := api.Metrics{
 		UptimeSec:  time.Since(s.start).Seconds(),
 		Draining:   s.draining,
-		QueueDepth: len(s.queue),
-		QueueCap:   cap(s.queue),
-		InFlight:   s.inFlight,
-		Workers:    s.ses.Parallelism(),
+		QueueDepth: load.Queued,
+		QueueCap:   load.Capacity,
+		InFlight:   s.stateCount[api.StateRunning],
+		Workers:    load.Workers,
 		Jobs:       jobs,
 	}
 	s.mu.Unlock()
@@ -643,19 +706,17 @@ func (s *Server) Metrics() api.Metrics {
 	return m
 }
 
-// Drain gracefully stops the daemon: new submissions are rejected with
-// ErrDraining, queued and running jobs finish normally, and if ctx
-// expires first the remaining job contexts are cancelled (queued work
-// aborts; a simulation that already started completes and is stored).
-// Drain returns once all workers have exited; the store needs no
-// explicit flush — every Put is already durable via temp-file + rename.
+// Drain gracefully stops the service: new submissions are rejected with
+// ErrDraining, explorations stop, and the executor closes — on a daemon,
+// queued and running jobs finish normally, and if ctx expires first the
+// remaining job contexts are cancelled (queued work aborts; a
+// simulation that already started completes and is stored).  The store
+// needs no explicit flush — every Put is already durable via temp-file
+// + rename.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.draining
-	if !already {
-		s.draining = true
-		close(s.queue)
-	}
+	s.draining = true
 	s.mu.Unlock()
 	if already {
 		return errors.New("server: already draining")
@@ -665,19 +726,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	// Stop the auto-tuner first: cancel running explorations and wait
 	// for their drivers.  Drivers unpark promptly — their evaluator
 	// waits select on the exploration context — while the point jobs
-	// they already queued drain through the workers like any other job.
+	// they already queued drain through the executor like any other job.
 	s.expl.Shutdown()
-
-	done := make(chan struct{})
-	go func() { s.wg.Wait(); close(done) }()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-		s.baseCancel()
-		<-done
-	}
+	err := s.executor.Close(ctx)
 	s.baseCancel()
 	s.bus.Close()
 	return err
