@@ -339,14 +339,13 @@ func TestJobAPIContract(t *testing.T) {
 		for _, s := range contractScript {
 			results[mode.name] = append(results[mode.name], s.do(t, tg, ids))
 		}
+		deadline := time.Now().Add(5 * time.Second)
 		for _, typ := range []string{"jobQueued", "jobStarted", "jobDone", "jobCanceled", "sweepProgress"} {
-			if deadline := time.Now().Add(5 * time.Second); !seen()[typ] {
-				for !seen()[typ] && time.Now().Before(deadline) {
-					time.Sleep(5 * time.Millisecond)
-				}
-				if !seen()[typ] {
-					t.Errorf("%s: no %s event on /events", mode.name, typ)
-				}
+			for !seen()[typ] && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if !seen()[typ] {
+				t.Errorf("%s: no %s event on /events", mode.name, typ)
 			}
 		}
 		cancel()
