@@ -170,7 +170,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		Logger: cfg.Logger, ExploreLimit: cfg.ExploreLimit,
 	}, func(fe *server.Server) server.Executor {
 		c.fe = fe
-		c.met = newClusterMetrics(fe.Registry())
+		c.met = newClusterMetrics(fe.Registry(), c)
 		return c
 	})
 	if err != nil {
@@ -183,9 +183,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		c.wg.Add(1)
 		go c.follow()
 	}
-	c.fe.Lock()
-	c.updateGaugesLocked()
-	c.fe.Unlock()
 	c.wg.Add(1)
 	go c.janitor()
 	return c, nil
@@ -195,10 +192,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 // explorations stop, background loops exit, the event bus closes.
 // In-flight worker executions are not interrupted — their completions
 // simply have nowhere to land (the failover peer, if any, accepts them).
-func (c *Coordinator) Stop() {
-	// A second Stop finds the front end already draining: nothing to do.
-	_ = c.fe.Drain(context.Background())
-}
+// Drain fails only when already draining, so a second Stop is a no-op.
+func (c *Coordinator) Stop() { _ = c.fe.Drain(context.Background()) }
 
 // Role reports "primary" or "standby".
 func (c *Coordinator) Role() string { return c.Status().Role }
@@ -283,12 +278,8 @@ func (c *Coordinator) Sweep(id string, jobs []*server.Job) {
 
 // Load implements server.Executor.
 func (c *Coordinator) Load() server.Load {
-	queued := len(c.unassigned)
-	for _, w := range c.workers {
-		queued += len(w.queue)
-	}
 	return server.Load{
-		Queued: queued, Capacity: c.cfg.QueueDepth * len(c.workers), Workers: len(c.workers),
+		Capacity: c.cfg.QueueDepth * len(c.workers), Workers: len(c.workers),
 		Role: c.role, Epoch: c.epoch,
 	}
 }
@@ -659,7 +650,6 @@ func (c *Coordinator) appendLogLocked(rec api.ClusterLogRecord) {
 	c.wal = append(c.wal, rec)
 	close(c.walNotify)
 	c.walNotify = make(chan struct{})
-	c.met.logSeq.Set(float64(c.lastSeq))
 }
 
 // waitLog serves the follower's log tail, long-polling up to PollWait
@@ -676,7 +666,6 @@ func (c *Coordinator) waitLog(ctx context.Context, from int64, wait bool) api.Cl
 		// measurement.
 		if fs := from - 1; fs > c.followerSeq {
 			c.followerSeq = fs
-			c.met.replLag.Set(float64(c.replicationLagLocked()))
 		}
 		var recs []api.ClusterLogRecord
 		if idx := int(from - 1); idx < len(c.wal) {
@@ -720,7 +709,6 @@ func (c *Coordinator) stepDownLocked(newEpoch int64, why string) {
 	if newEpoch > c.epoch {
 		c.epoch = newEpoch
 	}
-	c.updateGaugesLocked()
 }
 
 // Status snapshots membership and scheduling state.
@@ -769,20 +757,10 @@ func (c *Coordinator) replicationLagLocked() int64 {
 	return lag
 }
 
-// updateGaugesLocked refreshes the aggregate and per-worker gauges from
-// scheduler state.  Called at the end of every mutating entry point so
-// scrapes read current values without taking the lock.
+// updateGaugesLocked refreshes the per-worker gauges from scheduler
+// state.  Called at the end of every mutating entry point: the series
+// of a joining worker are registered here, not at scrape time.
 func (c *Coordinator) updateGaugesLocked() {
-	c.met.workers.Set(float64(len(c.workers)))
-	c.met.epoch.Set(float64(c.epoch))
-	if c.role == api.RolePrimary {
-		c.met.isPrimary.Set(1)
-	} else {
-		c.met.isPrimary.Set(0)
-	}
-	c.met.unassigned.Set(float64(len(c.unassigned)))
-	c.met.logSeq.Set(float64(c.lastSeq))
-	c.met.replLag.Set(float64(c.replicationLagLocked()))
 	for id, w := range c.workers {
 		c.met.queueDepth.With(id).Set(float64(len(w.queue)))
 		c.met.leased.With(id).Set(float64(len(w.leased)))

@@ -71,7 +71,6 @@ func (c *Coordinator) follow() {
 			c.applyLocked(rec)
 			from = rec.Seq + 1
 		}
-		c.updateGaugesLocked()
 		c.fe.Unlock()
 	}
 }
@@ -154,5 +153,4 @@ func (c *Coordinator) promote() {
 			slog.Int64("logSeq", c.lastSeq),
 			slog.Int("pendingJobs", len(c.unassigned)))
 	}
-	c.updateGaugesLocked()
 }

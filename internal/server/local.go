@@ -56,7 +56,7 @@ func (e *localExec) Cancel(j *Job) bool { return j.state == api.StateQueued }
 func (e *localExec) Sweep(string, []*Job) {}
 
 func (e *localExec) Load() Load {
-	return Load{Queued: len(e.queue), Capacity: cap(e.queue), Workers: e.s.ses.Parallelism()}
+	return Load{Capacity: cap(e.queue), Workers: e.s.ses.Parallelism()}
 }
 
 // Close lets the workers drain the queue; if ctx expires first, the

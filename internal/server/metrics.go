@@ -103,19 +103,22 @@ func (m *svmdMetrics) registerServer(s *Server) {
 			return float64(get(s.executor.Load()))
 		}
 	}
+	jobs := func(state string) func() float64 {
+		return func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(s.stateCount[state])
+		}
+	}
 	m.reg.GaugeFunc("svmd_queue_depth",
 		"Jobs admitted but not yet picked up by a worker.", "",
-		load(func(l Load) int { return l.Queued }))
+		jobs(api.StateQueued))
 	m.reg.GaugeFunc("svmd_queue_capacity",
 		"Admission queue capacity.", "",
 		load(func(l Load) int { return l.Capacity }))
 	m.reg.GaugeFunc("svmd_inflight_jobs",
 		"Jobs currently executing on workers.", "",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.stateCount[api.StateRunning])
-		})
+		jobs(api.StateRunning))
 	m.reg.GaugeFunc("svmd_workers",
 		"Execution bound: simulation slots on a daemon, joined workers on a coordinator.", "",
 		load(func(l Load) int { return l.Workers }))

@@ -131,10 +131,9 @@ type Executor interface {
 
 // Load is an executor's capacity snapshot.
 type Load struct {
-	// Queued and Capacity describe admitted-but-not-started jobs;
-	// Workers is the execution bound (simulation slots, or joined
-	// cluster workers).
-	Queued, Capacity, Workers int
+	// Capacity bounds admitted-but-not-started jobs; Workers is the
+	// execution bound (simulation slots, or joined cluster workers).
+	Capacity, Workers int
 	// Role and Epoch are set by cluster coordinators ("" on a daemon).
 	Role  string
 	Epoch int64
@@ -510,8 +509,7 @@ func (s *Server) addSweepLocked(id string, jobs []*Job) *sweepState {
 	return sw
 }
 
-// idSeq extracts the numeric part of a "j<n>" or "s<n>" ID (0 when
-// malformed).
+// idSeq extracts the number of a "j<n>" or "s<n>" ID (0 if malformed).
 func idSeq(id string) (n int64) {
 	fmt.Sscanf(id, "%c%d", new(rune), &n)
 	return n
@@ -692,7 +690,7 @@ func (s *Server) Metrics() api.Metrics {
 	m := api.Metrics{
 		UptimeSec:  time.Since(s.start).Seconds(),
 		Draining:   s.draining,
-		QueueDepth: load.Queued,
+		QueueDepth: s.stateCount[api.StateQueued],
 		QueueCap:   load.Capacity,
 		InFlight:   s.stateCount[api.StateRunning],
 		Workers:    load.Workers,
