@@ -1,10 +1,12 @@
 package obs
 
 import (
+	"io"
 	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestExpositionGolden pins the exact text exposition rendered for one
@@ -261,4 +263,38 @@ func BenchmarkDisabledFlightRecord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f.Record("j1", "running", "")
 	}
+}
+
+// A scrape-time callback may take its owner's lock while the owner,
+// holding that lock, registers a new series: the scrape renders outside
+// the registry's lock.
+func TestScrapeCallbackMayTakeOwnerLock(t *testing.T) {
+	r := NewRegistry()
+	var mu sync.Mutex
+	inFn := make(chan struct{})
+	r.GaugeFunc("owned", "Reads owner state.", "", func() float64 {
+		close(inFn)
+		mu.Lock()
+		defer mu.Unlock()
+		return 1
+	})
+	mu.Lock()
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		r.WritePrometheus(io.Discard)
+	}()
+	<-inFn
+	registered := make(chan struct{})
+	go func() {
+		defer close(registered)
+		r.Counter("late_total", "Registered under the owner's lock.", "")
+	}()
+	select {
+	case <-registered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("registration blocked behind a scrape waiting on the owner's lock")
+	}
+	mu.Unlock()
+	<-scraped
 }
