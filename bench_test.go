@@ -1,12 +1,14 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation, plus the ablations called out in DESIGN.md and
-// microbenchmarks of the substrate layers.
+// evaluation, plus the ablations called out in DESIGN.md.
 //
-// The figure/table benchmarks run full simulations; their interesting
-// output is the custom metrics (speedups, percentages) reported per
-// configuration, not ns/op.  Run with:
+// They run full simulations; their interesting output is the custom
+// metrics (speedups, percentages) reported per configuration, not
+// ns/op.  Run with:
 //
 //	go test -bench=. -benchmem
+//
+// The simulator's own host cost, end to end and per layer (access path,
+// page fault, block miss and the rest), is measured by bash bench/run.sh.
 package swsm_test
 
 import (
@@ -348,74 +350,5 @@ func BenchmarkSCSoftwareAccessControl(b *testing.B) {
 				b.ReportMetric(float64(res.Cycles), "sim-cycles")
 			}
 		})
-	}
-}
-
-// --- substrate microbenchmarks ---
-
-// BenchmarkSimulatedAccess measures the per-access overhead of the full
-// Thread fast path (protocol check + cache model) on the HLRC machine.
-func BenchmarkSimulatedAccess(b *testing.B) {
-	cfg := swsm.MachineDefaults()
-	cfg.Procs = 1
-	cfg.MemLimit = 8 << 20
-	m := swsm.NewHLRCMachine(cfg)
-	addr := m.AllocPage(1 << 20)
-	b.ResetTimer()
-	if _, err := m.Run(func(t *swsm.Thread) {
-		for i := 0; i < b.N; i++ {
-			t.Store32(addr+int64(i%262144)*4, uint32(i))
-		}
-	}); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkHLRCPageFault measures simulated page-fault round trips.
-func BenchmarkHLRCPageFault(b *testing.B) {
-	cfg := swsm.MachineDefaults()
-	cfg.Procs = 2
-	cfg.MemLimit = 256 << 20
-	m := swsm.NewHLRCMachine(cfg)
-	// Enough pages that accesses on proc 1 fault (capped; iterations
-	// beyond the cap revisit warm pages).
-	n := b.N
-	if n > 50000 {
-		n = 50000
-	}
-	addr := m.AllocPage(int64(n+1) * 4096)
-	total := b.N
-	b.ResetTimer()
-	if _, err := m.Run(func(t *swsm.Thread) {
-		if t.Proc() == 1 {
-			for i := 0; i < total; i++ {
-				t.Load32(addr + int64(i%n)*4096)
-			}
-		}
-	}); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkSCBlockMiss measures simulated fine-grained miss round trips.
-func BenchmarkSCBlockMiss(b *testing.B) {
-	cfg := swsm.MachineDefaults()
-	cfg.Procs = 2
-	cfg.MemLimit = 64 << 20
-	m := swsm.NewSCMachine(cfg, 64)
-	n := b.N
-	if n > 500000 {
-		n = 500000
-	}
-	addr := m.AllocPage(int64(n+1) * 64)
-	b.ResetTimer()
-	if _, err := m.Run(func(t *swsm.Thread) {
-		if t.Proc() == 1 {
-			for i := 0; i < n; i++ {
-				t.Load32(addr + int64(i)*64)
-			}
-		}
-	}); err != nil {
-		b.Fatal(err)
 	}
 }

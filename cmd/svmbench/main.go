@@ -24,9 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
-	"runtime/debug"
 	"runtime/pprof"
 	"strconv"
 	"strings"
@@ -68,9 +66,6 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 
-		benchJSON     = flag.String("bench-json", "", "run the simulator self-benchmarks and write BENCH_<rev>.json into this directory (\"-\" = stdout)")
-		benchBaseline = flag.String("bench-baseline", "", "with -bench-json: compare against this baseline file and exit nonzero on >10% cycles/sec regression or any allocs/op increase")
-
 		exploreApp    = flag.String("explore", "", "auto-tune APP: search the configuration space for the Pareto frontier of speedup vs. simulated cost")
 		exploreBudget = flag.Int64("explore-budget", 0, "simulated-cycle budget for fresh (uncached) simulations; 0 runs the search to convergence")
 		exploreSeed   = flag.Uint64("explore-seed", 1, "seed of the deterministic search")
@@ -108,16 +103,6 @@ func main() {
 				fatalf("memprofile: %v", err)
 			}
 		}()
-	}
-
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, *benchBaseline); err != nil {
-			fatalf("%v", err)
-		}
-		return
-	}
-	if *benchBaseline != "" {
-		fatalf("-bench-baseline requires -bench-json")
 	}
 
 	sc := swsm.Base
@@ -704,63 +689,4 @@ func writeCSV(ses *swsm.Session, figure int, sel []string, scale swsm.Scale, pro
 func fatalf(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "svmbench: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-// buildRev resolves the VCS revision baked into the binary by the go
-// toolchain, for the BENCH_<rev>.json filename.
-func buildRev() string {
-	if info, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range info.Settings {
-			if s.Key == "vcs.revision" && len(s.Value) >= 12 {
-				return s.Value[:12]
-			}
-		}
-	}
-	return "dev"
-}
-
-// runBenchJSON runs the simulator self-benchmark suite, writes the
-// report, and optionally gates it against a committed baseline.
-func runBenchJSON(dir, baselinePath string) error {
-	rev := buildRev()
-	fmt.Fprintf(os.Stderr, "svmbench: running self-benchmarks (rev %s)...\n", rev)
-	report := harness.RunBench(rev)
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if dir == "-" {
-		os.Stdout.Write(data)
-	} else {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		path := filepath.Join(dir, "BENCH_"+rev+".json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "svmbench: wrote %s\n", path)
-	}
-	for _, b := range report.Benches {
-		fmt.Fprintf(os.Stderr, "  %-24s %12.2f ns/op %14.0f cycles/sec %8.3f allocs/op\n",
-			b.Name, b.NsPerOp, b.CyclesPerSec, b.AllocsPerOp)
-	}
-
-	if baselinePath == "" {
-		return nil
-	}
-	baseline, err := harness.LoadBenchReport(baselinePath)
-	if err != nil {
-		return fmt.Errorf("bench-baseline: %w", err)
-	}
-	if failures := harness.CompareBench(baseline, report); len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintf(os.Stderr, "svmbench: REGRESSION: %s\n", f)
-		}
-		return fmt.Errorf("benchmark regression vs %s (%d failures)", baselinePath, len(failures))
-	}
-	fmt.Fprintf(os.Stderr, "svmbench: no regression vs %s\n", baselinePath)
-	return nil
 }

@@ -80,3 +80,34 @@ func TestRecycledBuffersKeepRowsIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestWholeRunAllocs bounds the heap allocations of one whole run once
+// the pools are warm.  Allocation counts are deterministic to within one
+// or two of runtime jitter, so unlike host time they can be gated
+// exactly: a single allocation per simulated access adds tens of
+// thousands.  The ceilings are 870 and 1157 allocations plus 1%.
+func TestWholeRunAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		app     string
+		ceiling float64
+	}{
+		{"fft", 878},
+		{"lu", 1168},
+	} {
+		t.Run(tc.app, func(t *testing.T) {
+			spec := DefaultSpec(tc.app, HLRC)
+			spec.Scale, spec.Procs = apps.Tiny, 4
+			run := func() {
+				if _, err := Run(spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm the pools
+			n := testing.AllocsPerRun(5, run)
+			t.Logf("%.0f allocations per run", n)
+			if n > tc.ceiling {
+				t.Fatalf("%.0f allocations per run, want at most %.0f", n, tc.ceiling)
+			}
+		})
+	}
+}

@@ -431,9 +431,10 @@ func TestStaleGenerationHandlerEvents(t *testing.T) {
 }
 
 // TestEngineEventsNoAllocs is the engine's allocation gate: in steady
-// state a self-rescheduling chain (the register path) and a chain that
+// state a self-rescheduling chain (the register path), a chain that
 // files events into the calendar, the far ring and the overflow heap on
-// every hop must not allocate.
+// every hop, and a chain that files a burst of simultaneous events into
+// a few calendar buckets on every hop must not allocate.
 func TestEngineEventsNoAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -441,6 +442,13 @@ func TestEngineEventsNoAllocs(t *testing.T) {
 	}{
 		{"chain", []Time{1}},
 		{"far-tier", []Time{3, calBuckets + 1, 40 * calBuckets, (farBlocks + 5) << calShift}},
+		{"fanout", func() []Time { // 64 events across 8 timestamps per hop
+			d := []Time{8}
+			for j := 0; j < 64; j++ {
+				d = append(d, Time(j%8))
+			}
+			return d
+		}()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine()
