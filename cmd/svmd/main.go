@@ -67,7 +67,6 @@ func main() {
 		logLevel = flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
 		logJSON  = flag.Bool("log-json", false, "emit logs as JSON lines instead of human-readable text")
 		sloMS    = flag.Int64("slo-ms", 0, "per-job latency objective in milliseconds; breaches dump the flight recorder (0 = disabled)")
-		explores = flag.Int("explore-limit", 0, "max concurrently running /explore searches (0 = 2)")
 		debugDir = flag.String("debug-dir", "", "directory for flight-recorder dumps on job failure or SLO breach (empty = in-memory ring only)")
 
 		// Cluster flags.
@@ -123,7 +122,6 @@ func main() {
 			Standby:       *standbyOf != "",
 			PeerURL:       *standbyOf,
 			Logger:        logger,
-			ExploreLimit:  *explores,
 		})
 		if err != nil {
 			logger.Error("coordinator startup failed", "error", err)
@@ -149,7 +147,6 @@ func main() {
 			Logger:        logger,
 			SLO:           time.Duration(*sloMS) * time.Millisecond,
 			DebugDir:      *debugDir,
-			ExploreLimit:  *explores,
 		})
 		if err != nil {
 			logger.Error("startup failed", "error", err)

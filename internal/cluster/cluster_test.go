@@ -364,7 +364,7 @@ func TestClusterExplore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cluster explore: %v", err)
 	}
-	if st.State != explore.StateDone || st.Stopped != "converged" {
+	if st.State != api.StateDone || st.Stopped != "converged" {
 		t.Fatalf("cluster explore = %s/%s (%s)", st.State, st.Stopped, st.Error)
 	}
 	if len(st.Frontier) == 0 {

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"swsm/internal/explore"
 	"swsm/internal/harness"
 	"swsm/internal/server"
 	"swsm/internal/server/api"
@@ -26,30 +27,55 @@ import (
 // codes, states, rows and cache flags.  A client cannot tell the two
 // apart.
 
-// target is one service under contract: its base URL, and release,
-// which opens the gate that holds the blocker spec's simulation.
+// target is one service under contract: its base URL, the gates that
+// hold its simulations, and refuse, which makes it turn new work away
+// (a daemon drains, a coordinator is fenced).
 type target struct {
-	url     string
-	release func()
+	url    string
+	gates  *gates
+	refuse func()
 }
 
 // blocker is the spec whose simulation parks until the target's gate
 // opens: it holds the single execution slot so later jobs stay queued.
 var blocker = cspec(2)
 
-// gatedRun simulates every spec directly, holding the blocker's run
-// until gate closes.
-func gatedRun(gate chan struct{}) func(context.Context, harness.RunSpec) (*harness.Result, error) {
-	return func(ctx context.Context, spec harness.RunSpec) (*harness.Result, error) {
-		if spec == blocker {
-			select {
-			case <-gate:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		return harness.RunContext(ctx, spec)
+// heldApp's simulations park until the target's second gate opens, so
+// a search of it stays running at its sequential baseline.
+const heldApp = "lu"
+
+// gates holds the blocker's run and the heldApp runs; release and
+// releaseHeld open them, each once.
+type gates struct {
+	blocker, held   chan struct{}
+	blockerO, heldO sync.Once
+}
+
+func newGates() *gates {
+	return &gates{blocker: make(chan struct{}), held: make(chan struct{})}
+}
+
+func (g *gates) release()     { g.blockerO.Do(func() { close(g.blocker) }) }
+func (g *gates) releaseHeld() { g.heldO.Do(func() { close(g.held) }) }
+
+// run simulates every spec directly, holding the blocker's run and the
+// heldApp runs until their gates open.
+func (g *gates) run(ctx context.Context, spec harness.RunSpec) (*harness.Result, error) {
+	var gate chan struct{}
+	switch {
+	case spec == blocker:
+		gate = g.blocker
+	case spec.App == heldApp:
+		gate = g.held
 	}
+	if gate != nil {
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	return harness.RunContext(ctx, spec)
 }
 
 // newDaemonTarget's queue holds four: a daemon's canceled jobs keep
@@ -61,19 +87,21 @@ func newDaemonTarget(t *testing.T) target {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := make(chan struct{})
-	s.SetRunFunc(gatedRun(gate))
+	g := newGates()
+	s.SetRunFunc(g.run)
 	ts := httptest.NewServer(s.Handler())
-	var once sync.Once
-	release := func() { once.Do(func() { close(gate) }) }
-	t.Cleanup(func() {
-		release()
+	drain := func() {
+		g.release()
+		g.releaseHeld()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		s.Drain(ctx)
+	}
+	t.Cleanup(func() {
+		drain()
 		ts.Close()
 	})
-	return target{url: ts.URL, release: release}
+	return target{url: ts.URL, gates: g, refuse: drain}
 }
 
 func newCoordinatorTarget(t *testing.T) target {
@@ -81,11 +109,12 @@ func newCoordinatorTarget(t *testing.T) target {
 	ts := httptest.NewServer(c.Handler())
 	t.Cleanup(ts.Close)
 	w := newWorkerDaemon(t, 1)
-	gate := make(chan struct{})
-	var once sync.Once
-	release := func() { once.Do(func() { close(gate) }) }
-	t.Cleanup(release) // runs before the worker's drain
-	w.SetRunFunc(gatedRun(gate))
+	g := newGates()
+	t.Cleanup(func() { // runs before the worker's drain
+		g.release()
+		g.releaseHeld()
+	})
+	w.SetRunFunc(g.run)
 	startAgent(t, "w1", []string{ts.URL}, w)
 	deadline := time.Now().Add(10 * time.Second)
 	for len(c.Status().Workers) == 0 {
@@ -94,7 +123,8 @@ func newCoordinatorTarget(t *testing.T) target {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	return target{url: ts.URL, release: release}
+	fence := func() { c.lease(api.ClusterLeaseRequest{WorkerID: "w1", Slots: 1, Epoch: c.Epoch() + 1}) }
+	return target{url: ts.URL, gates: g, refuse: fence}
 }
 
 // call performs one request and decodes a 2xx JSON reply into out.  It
@@ -102,21 +132,8 @@ func newCoordinatorTarget(t *testing.T) target {
 // and returns code 0.
 func call(t *testing.T, ctx context.Context, method, url string, body, out any) int {
 	t.Helper()
-	var rd io.Reader
-	if body != nil {
-		b, _ := json.Marshal(body)
-		rd = bytes.NewReader(b)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
-	if err != nil {
-		t.Error(err)
-		return 0
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		if ctx.Err() == nil {
-			t.Error(err)
-		}
+	resp := do(t, ctx, method, url, body)
+	if resp == nil {
 		return 0
 	}
 	defer resp.Body.Close()
@@ -126,6 +143,32 @@ func call(t *testing.T, ctx context.Context, method, url string, body, out any) 
 		}
 	}
 	return resp.StatusCode
+}
+
+// do performs one request, sending a string body as is and any other
+// body as JSON.  The caller closes the response; nil reports a failure.
+func do(t *testing.T, ctx context.Context, method, url string, body any) *http.Response {
+	t.Helper()
+	var rd io.Reader
+	if raw, ok := body.(string); ok {
+		rd = strings.NewReader(raw)
+	} else if body != nil {
+		b, _ := json.Marshal(body)
+		rd = bytes.NewReader(b)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		if ctx.Err() == nil {
+			t.Error(err)
+		}
+		return nil
+	}
+	return resp
 }
 
 // observed is what the contract compares for one step.
@@ -232,7 +275,7 @@ var contractScript = []step{
 		return observed{Code: code, More: strings.Join(states, " ")}
 	}},
 	{"blocker finishes", func(t *testing.T, tg target, ids map[string]string) observed {
-		tg.release()
+		tg.gates.release()
 		var st api.RunStatus
 		code := call(t, context.Background(), http.MethodGet, tg.url+"/runs/"+ids["blocker"]+"?wait=1", nil, &st)
 		return runObs(code, st)
@@ -294,6 +337,96 @@ var contractScript = []step{
 		}
 		return observed{More: strings.Join(codes, " ")}
 	}},
+	{"explore bad body or app", func(t *testing.T, tg target, _ map[string]string) observed {
+		body := call(t, context.Background(), http.MethodPost, tg.url+"/explore", "{", nil)
+		app := call(t, context.Background(), http.MethodPost, tg.url+"/explore", cexplore("nope", 1), nil)
+		return observed{More: fmt.Sprintf("body=%d app=%d", body, app)}
+	}},
+	{"explore submit, then wait", func(t *testing.T, tg target, _ map[string]string) observed {
+		var st api.ExploreStatus
+		code := call(t, context.Background(), http.MethodPost, tg.url+"/explore", cexplore("fft", 1), &st)
+		submitted := fmt.Sprintf("submit=%d:%s", code, st.State)
+		code = call(t, context.Background(), http.MethodGet, tg.url+"/explore/"+st.ID+"?wait=1", nil, &st)
+		return observed{Code: code, ID: st.ID, State: st.State,
+			More: fmt.Sprintf("%s stopped=%s frontier=%d", submitted, st.Stopped, len(st.Frontier))}
+	}},
+	{"explore list in submission order", func(t *testing.T, tg target, _ map[string]string) observed {
+		call(t, context.Background(), http.MethodPost, tg.url+"/explore?wait=1", cexplore("fft", 2), nil)
+		var all []api.ExploreStatus
+		code := call(t, context.Background(), http.MethodGet, tg.url+"/explore", nil, &all)
+		var ids []string
+		for _, st := range all {
+			ids = append(ids, st.ID+":"+st.State)
+		}
+		return observed{Code: code, More: strings.Join(ids, " ")}
+	}},
+	{"explore frontier CSV", func(t *testing.T, tg target, _ map[string]string) observed {
+		resp := do(t, context.Background(), http.MethodGet, tg.url+"/explore/e1/frontier", nil)
+		if resp == nil {
+			return observed{}
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if header, _, _ := strings.Cut(string(body), "\n"); header != "eval,cost_cycles,speedup,cycles,label,key" {
+			t.Errorf("frontier CSV header %q", header)
+		}
+		// The whole body: the coordinator's frontier must match the
+		// daemon's byte for byte.
+		return observed{Code: resp.StatusCode, More: resp.Header.Get("Content-Type") + "\n" + string(body)}
+	}},
+	{"third concurrent search is refused", func(t *testing.T, tg target, _ map[string]string) observed {
+		var codes []int
+		retry := ""
+		for seed := uint64(1); seed <= 3; seed++ {
+			resp := do(t, context.Background(), http.MethodPost, tg.url+"/explore", cexplore(heldApp, seed))
+			if resp == nil {
+				return observed{}
+			}
+			resp.Body.Close()
+			codes = append(codes, resp.StatusCode)
+			if resp.StatusCode == http.StatusTooManyRequests {
+				retry = resp.Header.Get("Retry-After")
+			}
+		}
+		return observed{More: fmt.Sprintf("codes=%v retryAfter=%s", codes, retry)}
+	}},
+	{"explore cancel", func(t *testing.T, tg target, _ map[string]string) observed {
+		var st, other api.ExploreStatus
+		code := call(t, context.Background(), http.MethodDelete, tg.url+"/explore/e3", nil, &st)
+		call(t, context.Background(), http.MethodDelete, tg.url+"/explore/e4", nil, nil)
+		call(t, context.Background(), http.MethodGet, tg.url+"/explore/e3?wait=1", nil, &st)
+		call(t, context.Background(), http.MethodGet, tg.url+"/explore/e4?wait=1", nil, &other)
+		tg.gates.releaseHeld()
+		return observed{Code: code, ID: st.ID, State: st.State, More: "e4:" + other.State}
+	}},
+	{"unknown exploration", func(t *testing.T, tg target, _ map[string]string) observed {
+		gc := call(t, context.Background(), http.MethodGet, tg.url+"/explore/e999", nil, nil)
+		dc := call(t, context.Background(), http.MethodDelete, tg.url+"/explore/e999", nil, nil)
+		fc := call(t, context.Background(), http.MethodGet, tg.url+"/explore/e999/frontier", nil, nil)
+		return observed{More: fmt.Sprintf("get=%d cancel=%d frontier=%d", gc, dc, fc)}
+	}},
+	{"refused after drain or fence", func(t *testing.T, tg target, _ map[string]string) observed {
+		tg.refuse()
+		ec := call(t, context.Background(), http.MethodPost, tg.url+"/explore", cexplore("fft", 1), nil)
+		rc := call(t, context.Background(), http.MethodPost, tg.url+"/runs", creq(0), nil)
+		return observed{More: fmt.Sprintf("explore=%d run=%d", ec, rc)}
+	}},
+}
+
+// cexplore is the contract's four-point search of app.
+func cexplore(app string, seed uint64) explore.Request {
+	return explore.Request{
+		App: app, Seed: seed, SeedPoints: 4, Width: 2,
+		Space: explore.Space{
+			Protocols:      []harness.ProtocolKind{harness.HLRC, harness.SC},
+			CommSets:       []string{"A"},
+			CostSets:       []string{"O"},
+			Procs:          []int{2, 4},
+			HLRCUnitShifts: []uint{0},
+			SCBlocks:       []int{0},
+			DropPPMs:       []int64{0},
+		},
+	}
 }
 
 // events collects the SSE event types a target publishes.
@@ -340,7 +473,9 @@ func TestJobAPIContract(t *testing.T) {
 			results[mode.name] = append(results[mode.name], s.do(t, tg, ids))
 		}
 		deadline := time.Now().Add(5 * time.Second)
-		for _, typ := range []string{"jobQueued", "jobStarted", "jobDone", "jobCanceled", "sweepProgress"} {
+		for _, typ := range []string{"jobQueued", "jobStarted", "jobDone", "jobCanceled", "sweepProgress",
+			api.EventExploreStarted, api.EventExploreProgress, api.EventExploreFrontier,
+			api.EventExploreDone, api.EventExploreCanceled} {
 			for !seen()[typ] && time.Now().Before(deadline) {
 				time.Sleep(5 * time.Millisecond)
 			}
@@ -361,11 +496,17 @@ func TestJobAPIContract(t *testing.T) {
 		"cancel a queued job":                 {Code: 200, ID: "j3", State: api.StateCanceled, More: "was queued"},
 		"sweep over capacity is rejected whole": {Code: 429,
 			More: "j6:canceled j5:canceled j4:canceled j3:canceled j2:running j1:done"},
-		"blocker finishes":                {Code: 200, ID: "j2", State: api.StateDone, HasRow: true},
-		"metrics json through the client": {More: "done=4 canceled=4"},
-		"trace":                           {Code: 200, More: "pids=map[0:true 1:true]"},
-		"unknown job and sweep":           {More: "job=404 sweep=404 cancel=404"},
-		"pprof":                           {More: "/=200 /cmdline=200 /symbol=200 /profile?seconds=1=200 /trace?seconds=0.1=200"},
+		"blocker finishes":                   {Code: 200, ID: "j2", State: api.StateDone, HasRow: true},
+		"metrics json through the client":    {More: "done=4 canceled=4"},
+		"trace":                              {Code: 200, More: "pids=map[0:true 1:true]"},
+		"unknown job and sweep":              {More: "job=404 sweep=404 cancel=404"},
+		"pprof":                              {More: "/=200 /cmdline=200 /symbol=200 /profile?seconds=1=200 /trace?seconds=0.1=200"},
+		"explore bad body or app":            {More: "body=400 app=400"},
+		"explore list in submission order":   {Code: 200, More: "e1:done e2:done"},
+		"third concurrent search is refused": {More: "codes=[202 202 429] retryAfter=5"},
+		"explore cancel":                     {Code: 200, ID: "e3", State: api.StateCanceled, More: "e4:canceled"},
+		"unknown exploration":                {More: "get=404 cancel=404 frontier=404"},
+		"refused after drain or fence":       {More: "explore=503 run=503"},
 	}
 	for i, s := range contractScript {
 		if w, ok := want[s.name]; ok && !reflect.DeepEqual(d[i], w) {

@@ -67,10 +67,6 @@ type CoordinatorConfig struct {
 	Standby bool
 	PeerURL string
 	Logger  *slog.Logger
-	// ExploreLimit bounds concurrently running /explore searches
-	// (default 2); each search's point jobs still shard across workers
-	// through the ordinary admission path.
-	ExploreLimit int
 }
 
 // task is the coordinator's scheduling record for one live job: where
@@ -167,7 +163,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	_, err := server.NewWith(server.Config{
 		StoreDir: cfg.StoreDir, StoreMaxBytes: cfg.StoreMaxBytes,
-		Logger: cfg.Logger, ExploreLimit: cfg.ExploreLimit,
+		Logger: cfg.Logger,
 	}, func(fe *server.Server) server.Executor {
 		c.fe = fe
 		c.met = newClusterMetrics(fe.Registry(), c)
@@ -243,11 +239,11 @@ func (c *Coordinator) storeHit(j *server.Job) *harness.RunRow {
 		return nil
 	}
 	payload, ok := st.Get(j.CoalesceKey())
-	var row harness.RunRow
-	if !ok || json.Unmarshal(payload, &row) != nil || row.Spec != j.Request().Spec {
+	if !ok {
 		return nil
 	}
-	return &row
+	row, _ := harness.DecodeRow(payload, j.Request().Spec)
+	return row
 }
 
 // Cancel implements server.Executor.  A queued job leaves the schedule;

@@ -61,12 +61,9 @@ func (e SessionEvaluator) Evaluate(ctx context.Context, specs []harness.RunSpec)
 			out[i].Cached = true
 		} else if e.St != nil {
 			if payload, ok := e.St.Get(key); ok {
-				var row harness.RunRow
-				// Same guard as the daemon: a decodable row whose spec
-				// disagrees means collision or encoder drift; recompute.
-				if err := json.Unmarshal(payload, &row); err == nil && row.Spec == spec {
+				if row, ok := harness.DecodeRow(payload, spec); ok {
 					out[i].Cached = true
-					out[i].Row = &row
+					out[i].Row = row
 					continue
 				}
 			}

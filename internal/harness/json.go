@@ -75,6 +75,17 @@ func NewRunRow(res *Result) RunRow {
 	return row
 }
 
+// DecodeRow decodes a stored row and accepts it only if it is the row
+// of spec.  A row that does not decode, or whose spec disagrees (a key
+// collision or encoder drift), is refused: the caller recomputes.
+func DecodeRow(payload []byte, spec RunSpec) (*RunRow, bool) {
+	var row RunRow
+	if json.Unmarshal(payload, &row) != nil || row.Spec != spec {
+		return nil, false
+	}
+	return &row, true
+}
+
 // WithSpeedup returns a copy of the row annotated with the sequential
 // baseline's cycle count and the resulting speedup.
 func (r RunRow) WithSpeedup(seqCycles int64) RunRow {

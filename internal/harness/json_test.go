@@ -56,3 +56,38 @@ func TestRunRowRoundTrip(t *testing.T) {
 		t.Fatalf("counters lost msgsSent: %v", back.Counters)
 	}
 }
+
+// TestDecodeRow pins the stored-row guard every cache tier shares: only
+// a row that decodes and is the requested spec's row is accepted.
+func TestDecodeRow(t *testing.T) {
+	spec := DefaultSpec("fft", HLRC)
+	spec.Scale = apps.Tiny
+	spec.Procs = 4
+	other := spec
+	other.Procs = 8
+	payload := func(s RunSpec) []byte {
+		b, err := json.Marshal(RunRow{Key: s.Key(), Spec: s, Cycles: 1234})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		ok      bool
+	}{
+		{"corrupt bytes", []byte(`{"key":"v2-`), false},
+		{"another spec's row", payload(other), false},
+		{"the spec's row", payload(spec), true},
+	} {
+		row, ok := DecodeRow(tc.payload, spec)
+		if ok != tc.ok || (row != nil) != tc.ok {
+			t.Errorf("%s: DecodeRow = %v, %v; want ok=%v", tc.name, row, ok, tc.ok)
+			continue
+		}
+		if ok && (row.Spec != spec || row.Cycles != 1234) {
+			t.Errorf("%s: decoded %+v", tc.name, row)
+		}
+	}
+}

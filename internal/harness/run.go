@@ -252,10 +252,10 @@ func RunInstance(spec RunSpec, inst apps.Instance, newProt func() proto.Protocol
 
 	var tr *trace.Tracer
 	if spec.Trace {
-		// Capture mode: events are retained in memory and serialized by
-		// the caller after the run, so concurrently executing runs (the
+		// The tracer keeps every event in memory; the caller serializes
+		// them after the run, so concurrently executing runs (the
 		// parallel sweep runner) cannot interleave output.
-		tr = trace.NewCapture(trace.Options{
+		tr = trace.New(trace.Options{
 			Profile:     true,
 			SampleEvery: spec.TraceSample,
 		})

@@ -39,7 +39,7 @@ func TestWriteBreakdownTimelineCSVGolden(t *testing.T) {
 }
 
 func TestWriteHotObjectsCSVGolden(t *testing.T) {
-	tr := trace.NewCapture(trace.Options{Profile: true})
+	tr := trace.New(trace.Options{Profile: true})
 	tr.PageFetch(0, 100, 0, 5)
 	tr.PageFetch(0, 300, 1, 9)
 	tr.DiffCreate(10, 0, 5, 4) // 4 words = 32 bytes
@@ -58,7 +58,7 @@ func TestWriteHotObjectsCSVGolden(t *testing.T) {
 }
 
 func TestWriteHotObjectsCSVTopK(t *testing.T) {
-	tr := trace.NewCapture(trace.Options{Profile: true})
+	tr := trace.New(trace.Options{Profile: true})
 	for u := int64(0); u < 5; u++ {
 		tr.PageFetch(0, (u+1)*10, 0, u)
 	}

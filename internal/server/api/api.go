@@ -8,6 +8,7 @@
 package api
 
 import (
+	"swsm/internal/apps"
 	"swsm/internal/explore"
 	"swsm/internal/harness"
 	"swsm/internal/harness/runner"
@@ -95,12 +96,49 @@ type Event struct {
 	// Explore carries the exploration's status snapshot for explore*
 	// events (per-batch progress scalars; frontier-update frames list
 	// the newly discovered Pareto points under progress.newPoints).
-	Explore *explore.Status `json:"explore,omitempty"`
+	Explore *ExploreStatus `json:"explore,omitempty"`
 	// Worker names the cluster worker involved, on coordinator streams:
 	// the executor on job* frames, the subject on workerJoined,
 	// workerLost and failover frames.
 	Worker string `json:"worker,omitempty"`
 }
+
+// ExploreStatus describes an exploration (POST/GET /explore).  Its
+// State is running until the search ends done, failed or canceled.
+type ExploreStatus struct {
+	ID    string `json:"id"`
+	State string `json:"state"`
+	// App, Scale, Seed and Budget echo the defaulted, validated request.
+	App    string     `json:"app"`
+	Scale  apps.Scale `json:"scale"`
+	Seed   uint64     `json:"seed"`
+	Budget int64      `json:"budget"`
+	// Error is set for failed and canceled explorations.
+	Error string `json:"error,omitempty"`
+	// Stopped is the finished search's stop reason (see
+	// explore.Report.Stopped).
+	Stopped string `json:"stopped,omitempty"`
+	// WallMS is the exploration's wall-clock duration, set on
+	// completion.
+	WallMS int64 `json:"wallMs,omitempty"`
+	// Progress is the latest per-batch snapshot.  On exploreFrontier
+	// events its NewPoints field carries the points just added;
+	// elsewhere NewPoints is empty and Frontier holds the whole curve.
+	Progress explore.Progress `json:"progress"`
+	// Frontier is the Pareto frontier discovered so far (complete on
+	// terminal statuses).
+	Frontier []explore.Point `json:"frontier,omitempty"`
+}
+
+// Exploration event types on the /events stream.
+const (
+	EventExploreStarted  = "exploreStarted"
+	EventExploreProgress = "exploreProgress"
+	EventExploreFrontier = "exploreFrontier"
+	EventExploreDone     = "exploreDone"
+	EventExploreFailed   = "exploreFailed"
+	EventExploreCanceled = "exploreCanceled"
+)
 
 // Metrics is the GET /metrics body.
 type Metrics struct {

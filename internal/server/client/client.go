@@ -450,8 +450,8 @@ func (c *Client) ClusterStatus(ctx context.Context) (*api.ClusterStatus, error) 
 
 // SubmitExplore starts an exploration without waiting, retrying on
 // backpressure (429 at the exploration concurrency limit).
-func (c *Client) SubmitExplore(ctx context.Context, req explore.Request) (*explore.Status, error) {
-	var st explore.Status
+func (c *Client) SubmitExplore(ctx context.Context, req explore.Request) (*api.ExploreStatus, error) {
+	var st api.ExploreStatus
 	err := c.withBackoff(ctx, func() error {
 		return c.do(ctx, http.MethodPost, "/explore", req, &st)
 	})
@@ -464,12 +464,12 @@ func (c *Client) SubmitExplore(ctx context.Context, req explore.Request) (*explo
 // GetExplore fetches an exploration's status; wait blocks until it is
 // terminal (idempotent, so it rides through daemon hiccups with capped
 // backoff).
-func (c *Client) GetExplore(ctx context.Context, id string, wait bool) (*explore.Status, error) {
+func (c *Client) GetExplore(ctx context.Context, id string, wait bool) (*api.ExploreStatus, error) {
 	path := "/explore/" + url.PathEscape(id)
 	if wait {
 		path += "?wait=1"
 	}
-	var st explore.Status
+	var st api.ExploreStatus
 	err := c.withBackoff(ctx, func() error {
 		return c.do(ctx, http.MethodGet, path, nil, &st)
 	})
@@ -483,12 +483,12 @@ func (c *Client) GetExplore(ctx context.Context, id string, wait bool) (*explore
 // state: the submit is a short non-idempotent POST, the long wait an
 // idempotent GET — so a connection lost mid-search resumes watching
 // instead of double-submitting.
-func (c *Client) Explore(ctx context.Context, req explore.Request) (*explore.Status, error) {
+func (c *Client) Explore(ctx context.Context, req explore.Request) (*api.ExploreStatus, error) {
 	st, err := c.SubmitExplore(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	for st.State == explore.StateRunning {
+	for st.State == api.StateRunning {
 		if st, err = c.GetExplore(ctx, st.ID, true); err != nil {
 			return nil, err
 		}
@@ -497,8 +497,8 @@ func (c *Client) Explore(ctx context.Context, req explore.Request) (*explore.Sta
 }
 
 // CancelExplore requests cancellation of a running exploration.
-func (c *Client) CancelExplore(ctx context.Context, id string) (*explore.Status, error) {
-	var st explore.Status
+func (c *Client) CancelExplore(ctx context.Context, id string) (*api.ExploreStatus, error) {
+	var st api.ExploreStatus
 	err := c.withBackoff(ctx, func() error {
 		return c.do(ctx, http.MethodDelete, "/explore/"+url.PathEscape(id), nil, &st)
 	})

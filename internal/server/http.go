@@ -23,6 +23,11 @@ import (
 //	DELETE /runs/{id}       cancel a job
 //	POST   /sweeps          submit a batch ({"points":[...]}); ?wait=1 blocks until all terminal
 //	GET    /sweeps/{id}     sweep progress with per-point statuses
+//	POST   /explore         start an auto-tuning search (explore.Request); ?wait=1 blocks until it ends
+//	GET    /explore         list explorations (submission order)
+//	GET    /explore/{id}    one exploration's status; ?wait=1 blocks until it ends
+//	DELETE /explore/{id}    cancel an exploration
+//	GET    /explore/{id}/frontier  its Pareto frontier as CSV
 //	GET    /events          SSE stream of job/sweep lifecycle events
 //	GET    /runs/{id}/trace stitched Chrome/Perfetto timeline for a done job
 //	GET    /metrics         Prometheus text exposition (default); the JSON
@@ -38,11 +43,11 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /runs/{id}", s.handleCancelRun)
 	mux.HandleFunc("POST /sweeps", s.handleSubmitSweep)
 	mux.HandleFunc("GET /sweeps/{id}", s.handleGetSweep)
-	mux.HandleFunc("POST /explore", s.expl.HandleSubmit)
-	mux.HandleFunc("GET /explore", s.expl.HandleList)
-	mux.HandleFunc("GET /explore/{id}", s.expl.HandleGet)
-	mux.HandleFunc("GET /explore/{id}/frontier", s.expl.HandleFrontierCSV)
-	mux.HandleFunc("DELETE /explore/{id}", s.expl.HandleCancel)
+	mux.HandleFunc("POST /explore", s.handleSubmitExplore)
+	mux.HandleFunc("GET /explore", s.handleListExplore)
+	mux.HandleFunc("GET /explore/{id}", s.handleGetExplore)
+	mux.HandleFunc("GET /explore/{id}/frontier", s.handleExploreFrontier)
+	mux.HandleFunc("DELETE /explore/{id}", s.handleCancelExplore)
 	mux.HandleFunc("GET /events", s.handleEvents)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)

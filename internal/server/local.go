@@ -166,11 +166,8 @@ func (s *Server) resolve(ctx context.Context, spec harness.RunSpec, sp *obs.Span
 		s.met.storeGet.ObserveSince(t0)
 		sp.Add(prefix+obs.SpanStoreGet, t0, time.Now())
 		if ok {
-			var row harness.RunRow
-			// A decodable row whose spec disagrees with the requested one
-			// would mean a key collision or encoder drift; recompute.
-			if err := json.Unmarshal(payload, &row); err == nil && row.Spec == spec {
-				return &row, true, nil
+			if row, ok := harness.DecodeRow(payload, spec); ok {
+				return row, true, nil
 			}
 		}
 	}

@@ -170,6 +170,42 @@ func (m *svmdMetrics) registerServer(s *Server) {
 	m.reg.CounterFunc("svmd_sim_total",
 		"Memoization-pool traffic, by outcome.", `kind="wait"`,
 		storeStat(func() int64 { return s.RunnerStats().Waits }))
+
+	// The exploration table keeps every search, so its lifetime totals
+	// are sums over it.
+	explored := func(f func(*exploration) int) func() float64 {
+		return func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			n := 0
+			for _, x := range s.explorations {
+				n += f(x)
+			}
+			return float64(n)
+		}
+	}
+	inState := func(state string) func() float64 {
+		return explored(func(x *exploration) int {
+			if x.state == state {
+				return 1
+			}
+			return 0
+		})
+	}
+	m.reg.GaugeFunc("svmd_explore_active", "Explorations currently running.", "",
+		inState(api.StateRunning))
+	for _, state := range []string{api.StateDone, api.StateFailed, api.StateCanceled} {
+		m.reg.CounterFunc("svmd_explore_total", "Explorations by terminal state.",
+			`state="`+state+`"`, inState(state))
+	}
+	m.reg.CounterFunc("svmd_explore_batches_total", "Candidate batches evaluated.", "",
+		explored(func(x *exploration) int { return x.prog.Batches }))
+	m.reg.CounterFunc("svmd_explore_evaluations_total", "Point evaluations by cache outcome.",
+		`outcome="sim"`, explored(func(x *exploration) int { return x.prog.SimsRun }))
+	m.reg.CounterFunc("svmd_explore_evaluations_total", "Point evaluations by cache outcome.",
+		`outcome="cached"`, explored(func(x *exploration) int { return x.prog.CachedHits }))
+	m.reg.CounterFunc("svmd_explore_frontier_points_total", "Pareto frontier points discovered.", "",
+		explored(func(x *exploration) int { return len(x.frontier) }))
 }
 
 // RunStart / RunEnd implement runner.Observer for the session pool.

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -231,7 +232,7 @@ func TestStitchedTrace(t *testing.T) {
 // recorder) returns byte-for-byte the same result row as an in-process
 // uninstrumented run.
 func TestInstrumentationPreservesResults(t *testing.T) {
-	var logBuf bytes.Buffer
+	var logBuf lockedBuffer
 	_, _, c := newTestServer(t, Config{
 		Parallel: 2,
 		Logger:   obs.NewLogger(&logBuf, slog.LevelDebug, true),
@@ -260,8 +261,14 @@ func TestInstrumentationPreservesResults(t *testing.T) {
 		t.Errorf("instrumented row diverged from uninstrumented run:\nremote: %s\nlocal:  %s", remote, local)
 	}
 
-	// The log trail carries the job ID across layers.
+	// The log trail carries the job ID across layers.  The outcome line
+	// is logged after the job's waiters are woken, so the response can
+	// arrive before it.
 	logs := logBuf.String()
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(logs, "job done") && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		logs = logBuf.String()
+	}
 	if !strings.Contains(logs, `"job":"`+st.ID+`"`) {
 		t.Errorf("structured logs never mention job %s:\n%s", st.ID, logs)
 	}
@@ -270,6 +277,25 @@ func TestInstrumentationPreservesResults(t *testing.T) {
 			t.Errorf("log trail missing %q:\n%s", msg, logs)
 		}
 	}
+}
+
+// lockedBuffer is a log sink the test reads while the daemon's
+// goroutines still write to it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 // TestFailureDumpsFlightRecorder forces a job failure and verifies the

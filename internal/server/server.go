@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"swsm/internal/apps"
-	"swsm/internal/explore"
 	"swsm/internal/harness"
 	"swsm/internal/harness/runner"
 	"swsm/internal/obs"
@@ -85,11 +84,6 @@ type Config struct {
 	// breaches the SLO.  "" disables dumping to disk; the in-memory ring
 	// still records.
 	DebugDir string
-	// ExploreLimit bounds concurrently running /explore searches
-	// (default 2).  Each exploration's point simulations still queue
-	// through the ordinary job scheduler; this only caps how many
-	// search drivers compete for it.
-	ExploreLimit int
 }
 
 // Submission errors the HTTP layer maps to status codes.
@@ -204,7 +198,6 @@ type Server struct {
 	met      *svmdMetrics
 	log      *slog.Logger // nil = service logging disabled
 	flight   *obs.Flight
-	expl     *explore.Manager
 	// runFn executes one spec; tests substitute it to make scheduling
 	// behavior (backpressure, cancellation) deterministic.
 	runFn func(context.Context, harness.RunSpec) (*harness.Result, error)
@@ -220,6 +213,9 @@ type Server struct {
 	nextJob    int64
 	nextSweep  int64
 	draining   bool
+	// explorations is the /explore table in submission order; "e<n>"
+	// is the n-th entry.
+	explorations []*exploration
 
 	start time.Time
 }
@@ -271,7 +267,6 @@ func NewWith(cfg Config, mk func(*Server) Executor) (*Server, error) {
 		return s.ses.RunCtx(ctx, spec)
 	}
 	s.ses.SetObserver(met)
-	s.expl = newExploreManager(s, cfg.ExploreLimit)
 	met.registerServer(s)
 	s.executor = mk(s)
 	return s, nil
@@ -715,6 +710,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.draining
 	s.draining = true
+	explorations := s.explorations
 	s.mu.Unlock()
 	if already {
 		return errors.New("server: already draining")
@@ -725,7 +721,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	// for their drivers.  Drivers unpark promptly — their evaluator
 	// waits select on the exploration context — while the point jobs
 	// they already queued drain through the executor like any other job.
-	s.expl.Shutdown()
+	for _, x := range explorations {
+		x.cancel()
+		<-x.done
+	}
 	err := s.executor.Close(ctx)
 	s.baseCancel()
 	s.bus.Close()

@@ -26,7 +26,7 @@ func runSleepWorkload(t *testing.T, width int, forceSlow, traced bool) ([][2]int
 	e := NewEngine()
 	var tr *trace.Tracer
 	if traced {
-		tr = trace.NewCapture(trace.Options{})
+		tr = trace.New(trace.Options{})
 		e.SetTracer(tr)
 	}
 	if forceSlow {

@@ -32,7 +32,7 @@ func TestDisabledTracerEventPathNoAllocs(t *testing.T) {
 // block/resume transitions reach the tracer with the spawn-order tid.
 func TestCoroThreadStateTrace(t *testing.T) {
 	e := NewEngine()
-	tr := trace.NewCapture(trace.Options{})
+	tr := trace.New(trace.Options{})
 	e.SetTracer(tr)
 
 	var c0 *Coro

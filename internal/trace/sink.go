@@ -6,24 +6,6 @@ import (
 	"io"
 )
 
-// Sink receives event batches from a Tracer's ring.  The batch slice is
-// reused by the tracer after the call returns, so sinks must copy or
-// serialize before returning.  Sinks are invoked only from the
-// simulation engine's single thread.
-type Sink interface {
-	Events(batch []Event)
-}
-
-// captureSink retains every event in memory (the harness's per-run
-// capture mode).
-type captureSink struct {
-	events []Event
-}
-
-func (c *captureSink) Events(batch []Event) {
-	c.events = append(c.events, batch...)
-}
-
 // --- Chrome trace_event sink ---
 
 // Chrome trace-event phase and track conventions: every simulated
@@ -34,8 +16,8 @@ func (c *captureSink) Events(batch []Event) {
 // floats — so identical event sequences produce identical bytes.
 
 // ChromeSink streams events as Chrome trace_event JSON: open with
-// NewChromeSink, feed it batches (or let a Tracer do so), then Close to
-// emit the footer.  The output loads in Perfetto / chrome://tracing.
+// NewChromeSink, feed it batches, then Close to emit the footer.  The
+// output loads in Perfetto / chrome://tracing.
 type ChromeSink struct {
 	w      *bufio.Writer
 	pid    int
@@ -99,7 +81,7 @@ func (s *ChromeSink) Complete(tid int, ts, dur int64, name, cat string) {
 		s.pid, tid, ts, dur, name, cat)
 }
 
-// Events serializes one batch (implements Sink).
+// Events serializes one batch.
 func (s *ChromeSink) Events(batch []Event) {
 	for i := range batch {
 		s.event(&batch[i])
@@ -200,7 +182,7 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 // SetRun tags subsequent events with a run index (multi-run files).
 func (s *JSONLSink) SetRun(pid int) { s.pid = pid }
 
-// Events serializes one batch (implements Sink).
+// Events serializes one batch.
 func (s *JSONLSink) Events(batch []Event) {
 	for i := range batch {
 		ev := &batch[i]

@@ -14,10 +14,11 @@
 //     ids, never wall-clock readings or map-iteration artifacts, so the
 //     same RunSpec produces a byte-identical serialized trace no matter
 //     how (or how parallel) the surrounding sweep runs.
-//   - Bounded memory on the hot path.  Events accumulate in a
-//     preallocated ring and are handed to a pluggable Sink in batches
-//     when the ring fills; with no sink the ring wraps, keeping the most
-//     recent window (flight-recorder mode).
+//   - Capture, then write.  The tracer appends every event to one
+//     in-memory log and keeps it for the whole run, so memory grows
+//     with the run's event count; the Chrome and JSONL writers
+//     serialize the log after the run, so concurrently executing runs
+//     cannot interleave output.
 package trace
 
 import "swsm/internal/stats"
@@ -113,16 +114,8 @@ type Event struct {
 	Kind Kind
 }
 
-// DefaultRingEvents is the default ring capacity (events).
-const DefaultRingEvents = 8192
-
 // Options configures a Tracer.
 type Options struct {
-	// RingEvents is the ring capacity; DefaultRingEvents if zero.
-	RingEvents int
-	// Sink receives full ring batches and the final Flush.  With a nil
-	// sink the ring wraps and only the most recent window survives.
-	Sink Sink
 	// Profile attaches a hot-object profiler.
 	Profile bool
 	// SampleEvery attaches an interval sampler snapshotting the
@@ -133,11 +126,7 @@ type Options struct {
 // Tracer collects events.  All hook methods are nil-safe: a nil
 // *Tracer is the disabled tracer and every hook returns immediately.
 type Tracer struct {
-	ring    []Event
-	n       int   // valid events in ring (<= cap before first wrap)
-	next    int   // ring write index
-	dropped int64 // events overwritten in flight-recorder mode
-	sink    Sink
+	events []Event
 
 	prof *Profiler
 	samp *Sampler
@@ -145,11 +134,7 @@ type Tracer struct {
 
 // New creates an enabled tracer.
 func New(opts Options) *Tracer {
-	size := opts.RingEvents
-	if size <= 0 {
-		size = DefaultRingEvents
-	}
-	t := &Tracer{ring: make([]Event, size), sink: opts.Sink}
+	t := &Tracer{}
 	if opts.Profile {
 		t.prof = newProfiler()
 	}
@@ -157,13 +142,6 @@ func New(opts Options) *Tracer {
 		t.samp = &Sampler{Every: opts.SampleEvery}
 	}
 	return t
-}
-
-// NewCapture creates a tracer whose sink retains every event in memory
-// (the harness's per-run capture mode; see Data).
-func NewCapture(opts Options) *Tracer {
-	opts.Sink = &captureSink{}
-	return New(opts)
 }
 
 // Profiler returns the attached hot-object profiler, or nil.
@@ -182,64 +160,13 @@ func (t *Tracer) Sampler() *Sampler {
 	return t.samp
 }
 
-// Dropped reports how many events the ring overwrote (only nonzero in
-// flight-recorder mode, i.e. with no sink).
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped
-}
+// emit appends one event to the log.
+func (t *Tracer) emit(ev Event) { t.events = append(t.events, ev) }
 
-// emit appends one event to the ring, flushing to the sink when full.
-func (t *Tracer) emit(ev Event) {
-	if t.next == len(t.ring) {
-		if t.sink != nil {
-			t.sink.Events(t.ring)
-			t.next, t.n = 0, 0
-		} else {
-			// Flight recorder: wrap, overwriting the oldest window.
-			t.next = 0
-			t.dropped += int64(len(t.ring))
-		}
-	}
-	t.ring[t.next] = ev
-	t.next++
-	if t.n < t.next {
-		t.n = t.next
-	}
-}
-
-// Flush hands any buffered events to the sink.  Call once at end of
-// run; in flight-recorder mode it is a no-op.
-func (t *Tracer) Flush() {
-	if t == nil || t.sink == nil || t.next == 0 {
-		return
-	}
-	t.sink.Events(t.ring[:t.next])
-	t.next, t.n = 0, 0
-}
-
-// Pending returns the events currently buffered in the ring, oldest
-// first (test and flight-recorder support).
-func (t *Tracer) Pending() []Event {
-	if t == nil {
-		return nil
-	}
-	if t.dropped > 0 && t.n == len(t.ring) {
-		// Wrapped: oldest surviving event is at next.
-		out := make([]Event, 0, t.n)
-		out = append(out, t.ring[t.next:]...)
-		out = append(out, t.ring[:t.next]...)
-		return out
-	}
-	return t.ring[:t.next]
-}
-
-// Data snapshots everything the tracer collected: the captured events
-// (NewCapture mode), the sampled breakdown time series and the
-// hot-object profile.  The returned value is immutable by convention —
-// memoized sweep results share it.
+// Data snapshots everything the tracer collected: the event log, the
+// sampled breakdown time series and the hot-object profile.  The
+// returned value is immutable by convention — memoized sweep results
+// share it.
 type Data struct {
 	// Procs is the processor count of the run (track count for sinks).
 	Procs int
@@ -251,18 +178,12 @@ type Data struct {
 	Hot *Profile
 }
 
-// Data flushes and snapshots the tracer's collected state.
+// Data snapshots the tracer's collected state.
 func (t *Tracer) Data() *Data {
 	if t == nil {
 		return nil
 	}
-	t.Flush()
-	d := &Data{}
-	if cs, ok := t.sink.(*captureSink); ok {
-		d.Events = cs.events
-	} else {
-		d.Events = append([]Event(nil), t.Pending()...)
-	}
+	d := &Data{Events: t.events}
 	if t.samp != nil {
 		d.Samples = t.samp.Rows()
 	}

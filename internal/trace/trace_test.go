@@ -26,8 +26,7 @@ func TestNilTracerHooksAreNoOps(t *testing.T) {
 	tr.BarrierWait(1, 2, 0, 0)
 	tr.Handler(1, 2, 0, 1)
 	tr.SampleNow(10, stats.New(1))
-	tr.Flush()
-	if tr.Data() != nil || tr.Profiler() != nil || tr.Sampler() != nil || tr.Dropped() != 0 {
+	if tr.Data() != nil || tr.Profiler() != nil || tr.Sampler() != nil {
 		t.Fatal("nil tracer must report empty state")
 	}
 }
@@ -44,8 +43,8 @@ func TestNilTracerHooksDoNotAllocate(t *testing.T) {
 	}
 }
 
-func TestRingFlushesToSinkInOrder(t *testing.T) {
-	tr := NewCapture(Options{RingEvents: 4})
+func TestEventsInEmissionOrder(t *testing.T) {
+	tr := New(Options{})
 	for i := int64(0); i < 10; i++ {
 		tr.MsgSend(i, 0, i, 8)
 	}
@@ -57,23 +56,6 @@ func TestRingFlushesToSinkInOrder(t *testing.T) {
 		if ev.At != int64(i) || ev.Arg != int64(i) {
 			t.Fatalf("event %d out of order: %+v", i, ev)
 		}
-	}
-}
-
-func TestFlightRecorderWraps(t *testing.T) {
-	tr := New(Options{RingEvents: 4}) // no sink
-	for i := int64(0); i < 10; i++ {
-		tr.MsgSend(i, 0, i, 8)
-	}
-	if tr.Dropped() != 8 {
-		t.Fatalf("dropped = %d, want 8 (two wraps of 4)", tr.Dropped())
-	}
-	pend := tr.Pending()
-	if len(pend) != 4 {
-		t.Fatalf("pending %d events, want 4", len(pend))
-	}
-	if pend[0].At != 6 || pend[3].At != 9 {
-		t.Fatalf("flight recorder window wrong: %+v", pend)
 	}
 }
 
@@ -99,7 +81,7 @@ func TestSamplerDeltas(t *testing.T) {
 }
 
 func TestProfilerRanksDeterministically(t *testing.T) {
-	tr := NewCapture(Options{Profile: true})
+	tr := New(Options{Profile: true})
 	tr.PageFetch(0, 100, 0, 5) // unit 5: wait 100
 	tr.PageFetch(0, 300, 1, 9) // unit 9: wait 300
 	tr.PageFetch(0, 100, 2, 2) // unit 2: wait 100 (ties unit 5; lower id first)
@@ -126,7 +108,7 @@ func TestProfilerRanksDeterministically(t *testing.T) {
 }
 
 func TestChromeSinkEmitsValidLoadableJSON(t *testing.T) {
-	tr := NewCapture(Options{})
+	tr := New(Options{})
 	tr.ThreadState(0, 0, StateStarted)
 	tr.LockWait(10, 60, 0, 3)
 	tr.PageFault(70, 1, 12, true)
@@ -161,7 +143,7 @@ func TestChromeSinkEmitsValidLoadableJSON(t *testing.T) {
 }
 
 func TestJSONLSinkOneValidObjectPerLine(t *testing.T) {
-	tr := NewCapture(Options{})
+	tr := New(Options{})
 	tr.MsgSend(5, 2, 1, 64)
 	tr.PageFetch(10, 40, 0, 7)
 	var buf bytes.Buffer
@@ -183,7 +165,7 @@ func TestJSONLSinkOneValidObjectPerLine(t *testing.T) {
 
 func TestSerializationIsByteIdentical(t *testing.T) {
 	mk := func() *Data {
-		tr := NewCapture(Options{Profile: true, SampleEvery: 100})
+		tr := New(Options{Profile: true, SampleEvery: 100})
 		tr.LockWait(10, 60, 0, 3)
 		tr.PageFault(70, 1, 12, false)
 		tr.DiffCreate(90, 1, 12, 8)
