@@ -51,7 +51,6 @@ import (
 	"time"
 
 	"swsm/internal/cluster"
-	"swsm/internal/comm"
 	"swsm/internal/obs"
 	"swsm/internal/server"
 )
@@ -93,9 +92,6 @@ func main() {
 		os.Exit(2)
 	}
 	logger := obs.NewLogger(os.Stderr, level, *logJSON)
-	// The simulated transport logs terminal delivery failures through the
-	// same process-wide logger (the cold path right before a run fails).
-	comm.SetLogger(logger)
 
 	id := *nodeID
 	if id == "" {

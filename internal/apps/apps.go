@@ -10,7 +10,7 @@ package apps
 import (
 	"fmt"
 	"sort"
-	"sync"
+	"strings"
 
 	"swsm/internal/core"
 )
@@ -65,40 +65,32 @@ type Info struct {
 	Factory        Factory
 }
 
-// The registry is mutex-guarded because litmus programs register
-// lazily, from whatever goroutine first names a seed — including the
-// parallel sweep runner's workers.  The static suite still registers
-// from init(), before any concurrency exists.
+// The registry is written only from init(), before any concurrency
+// exists: the static suite registers one Info per name, and a family
+// (the seeded litmus programs) registers a resolver for every name under
+// its prefix.
 var (
-	regMu    sync.RWMutex
 	registry = map[string]Info{}
+	families = map[string]func(suffix string) (Info, bool){}
 )
 
 // Register installs an application.
 func Register(info Info) {
-	regMu.Lock()
-	defer regMu.Unlock()
 	if _, dup := registry[info.Name]; dup {
 		panic(fmt.Sprintf("apps: duplicate registration %q", info.Name))
 	}
 	registry[info.Name] = info
 }
 
-// EnsureRegistered installs an application unless the name is already
-// taken, atomically — the idempotent form lazy registrars (litmus
-// seeds) need, where two racing callers of the same name are fine.
-func EnsureRegistered(info Info) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, ok := registry[info.Name]; !ok {
-		registry[info.Name] = info
-	}
+// RegisterFamily installs a resolver for every name that starts with
+// prefix: Lookup hands it the rest of the name, and it reports whether
+// that names a member.  Family members are not listed by Names.
+func RegisterFamily(prefix string, resolve func(suffix string) (Info, bool)) {
+	families[prefix] = resolve
 }
 
-// Names lists registered applications, sorted.
+// Names lists the registered static suite, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	out := make([]string, 0, len(registry))
 	for n := range registry {
 		out = append(out, n)
@@ -107,15 +99,20 @@ func Names() []string {
 	return out
 }
 
-// Lookup returns the Info for name.
+// Lookup returns the Info for name: a static application, or a member
+// of a registered family.
 func Lookup(name string) (Info, error) {
-	regMu.RLock()
-	info, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return Info{}, fmt.Errorf("apps: unknown application %q (have %v)", name, Names())
+	if info, ok := registry[name]; ok {
+		return info, nil
 	}
-	return info, nil
+	for prefix, resolve := range families {
+		if suffix, ok := strings.CutPrefix(name, prefix); ok {
+			if info, ok := resolve(suffix); ok {
+				return info, nil
+			}
+		}
+	}
+	return Info{}, fmt.Errorf("apps: unknown application %q (have %v)", name, Names())
 }
 
 // New builds an instance by name.

@@ -17,6 +17,7 @@ package litmus
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"swsm/internal/apps"
@@ -297,19 +298,24 @@ func (o Op) String() string {
 // Name is the registry key for a seed.
 func Name(seed uint64) string { return fmt.Sprintf("litmus-%d", seed) }
 
-// Ensure registers the seed's litmus app (idempotently) and returns its
-// registry name.  The instance generates its program lazily at Setup,
-// when the machine's processor count is known.
-func Ensure(seed uint64) string {
-	name := Name(seed)
-	apps.EnsureRegistered(apps.Info{
-		Name:     name,
-		BaseSize: "seeded random load/store/lock/barrier program",
-		Factory: func(s apps.Scale) apps.Instance {
-			return &lazyProgram{seed: seed, scale: s}
-		},
+// Every litmus-<seed> name resolves, in every process, to the seed's
+// program, generated lazily at Setup when the processor count is known.
+// Only the canonical spelling resolves, so an instance's Name is always
+// the name it was built from.
+func init() {
+	apps.RegisterFamily("litmus-", func(suffix string) (apps.Info, bool) {
+		seed, err := strconv.ParseUint(suffix, 10, 64)
+		if err != nil || strconv.FormatUint(seed, 10) != suffix {
+			return apps.Info{}, false
+		}
+		return apps.Info{
+			Name:     Name(seed),
+			BaseSize: "seeded random load/store/lock/barrier program",
+			Factory: func(s apps.Scale) apps.Instance {
+				return &lazyProgram{seed: seed, scale: s}
+			},
+		}, true
 	})
-	return name
 }
 
 // lazyProgram defers generation to Setup so the same registered app

@@ -151,17 +151,26 @@ func TestShrinkPreservesPredicate(t *testing.T) {
 	}
 }
 
-func TestEnsureIdempotent(t *testing.T) {
-	n1 := Ensure(123456)
-	n2 := Ensure(123456)
-	if n1 != n2 {
-		t.Fatalf("Ensure not stable: %q vs %q", n1, n2)
-	}
-	inst, err := apps.New(n1, apps.Tiny)
+// TestNameResolvesWithoutRegistration checks that any seed's name
+// resolves with nothing registered for it, that only the canonical
+// spelling does, and that family members stay out of Names.
+func TestNameResolvesWithoutRegistration(t *testing.T) {
+	n := Name(123456)
+	inst, err := apps.New(n, apps.Tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inst.Name() != n1 {
-		t.Fatalf("instance name %q, registry name %q", inst.Name(), n1)
+	if inst.Name() != n {
+		t.Fatalf("instance name %q, registry name %q", inst.Name(), n)
+	}
+	for _, bad := range []string{"litmus-", "litmus-0123456", "litmus-+1", "litmus-x", "litmus-18446744073709551616"} {
+		if _, err := apps.Lookup(bad); err == nil {
+			t.Errorf("Lookup(%q) succeeded, want unknown application", bad)
+		}
+	}
+	for _, name := range apps.Names() {
+		if strings.HasPrefix(name, "litmus-") {
+			t.Fatalf("Names lists family member %q", name)
+		}
 	}
 }

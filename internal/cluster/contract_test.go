@@ -78,12 +78,10 @@ func (g *gates) run(ctx context.Context, spec harness.RunSpec) (*harness.Result,
 	return harness.RunContext(ctx, spec)
 }
 
-// newDaemonTarget's queue holds four: a daemon's canceled jobs keep
-// their queue slots until a worker skips them, so after the script's
-// two cancellations it has the two free slots the coordinator target's
-// one worker queue has.
+// newDaemonTarget's queue holds two, like the coordinator target's one
+// worker queue: a canceled job frees its slot at once.
 func newDaemonTarget(t *testing.T) target {
-	s, err := server.New(server.Config{Parallel: 1, QueueDepth: 4})
+	s, err := server.New(server.Config{Parallel: 1, QueueDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

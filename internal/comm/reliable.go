@@ -263,7 +263,6 @@ func (rn *ReliableNetwork) transmit(pm *pendingMsg) {
 		return
 	}
 	if pm.attempts >= rn.p.MaxAttempts {
-		logTransportFailure(src, dst, pm.m.Kind, pm.seq, pm.attempts)
 		rn.eng.Fail(fmt.Errorf(
 			"comm: message %d->%d kind %d seq %d undeliverable after %d attempts",
 			src, dst, pm.m.Kind, pm.seq, pm.attempts))

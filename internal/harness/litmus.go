@@ -43,10 +43,9 @@ type LitmusPoint struct {
 // Conforms reports whether the point passed the checker.
 func (p LitmusPoint) Conforms() bool { return p.Violation == "" }
 
-// LitmusSpec builds the checked RunSpec for one litmus seed, registering
-// the seed's app if needed.
+// LitmusSpec builds the checked RunSpec for one litmus seed.
 func LitmusSpec(seed uint64, prot ProtocolKind, scale apps.Scale, procs int) RunSpec {
-	spec := DefaultSpec(litmus.Ensure(seed), prot)
+	spec := DefaultSpec(litmus.Name(seed), prot)
 	spec.Scale = scale
 	spec.Procs = procs
 	spec.Check = true

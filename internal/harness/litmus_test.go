@@ -256,4 +256,14 @@ func TestLitmusSweepGridOrder(t *testing.T) {
 	if harness.FormatLitmus(points) == "" {
 		t.Fatal("empty formatted output")
 	}
+	// The sweep resolved its programs by name and registered nothing,
+	// so the static suite and the tables over it are unchanged.
+	for _, name := range apps.Names() {
+		if strings.HasPrefix(name, "litmus-") {
+			t.Fatalf("apps.Names lists %q after a litmus sweep", name)
+		}
+	}
+	if tab := harness.Table1(); strings.Contains(tab, "litmus-") {
+		t.Fatalf("Table1 lists a litmus program after a litmus sweep:\n%s", tab)
+	}
 }

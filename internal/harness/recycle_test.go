@@ -3,9 +3,13 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"swsm/internal/apps"
+	"swsm/internal/fault"
 )
 
 // recycleSpecs is a sequence that hands each run a previous run's
@@ -50,12 +54,29 @@ func rowJSON(t *testing.T, res *Result) []byte {
 	return b
 }
 
+// failedSpec is an fft Tiny/16p run on a fabric that drops every
+// transmission, so the reliable transport fails it mid-run with every
+// processor's coroutine suspended.
+func failedSpec() RunSpec {
+	s := FaultedSpec(DefaultSpec("fft", HLRC), 1, fault.PPM)
+	s.Scale = apps.Tiny
+	return s
+}
+
+func runFailed(t *testing.T) {
+	t.Helper()
+	if _, err := Run(failedSpec()); err == nil || !strings.Contains(err.Error(), "undeliverable") {
+		t.Fatalf("run with every transmission dropped returned %v, want an undeliverable error", err)
+	}
+}
+
 // TestRecycledBuffersKeepRowsIdentical runs a sequence of differently
 // shaped runs in one process, serially and then through a parallel
 // session, so that each run reuses caches, frames and checker tables
-// released by runs of other sizes.  Every row must be byte-identical to
-// its spec's first run.
+// released by runs of other sizes — the first of them by a run that
+// failed.  Every row must be byte-identical to its spec's first run.
 func TestRecycledBuffersKeepRowsIdentical(t *testing.T) {
+	runFailed(t)
 	specs := recycleSpecs(t)
 	first := make(map[string][]byte)
 	for _, spec := range specs {
@@ -109,5 +130,22 @@ func TestWholeRunAllocs(t *testing.T) {
 				t.Fatalf("%.0f allocations per run, want at most %.0f", n, tc.ceiling)
 			}
 		})
+	}
+}
+
+// TestFailedRunsLeaveNoGoroutines checks that a failed run leaves none
+// of its coroutines parked behind it: after 20 runs that the transport
+// fails mid-run, the goroutine count is back at its baseline.
+func TestFailedRunsLeaveNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		runFailed(t)
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > base {
+		t.Fatalf("%d goroutines after 20 failed runs, want the baseline %d", n, base)
 	}
 }

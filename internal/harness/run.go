@@ -263,6 +263,13 @@ func RunInstance(spec RunSpec, inst apps.Instance, newProt func() proto.Protocol
 	}
 
 	m := core.NewMachine(cfg, p)
+	// The result holds nothing of the machine's memories, caches or
+	// checker tables, and no coroutine outlives m.Run, so on every
+	// return path they go back for the next run to reuse.
+	defer func() {
+		m.Release()
+		rec.Release()
+	}()
 	inst.Setup(m)
 	cycles, err := m.Run(inst.Run)
 	if err != nil {
@@ -283,11 +290,6 @@ func RunInstance(spec RunSpec, inst apps.Instance, newProt func() proto.Protocol
 		res.Trace = tr.Data()
 		res.Trace.Procs = spec.Procs
 	}
-	// The result holds nothing of the machine's memories, caches or
-	// checker tables, so they go back for the next run to reuse.  The
-	// error paths above leave theirs to the garbage collector.
-	m.Release()
-	rec.Release()
 	return res, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -12,57 +13,88 @@ import (
 	"swsm/internal/server/api"
 )
 
-// localExec is the daemon's executor: a bounded admission queue drained
-// by one worker goroutine per simulation slot, each resolving a job
-// store-first, then through the memoized session, then writing back.
+// localExec is the daemon's executor: a bounded FIFO of live queued
+// jobs, kept under the front end's lock and drained by one worker
+// goroutine per simulation slot, each resolving a job store-first, then
+// through the memoized session, then writing back.
 type localExec struct {
 	s     *Server
-	queue chan *Job
-	wg    sync.WaitGroup
+	depth int
+	// queue, ready and closed are guarded by s.mu.  A canceled job
+	// leaves queue at once, so its slot is free for the next submission.
+	queue  []*Job
+	ready  *sync.Cond
+	closed bool
+	wg     sync.WaitGroup
 }
 
 func newLocalExec(s *Server, depth int) *localExec {
-	e := &localExec{s: s, queue: make(chan *Job, depth)}
+	e := &localExec{s: s, depth: depth, ready: sync.NewCond(&s.mu)}
 	for i := 0; i < s.ses.Parallelism(); i++ {
 		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			for j := range e.queue {
-				s.exec(j)
-			}
-		}()
+		go e.work()
 	}
 	return e
 }
 
-func (e *localExec) Admit() error { return nil }
-
-// Enqueue never blocks: a full queue is explicit backpressure.  A worker
-// dequeuing j blocks on the front end's lock (held by the caller) before
-// reading it, so the front end may finish entering j after this returns.
-func (e *localExec) Enqueue(j *Job) (string, *harness.RunRow, error) {
-	select {
-	case e.queue <- j:
-		return "", nil, nil
-	default:
-		return "", nil, ErrQueueFull
+// work runs queued jobs, oldest first, until the executor is closed and
+// the queue has drained.
+func (e *localExec) work() {
+	defer e.wg.Done()
+	e.s.mu.Lock()
+	defer e.s.mu.Unlock()
+	for {
+		for len(e.queue) == 0 && !e.closed {
+			e.ready.Wait()
+		}
+		if len(e.queue) == 0 {
+			return
+		}
+		j := e.queue[0]
+		e.queue = slices.Delete(e.queue, 0, 1)
+		e.s.execLocked(j)
 	}
 }
 
-// Cancel finishes a queued job at once (its queue slot is skipped when
-// a worker reaches it); a running one ends through its context.
-func (e *localExec) Cancel(j *Job) bool { return j.state == api.StateQueued }
+func (e *localExec) Admit() error { return nil }
+
+// Enqueue never blocks: a full queue is explicit backpressure.  The
+// front end holds its lock across the call and the job's entry into the
+// table, so a worker sees j only once it is fully entered.
+func (e *localExec) Enqueue(j *Job) (string, *harness.RunRow, error) {
+	if len(e.queue) >= e.depth {
+		return "", nil, ErrQueueFull
+	}
+	e.queue = append(e.queue, j)
+	e.ready.Signal()
+	return "", nil, nil
+}
+
+// Cancel finishes a queued job at once and frees its queue slot (a
+// worker dequeues a job and starts it under one hold of the lock, so a
+// queued job is always in the queue); a running one ends through its
+// context.
+func (e *localExec) Cancel(j *Job) bool {
+	i := slices.Index(e.queue, j)
+	if i >= 0 {
+		e.queue = slices.Delete(e.queue, i, i+1)
+	}
+	return i >= 0
+}
 
 func (e *localExec) Sweep(string, []*Job) {}
 
 func (e *localExec) Load() Load {
-	return Load{Capacity: cap(e.queue), Workers: e.s.ses.Parallelism()}
+	return Load{Capacity: e.depth, Workers: e.s.ses.Parallelism()}
 }
 
 // Close lets the workers drain the queue; if ctx expires first, the
 // remaining job contexts are cancelled.
 func (e *localExec) Close(ctx context.Context) error {
-	close(e.queue)
+	e.s.mu.Lock()
+	e.closed = true
+	e.ready.Broadcast()
+	e.s.mu.Unlock()
 	done := make(chan struct{})
 	go func() { e.wg.Wait(); close(done) }()
 	select {
@@ -75,21 +107,17 @@ func (e *localExec) Close(ctx context.Context) error {
 	}
 }
 
-// exec runs one job on a worker: store lookup, then simulation through
-// the memoized session, then store write-back.
-func (s *Server) exec(j *Job) {
-	s.mu.Lock()
-	if j.state != api.StateQueued { // canceled while queued
-		s.mu.Unlock()
-		return
-	}
+// execLocked runs one dequeued job on a worker: store lookup, then
+// simulation through the memoized session, then store write-back.  The
+// caller holds s.mu, which is released while the job runs.
+func (s *Server) execLocked(j *Job) {
 	if err := j.ctx.Err(); err != nil {
 		s.FinishLocked(j, "", nil, false, err)
-		s.mu.Unlock()
 		return
 	}
 	s.MoveLocked(j, api.StateRunning, "")
 	s.mu.Unlock()
+	defer s.mu.Lock()
 
 	row, cached, err := s.resolve(j.ctx, j.req.Spec, j.spans, "")
 	if err == nil && j.req.Speedup {

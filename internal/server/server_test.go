@@ -325,6 +325,38 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// TestCancelFreesQueueSlot pins that a canceled queued job gives its
+// queue slot back at once: with the one worker held and the two-deep
+// queue full, canceling both queued jobs makes room for two new
+// submissions before the worker moves.
+func TestCancelFreesQueueSlot(t *testing.T) {
+	s, ts, c, release := blockingServer(t, Config{Parallel: 1, QueueDepth: 2})
+	r := postRun(t, ts, api.RunRequest{Spec: tinySpec(2)})
+	r.Body.Close()
+	waitInFlight(t, s, 1)
+	submit := func(procs int) string {
+		t.Helper()
+		r := postRun(t, ts, api.RunRequest{Spec: tinySpec(procs)})
+		defer r.Body.Close()
+		var st api.RunStatus
+		if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		if r.StatusCode != http.StatusAccepted || st.State != api.StateQueued {
+			t.Fatalf("submit of %dp = %d in state %q, want 202 queued", procs, r.StatusCode, st.State)
+		}
+		return st.ID
+	}
+	for _, id := range []string{submit(4), submit(8)} {
+		if _, err := c.Cancel(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit(16)
+	submit(32)
+	close(release)
+}
+
 func TestDrainRejectsNewWork(t *testing.T) {
 	s, ts, c, _ := blockingServer(t, Config{Parallel: 1, QueueDepth: 2})
 	// Drain an idle server completes immediately and flips healthz.
@@ -361,6 +393,16 @@ func TestValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("bad request %d accepted with %d", i, resp.StatusCode)
 		}
+	}
+}
+
+// TestValidateAcceptsAnyLitmusSeed pins that litmus programs resolve by
+// name: a seed nothing in the process has built is a valid app.
+func TestValidateAcceptsAnyLitmusSeed(t *testing.T) {
+	req := api.RunRequest{Spec: tinySpec(2)}
+	req.Spec.App = "litmus-987654321"
+	if err := ValidateRequest(req); err != nil {
+		t.Fatalf("ValidateRequest(%s) = %v, want accepted", req.Spec.App, err)
 	}
 }
 

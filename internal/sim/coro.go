@@ -23,44 +23,51 @@ type Coro struct {
 	tid int32
 
 	// resume carries control to this coroutine: at most one sender
-	// (whichever stack pops its step event) and one receiver (the
-	// coroutine itself, parked).
+	// (whichever stack pops its step event, or Run unwinding it) and one
+	// receiver (the coroutine itself, parked).
 	resume chan struct{}
+
+	// body is the simulated code; run executes it from the first step.
+	body func(*Coro)
 }
 
 // Spawn creates a coroutine and schedules its body to start at virtual
 // time `start`.  The body receives the coroutine for Sleep/Block calls.
+// Its goroutine starts when that first step is dispatched.
 func (e *Engine) Spawn(name string, start Time, body func(*Coro)) *Coro {
 	c := &Coro{
 		eng:    e,
 		name:   name,
 		tid:    int32(len(e.coros)),
 		resume: make(chan struct{}),
+		body:   body,
 	}
 	e.coros = append(e.coros, c)
 	e.coroStarted = append(e.coroStarted, false)
 	e.coroDone = append(e.coroDone, false)
 	e.coroBlocked = append(e.coroBlocked, false)
 	e.coroWakes = append(e.coroWakes, 0)
-	go func() {
-		<-c.resume
-		defer func() {
-			// A panic in simulated code surfaces as an engine error
-			// instead of killing the host process.
-			if r := recover(); r != nil {
-				e.fail(fmt.Errorf("sim: coroutine %s panicked: %v", name, r))
-			}
-			e.coroDone[c.tid] = true
-			e.tracer.ThreadState(e.now, c.tid, trace.StateDone)
-			// The body returned while this goroutine held control; keep
-			// the event loop going on this stack until control is handed
-			// to the next coroutine or back to Run.
-			e.exitPump()
-		}()
-		body(c)
-	}()
 	e.atStep(start, c)
 	return c
+}
+
+// run is the coroutine's goroutine.  However the body ends — it returns,
+// panics, or is unwound by Run — control goes back to Run.
+func (c *Coro) run() {
+	e := c.eng
+	defer func() {
+		// A panic in simulated code surfaces as an engine error
+		// instead of killing the host process.
+		if r := recover(); r != nil {
+			e.Fail(fmt.Errorf("sim: coroutine %s panicked: %v", c.name, r))
+		}
+		e.coroDone[c.tid] = true
+		if !e.unwinding {
+			e.tracer.ThreadState(e.now, c.tid, trace.StateDone)
+		}
+		e.main.resume <- struct{}{}
+	}()
+	c.body(c)
 }
 
 // Name reports the coroutine's name (used in deadlock reports).
@@ -91,14 +98,14 @@ func (c *Coro) Sleep(d Time) {
 	}
 	e := c.eng
 	t := e.now + d
-	if !e.stopped {
+	if e.failure == nil {
 		if at, ok := e.peekTime(); !ok || at > t {
 			e.now = t
 			return
 		}
 	}
 	e.atStep(t, c)
-	e.pump(c, false)
+	e.pump(c)
 }
 
 // SleepUntil advances this coroutine's virtual time to absolute time t.
@@ -120,7 +127,7 @@ func (c *Coro) Block() {
 	}
 	e.coroBlocked[c.tid] = true
 	e.tracer.ThreadState(e.now, c.tid, trace.StateBlocked)
-	e.pump(c, false)
+	e.pump(c)
 	e.coroBlocked[c.tid] = false
 	e.tracer.ThreadState(e.now, c.tid, trace.StateRunning)
 }
@@ -139,5 +146,6 @@ func (c *Coro) Wake() {
 	e.coroWakes[c.tid]++
 }
 
-// Done reports whether the coroutine body has returned.
+// Done reports whether the coroutine has finished: its body returned or
+// panicked, or Run unwound it at the end of the run.
 func (c *Coro) Done() bool { return c.eng.coroDone[c.tid] }

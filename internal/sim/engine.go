@@ -12,18 +12,19 @@
 // in a calendar/bucket queue (see queue.go) instead of heap-allocated
 // closures; the dominant kinds — coroutine steps, network packets and
 // transport timers — are closure-free.  The loop itself ("the pump") is
-// re-entrant: whichever stack currently holds control (Run, a coroutine
-// inside Sleep/Block, or a finished coroutine on its way out) pops and
-// dispatches events in place, handing off directly to the next coroutine
-// with a single channel operation instead of bouncing every event
-// through a central scheduler goroutine.  Coroutine sleeps whose wake-up
-// precedes every queued event skip the queue entirely and advance the
-// clock in place, so compute bursts between synchronization points cost
-// a compare, not a context switch.
+// re-entrant: whichever park point holds control (Run's stack or a
+// coroutine inside Sleep/Block) pops and dispatches events in place,
+// handing off directly to the next coroutine with a single channel
+// operation instead of bouncing every event through a central scheduler
+// goroutine.  Coroutine sleeps whose wake-up precedes every queued event
+// skip the queue entirely and advance the clock in place, so compute
+// bursts between synchronization points cost a compare, not a context
+// switch.  No coroutine's goroutine outlives Run.
 package sim
 
 import (
 	"fmt"
+	"runtime"
 
 	"swsm/internal/trace"
 )
@@ -67,14 +68,17 @@ type Engine struct {
 	coroBlocked []bool
 	coroWakes   []int32
 
-	// mainCh parks Run while a coroutine holds control.  A coroutine
-	// that drains the queue (or observes Stop) signals it so Run can
-	// finish the run-level bookkeeping.
-	mainCh chan struct{}
+	// main is Run's park point: Run waits on main.resume while a
+	// coroutine holds control, exactly as a suspended coroutine waits on
+	// its own.
+	main Coro
+	// unwinding is set while Run resumes suspended coroutines at the end
+	// of a run; a coroutine resumed then leaves its park point with
+	// runtime.Goexit instead of returning into Sleep/Block.
+	unwinding bool
 
-	// stopped is set by Stop; the pump drains no further events once set.
-	stopped bool
-	// failure records a coroutine panic or Fail call; Run returns it.
+	// failure records the first Fail call or panic; once it is set the
+	// pump drains no further events, and Run returns it.
 	failure error
 
 	// tracer is nil unless observability is enabled; every hook method on
@@ -85,7 +89,8 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	e := &Engine{mainCh: make(chan struct{})}
+	e := &Engine{}
+	e.main.resume = make(chan struct{})
 	e.q.init()
 	return e
 }
@@ -169,39 +174,29 @@ func (e *Engine) atStep(t Time, c *Coro) {
 	e.schedule(t, evStep, c, 0)
 }
 
-// Stop terminates Run after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Fail aborts the run: Run drains no further events and returns err.
-// The reliable transport uses it when a message exhausts its retransmit
+// Fail aborts the run: Run drains no further events and returns err,
+// which must be non-nil; a later Fail keeps the first error.  The
+// reliable transport uses it when a message exhausts its retransmit
 // budget (a partitioned or dead node), which no protocol can survive.
-func (e *Engine) Fail(err error) { e.fail(err) }
-
-// fail records a fatal simulation error and stops the engine.
-func (e *Engine) fail(err error) {
+func (e *Engine) Fail(err error) {
 	if e.failure == nil {
 		e.failure = err
 	}
-	e.stopped = true
 }
 
-// pump is the event loop, re-entrant on any stack.  Exactly one pump
-// frame is live at a time across all goroutines; it pops and dispatches
-// events until one of:
+// pump is the event loop.  Exactly one pump frame holds control at a
+// time across all goroutines; self is its park point (&e.main on Run's
+// stack).  It pops and dispatches events until one of:
 //
-//   - it pops the step event for its own coroutine (self): it simply
-//     returns, resuming self with zero channel operations;
-//   - it pops a step event for another coroutine: it transfers control
-//     directly (one channel send) and parks — or, when dying, returns so
-//     the finished coroutine's goroutine can exit;
-//   - the queue drains or Stop/Fail is observed: a coroutine-held pump
-//     hands control back to Run via mainCh; Run's own pump just returns.
-//
-// self is the coroutine whose stack this pump runs on (nil for Run and
-// for exiting coroutines); dying marks the pump run by a coroutine whose
-// body has returned.
-func (e *Engine) pump(self *Coro, dying bool) {
-	for !e.stopped {
+//   - it pops its own step event: it returns with no switch;
+//   - it pops another coroutine's step event: it hands control over
+//     directly (one channel send, or the goroutine's start on its first
+//     step) and parks.  Once resumed, a coroutine's pump returns into its
+//     Sleep/Block, and Run's pump keeps dispatching;
+//   - the queue drains or Fail is observed: a coroutine's pump hands
+//     control to Run and parks until Run unwinds it.
+func (e *Engine) pump(self *Coro) {
+	for e.failure == nil {
 		var ev *event
 		if e.regSet {
 			e.regSet = false
@@ -222,71 +217,69 @@ func (e *Engine) pump(self *Coro, dying bool) {
 			ev.obj.(func())()
 		case evStep:
 			c := ev.obj.(*Coro)
-			if !e.coroStarted[c.tid] {
-				e.coroStarted[c.tid] = true
-				e.tracer.ThreadState(e.now, c.tid, trace.StateStarted)
-			}
 			if c == self {
 				return
 			}
-			c.resume <- struct{}{}
-			if dying {
+			if e.coroStarted[c.tid] {
+				c.resume <- struct{}{}
+			} else {
+				e.coroStarted[c.tid] = true
+				e.tracer.ThreadState(e.now, c.tid, trace.StateStarted)
+				go c.run()
+			}
+			e.park(self)
+			if self != &e.main {
 				return
 			}
-			if self != nil {
-				<-self.resume
-				return
-			}
-			<-e.mainCh
 		case evHandler:
 			ev.obj.(EventHandler).HandleEvent(e.now, ev.arg)
 		}
 	}
-	if self == nil && !dying {
-		return // Run's own pump: Run finishes the bookkeeping
-	}
-	// A coroutine drained the queue or observed Stop/Fail while holding
-	// control: hand it back to Run, which is parked on mainCh.
-	e.mainCh <- struct{}{}
-	if !dying {
-		// The run is over but this coroutine is suspended mid-Sleep or
-		// mid-Block.  Park; a later Run that pops its step event will
-		// resume it, and otherwise the goroutine is reclaimed when the
-		// process exits (same leak discipline as the deadlock case has
-		// always had).
-		<-self.resume
+	if self != &e.main {
+		e.main.resume <- struct{}{}
+		e.park(self)
 	}
 }
 
-// exitPump continues the event loop on the stack of a coroutine whose
-// body has returned.  Its recover wrapper exists because the spawn
-// wrapper's own recover has already fired by this point: a panic out of
-// a dispatched event here would otherwise kill the process instead of
-// failing the run.
-func (e *Engine) exitPump() {
-	defer func() {
-		if r := recover(); r != nil {
-			e.fail(fmt.Errorf("sim: event dispatch panicked during coroutine exit: %v", r))
-			e.mainCh <- struct{}{}
-		}
-	}()
-	e.pump(nil, true)
+// park waits until control returns to self.  A coroutine resumed while
+// Run unwinds leaves through runtime.Goexit, which runs its wrapper's
+// deferred bookkeeping and ends the goroutine.
+func (e *Engine) park(self *Coro) {
+	<-self.resume
+	if e.unwinding {
+		runtime.Goexit()
+	}
 }
 
-// Run processes events until the queue drains, Stop is called, or a
+// Run processes events until the queue drains, Fail is called, or a
 // deadlock is detected (live coroutines but no scheduled events).  It
-// returns the final virtual time.
+// returns the final virtual time.  A panic raised by an event that Run's
+// own stack dispatches becomes the run's error.  Before returning, Run
+// unwinds every coroutine still suspended, so none outlives the run.
 func (e *Engine) Run() (Time, error) {
-	e.pump(nil, false)
-	if e.failure != nil {
-		return e.now, e.failure
-	}
-	if !e.stopped {
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				e.Fail(fmt.Errorf("sim: event dispatch panicked: %v", r))
+			}
+		}()
+		e.pump(&e.main)
+	}()
+	err := e.failure
+	if err == nil {
 		if desc := e.blockedCoros(); desc != "" {
-			return e.now, fmt.Errorf("sim: deadlock at cycle %d; %s", e.now, desc)
+			err = fmt.Errorf("sim: deadlock at cycle %d; %s", e.now, desc)
 		}
 	}
-	return e.now, nil
+	e.unwinding = true
+	for _, c := range e.coros {
+		if e.coroStarted[c.tid] && !e.coroDone[c.tid] {
+			c.resume <- struct{}{}
+			<-e.main.resume
+		}
+	}
+	e.unwinding = false
+	return e.now, err
 }
 
 // blockedCoros describes every unfinished coroutine for the deadlock

@@ -2,8 +2,11 @@ package sim
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -42,13 +45,14 @@ func TestAfterAccumulates(t *testing.T) {
 	}
 }
 
+// TestNegativeDelayPanics observes the panic through the coroutine
+// wrapper, which turns it into the run's error.
 func TestNegativeDelayPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on negative delay")
-		}
-	}()
-	NewEngine().After(-1, func() {})
+	e := NewEngine()
+	e.Spawn("neg", 0, func(c *Coro) { e.After(-1, func() {}) })
+	if _, err := e.Run(); err == nil || !strings.Contains(err.Error(), "negative delay -1") {
+		t.Fatalf("Run returned %v, want the negative-delay panic", err)
+	}
 }
 
 func TestCoroSleep(t *testing.T) {
@@ -265,19 +269,6 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.At(1, func() { ran++; e.Stop() })
-	e.At(2, func() { ran++ })
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 1 {
-		t.Fatalf("ran = %d, want 1 (Stop should halt)", ran)
-	}
-}
-
 func TestFailAbortsRun(t *testing.T) {
 	eng := NewEngine()
 	boom := errors.New("boom")
@@ -293,5 +284,79 @@ func TestFailAbortsRun(t *testing.T) {
 	}
 	if late {
 		t.Fatal("events after Fail still ran")
+	}
+}
+
+// settleGoroutines waits for goroutines that have handed control back
+// but not yet finished exiting, and reports the live count once it is
+// down to want (or the count when the wait times out).
+func settleGoroutines(want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	n := runtime.NumGoroutine()
+	for n > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestRunLeavesNoCoroutineBehind checks that every coroutine suspended
+// when a run ends — deadlocked, failed, or cut short by a panic in a
+// body or in an event on Run's own stack — is unwound before Run
+// returns, so the goroutine count is back at its baseline.
+func TestRunLeavesNoCoroutineBehind(t *testing.T) {
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name  string
+		setup func(e *Engine)
+		want  string
+	}{
+		{"deadlock", func(e *Engine) {
+			for i := 0; i < 16; i++ {
+				e.Spawn("stuck", Time(i), func(c *Coro) { c.Block() })
+			}
+		}, "deadlock"},
+		{"fail", func(e *Engine) {
+			for i := 0; i < 16; i++ {
+				e.Spawn("sleeper", 0, func(c *Coro) {
+					for {
+						c.Sleep(3)
+					}
+				})
+			}
+			e.Spawn("failer", 0, func(c *Coro) {
+				c.Sleep(50)
+				e.Fail(boom)
+			})
+		}, "boom"},
+		{"body-panic", func(e *Engine) {
+			e.Spawn("stuck", 0, func(c *Coro) { c.Block() })
+			e.Spawn("sleeper", 0, func(c *Coro) { c.Sleep(100) })
+			e.Spawn("bad", 5, func(c *Coro) { panic("bad body") })
+		}, "coroutine bad panicked: bad body"},
+		{"event-panic", func(e *Engine) {
+			// quick's exit hands control to Run, so Run's own stack
+			// dispatches the panicking event while the others are
+			// suspended.
+			e.Spawn("stuck", 0, func(c *Coro) { c.Block() })
+			e.Spawn("sleeper", 0, func(c *Coro) { c.Sleep(100) })
+			e.Spawn("quick", 1, func(c *Coro) {})
+			e.At(10, func() { panic("bad event") })
+		}, "sim: event dispatch panicked: bad event"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			for i := 0; i < 10; i++ {
+				e := NewEngine()
+				tc.setup(e)
+				_, err := e.Run()
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("Run returned %v, want an error containing %q", err, tc.want)
+				}
+			}
+			if n := settleGoroutines(base); n > base {
+				t.Fatalf("%d goroutines after 10 runs, want the baseline %d", n, base)
+			}
+		})
 	}
 }

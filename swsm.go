@@ -405,13 +405,14 @@ const (
 )
 
 // Litmus workloads: seeded deterministic random programs of loads,
-// stores, lock sections and barriers, registered as ordinary
-// applications (LitmusSpec/LitmusEnsure) and swept across the protocol
+// stores, lock sections and barriers, which resolve by name as ordinary
+// applications (LitmusSpec; LitmusEnsure returns a seed's name) and are
+// swept across the protocol
 // and fault grid with the checker on (Session.LitmusSweep).
 // ShrinkLitmus delta-debugs a failing program to a minimal reproducer.
 var (
 	LitmusGenerate = litmus.Generate
-	LitmusEnsure   = litmus.Ensure
+	LitmusEnsure   = litmus.Name
 	LitmusSpec     = harness.LitmusSpec
 	ShrinkLitmus   = harness.ShrinkLitmus
 	FormatLitmus   = harness.FormatLitmus
