@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -143,14 +144,5 @@ func writeFrontierCSV(path string, frontier []explore.Point) error {
 	if path == "" {
 		return nil
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := explore.WriteFrontierCSV(f, frontier); err != nil {
-		return err
-	}
-	fmt.Println("wrote", path)
-	return nil
+	return writeCSVFile(path, func(w io.Writer) error { return explore.WriteFrontierCSV(w, frontier) })
 }

@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -177,10 +178,12 @@ func main() {
 		if *csvPath != "" {
 			// The shared session already cached every run of the figure,
 			// so the CSV export re-assembles it entirely from cache.
-			if err := writeCSV(ses, *figure, sel, sc, *procs, *csvPath); err != nil {
+			err := writeCSVFile(*csvPath, func(w io.Writer) error {
+				return writeFigureCSV(w, ses, *figure, sel, sc, *procs)
+			})
+			if err != nil {
 				fatalf("csv: %v", err)
 			}
-			fmt.Println("wrote", *csvPath)
 		}
 	}
 	if *traceOut != "" || *hotK > 0 {
@@ -366,15 +369,9 @@ func runFigure3Remote(baseURL string, sel []string, scale swsm.Scale, procs int,
 func runLitmus(ses *swsm.Session, scale swsm.Scale, procs int, seed uint64, n int, dropsCS, csvPath string) error {
 	var dropPPMs []int64
 	if dropsCS != "" {
-		for _, s := range strings.Split(dropsCS, ",") {
-			pct, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil {
-				return fmt.Errorf("-litmus-drops %q: %v", dropsCS, err)
-			}
-			if pct < 0 || pct > 100 {
-				return fmt.Errorf("-litmus-drops rate %.2f outside [0, 100]", pct)
-			}
-			dropPPMs = append(dropPPMs, int64(pct*1e4))
+		var err error
+		if dropPPMs, err = parseDrops("-litmus-drops", dropsCS); err != nil {
+			return err
 		}
 	}
 	protos := []swsm.ProtocolKind{swsm.HLRC, swsm.LRC, swsm.SC}
@@ -386,18 +383,10 @@ func runLitmus(ses *swsm.Session, scale swsm.Scale, procs int, seed uint64, n in
 		seed, seed+uint64(n)-1, procs)
 	fmt.Print(swsm.FormatLitmus(points))
 	if csvPath != "" {
-		f, err := os.Create(csvPath)
+		err := writeCSVFile(csvPath, func(w io.Writer) error { return swsm.WriteLitmusCSV(w, points) })
 		if err != nil {
 			return err
 		}
-		if err := swsm.WriteLitmusCSV(f, points); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Println("wrote", csvPath)
 	}
 	bad := 0
 	for _, p := range points {
@@ -426,20 +415,44 @@ func runHetero(ses *swsm.Session, sel []string, scale swsm.Scale, procs int, ske
 	}
 	fmt.Printf("Heterogeneity sweep: skew x placement x {hlrc, sc}, %d procs\n", procs)
 	fmt.Print(swsm.FormatHeterogeneity(points))
-	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			return err
-		}
-		if err := swsm.WriteHeterogeneityCSV(f, points); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Println("wrote", csvPath)
+	if csvPath == "" {
+		return nil
 	}
+	return writeCSVFile(csvPath, func(w io.Writer) error { return swsm.WriteHeterogeneityCSV(w, points) })
+}
+
+// parseDrops parses a comma-separated list of drop percents into PPM,
+// naming flag in its errors.
+func parseDrops(flag, cs string) ([]int64, error) {
+	var ppms []int64
+	for _, s := range strings.Split(cs, ",") {
+		pct, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		if err != nil {
+			return nil, fmt.Errorf("%s %q: %v", flag, cs, err)
+		}
+		if pct < 0 || pct > 100 {
+			return nil, fmt.Errorf("%s rate %.2f outside [0, 100]", flag, pct)
+		}
+		ppms = append(ppms, int64(pct*1e4))
+	}
+	return ppms, nil
+}
+
+// writeCSVFile creates path, fills it with write, closes it and reports
+// "wrote path".
+func writeCSVFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Println("wrote", path)
 	return nil
 }
 
@@ -459,16 +472,9 @@ func splitList(cs string) []string {
 // faulted run re-verifies the application's answer, so completing the
 // sweep certifies correctness under every injected fault rate.
 func runDegradation(ses *swsm.Session, sel []string, scale swsm.Scale, procs int, seed uint64, dropsCS, csvPath string) error {
-	var dropPPMs []int64
-	for _, s := range strings.Split(dropsCS, ",") {
-		pct, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
-			return fmt.Errorf("-drops %q: %v", dropsCS, err)
-		}
-		if pct < 0 || pct > 100 {
-			return fmt.Errorf("-drops rate %.2f outside [0, 100]", pct)
-		}
-		dropPPMs = append(dropPPMs, int64(pct*1e4))
+	dropPPMs, err := parseDrops("-drops", dropsCS)
+	if err != nil {
+		return err
 	}
 	protos := []swsm.ProtocolKind{swsm.HLRC, swsm.SC}
 	points, err := ses.DegradationSweep(sel, protos, scale, procs, seed, dropPPMs)
@@ -477,21 +483,10 @@ func runDegradation(ses *swsm.Session, sel []string, scale swsm.Scale, procs int
 	}
 	fmt.Printf("Degradation sweep: slowdown vs drop rate (seed %d, all answers verified)\n", seed)
 	fmt.Print(swsm.FormatDegradation(points))
-	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			return err
-		}
-		if err := swsm.WriteDegradationCSV(f, points); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Println("wrote", csvPath)
+	if csvPath == "" {
+		return nil
 	}
-	return nil
+	return writeCSVFile(csvPath, func(w io.Writer) error { return swsm.WriteDegradationCSV(w, points) })
 }
 
 // runTraced re-runs the figure-3 configuration ladder for each selected
@@ -642,14 +637,9 @@ func runFigure(ses *swsm.Session, n int, sel []string, scale swsm.Scale, procs i
 	fmt.Println()
 }
 
-// writeCSV re-assembles the figure (from the session cache when it just
-// ran) and saves its data points as CSV.
-func writeCSV(ses *swsm.Session, figure int, sel []string, scale swsm.Scale, procs int, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
+// writeFigureCSV re-assembles the figure (from the session cache when
+// it just ran) and writes its data points as CSV.
+func writeFigureCSV(f io.Writer, ses *swsm.Session, figure int, sel []string, scale swsm.Scale, procs int) error {
 	switch figure {
 	case 3:
 		var bars []*harness.AppBar

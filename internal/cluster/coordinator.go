@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -61,8 +60,6 @@ type CoordinatorConfig struct {
 	FailoverAfter time.Duration
 	// PollWait bounds the /cluster/log long-poll hold.
 	PollWait time.Duration
-	// RingReplicas is the virtual-point count per worker (0 = default).
-	RingReplicas int
 	// Standby starts this coordinator as a follower of PeerURL.
 	Standby bool
 	PeerURL string
@@ -155,7 +152,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		log:       cfg.Logger,
 		role:      api.RolePrimary,
 		epoch:     1,
-		ring:      NewRing(cfg.RingReplicas),
+		ring:      NewRing(0),
 		workers:   make(map[string]*workerState),
 		tasks:     make(map[string]*task),
 		walNotify: make(chan struct{}),
@@ -238,12 +235,7 @@ func (c *Coordinator) storeHit(j *server.Job) *harness.RunRow {
 	if st == nil || !st.Has(j.CoalesceKey()) {
 		return nil
 	}
-	payload, ok := st.Get(j.CoalesceKey())
-	if !ok {
-		return nil
-	}
-	row, _ := harness.DecodeRow(payload, j.Request().Spec)
-	return row
+	return harness.LoadRow(st, j.CoalesceKey(), j.Request().Spec)
 }
 
 // Cancel implements server.Executor.  A queued job leaves the schedule;
@@ -527,10 +519,8 @@ func (c *Coordinator) complete(req api.ClusterCompleteRequest) (api.ClusterCompl
 		return resp, err
 	}
 	// Write-back outside the lock; store damage must not fail the ack.
-	if st := c.fe.Store(); st != nil && req.Error == "" {
-		if payload, err := json.Marshal(req.Row); err == nil {
-			_ = st.Put(t.job.CoalesceKey(), payload)
-		}
+	if req.Error == "" {
+		harness.SaveRow(c.fe.Store(), t.job.CoalesceKey(), req.Row)
 	}
 	return resp, nil
 }

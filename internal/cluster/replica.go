@@ -2,10 +2,10 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"log/slog"
 	"time"
 
+	"swsm/internal/harness"
 	"swsm/internal/server/api"
 	"swsm/internal/server/client"
 )
@@ -103,10 +103,8 @@ func (c *Coordinator) applyLocked(rec api.ClusterLogRecord) {
 		}
 		delete(c.tasks, rec.JobID)
 		c.fe.FinishLocked(t.job, rec.Worker, rec.Row, rec.Cached, errOf(rec.Error))
-		if st := c.fe.Store(); st != nil && rec.Row != nil && rec.Error == "" {
-			if payload, err := json.Marshal(rec.Row); err == nil {
-				_ = st.Put(t.job.CoalesceKey(), payload)
-			}
+		if rec.Row != nil && rec.Error == "" {
+			harness.SaveRow(c.fe.Store(), t.job.CoalesceKey(), rec.Row)
 		}
 	case api.ClusterLogSweep:
 		c.fe.ReplaySweepLocked(rec.SweepID, rec.JobIDs)
@@ -138,7 +136,7 @@ func (c *Coordinator) promote() {
 		// epoch than the default primary boot epoch (1).
 		c.epoch = 2
 	}
-	c.ring = NewRing(c.cfg.RingReplicas)
+	c.ring = NewRing(0)
 	c.workers = make(map[string]*workerState)
 	c.unassigned = nil
 	for _, t := range c.tasks { // replayed, so never placed

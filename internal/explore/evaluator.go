@@ -2,8 +2,6 @@ package explore
 
 import (
 	"context"
-	"encoding/json"
-	"sync"
 
 	"swsm/internal/harness"
 	"swsm/internal/store"
@@ -48,51 +46,39 @@ type SessionEvaluator struct {
 	St *store.Store
 }
 
-// Evaluate implements Evaluator.  Batch members run concurrently
-// through the session pool (bounded by its parallelism); results are
-// returned in spec order.
+// Evaluate implements Evaluator.  Every spec that is not a store hit
+// goes through the session's fan-out (bounded by its parallelism), so
+// memo hits come back through the memo; results are returned in spec
+// order.
 func (e SessionEvaluator) Evaluate(ctx context.Context, specs []harness.RunSpec) ([]Evaluation, error) {
 	out := make([]Evaluation, len(specs))
-	var wg sync.WaitGroup
+	var run []harness.RunSpec
+	var at []int
 	for i, spec := range specs {
 		out[i].Spec = spec
-		key := spec.Key()
 		if e.Ses.Cached(spec) {
 			out[i].Cached = true
-		} else if e.St != nil {
-			if payload, ok := e.St.Get(key); ok {
-				if row, ok := harness.DecodeRow(payload, spec); ok {
-					out[i].Cached = true
-					out[i].Row = row
-					continue
-				}
-			}
+		} else if row := harness.LoadRow(e.St, spec.Key(), spec); row != nil {
+			out[i].Cached = true
+			out[i].Row = row
+			continue
 		}
-		wg.Add(1)
-		go func(i int, spec harness.RunSpec) {
-			defer wg.Done()
-			res, err := e.Ses.RunCtx(ctx, spec)
-			if err != nil {
-				out[i].Err = err.Error()
-				return
-			}
-			row := harness.NewRunRow(res)
-			out[i].Row = &row
-		}(i, spec)
+		run = append(run, spec)
+		at = append(at, i)
 	}
-	wg.Wait()
+	results, errs := e.Ses.RunEach(ctx, run)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if e.St != nil {
-		for i := range out {
-			if out[i].Row != nil && !out[i].Cached {
-				if payload, err := json.Marshal(*out[i].Row); err == nil {
-					// Store damage must not fail the search; a later run
-					// just recomputes.
-					_ = e.St.Put(out[i].Spec.Key(), payload)
-				}
-			}
+	for j, i := range at {
+		if errs[j] != nil {
+			out[i].Err = errs[j].Error()
+			continue
+		}
+		row := harness.NewRunRow(results[j])
+		out[i].Row = &row
+		if !out[i].Cached {
+			harness.SaveRow(e.St, run[j].Key(), &row)
 		}
 	}
 	return out, nil

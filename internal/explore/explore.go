@@ -162,10 +162,10 @@ type Progress struct {
 // two runs with the same request (and any store temperature) marshal to
 // identical bytes.
 type Report struct {
-	App        string     `json:"app"`
-	Scale      apps.Scale `json:"scale"`
-	Seed       uint64     `json:"seed"`
-	Budget     int64      `json:"budget"`
+	App    string     `json:"app"`
+	Scale  apps.Scale `json:"scale"`
+	Seed   uint64     `json:"seed"`
+	Budget int64      `json:"budget"`
 	// SeqCycles is the sequential-baseline cycle count every speedup
 	// divides by.
 	SeqCycles int64 `json:"seqCycles"`

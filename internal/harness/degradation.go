@@ -46,11 +46,11 @@ func FaultedSpec(spec RunSpec, seed uint64, dropPPM int64) RunSpec {
 }
 
 // DegradationSweep measures slowdown vs drop rate over app x protocol x
-// dropPPMs through the session's worker pool.  Every faulted run is
-// verified against the application's reference answer, so a point coming
-// back at all certifies the reliability machinery preserved correctness
-// at that fault rate.  Points are ordered app-major, then protocol, then
-// drop rate — deterministic regardless of execution parallelism.
+// dropPPMs through the session.  Every faulted run is verified against
+// the application's reference answer, so a point coming back at all
+// certifies the reliability machinery preserved correctness at that
+// fault rate.  Points are ordered app-major, then protocol, then drop
+// rate — deterministic regardless of execution parallelism.
 func (s *Session) DegradationSweep(appNames []string, protos []ProtocolKind, scale apps.Scale, procs int, seed uint64, dropPPMs []int64) ([]DegradationPoint, error) {
 	type slot struct {
 		app     string

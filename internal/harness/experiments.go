@@ -46,11 +46,6 @@ var Figure3Configs = []LayerConfig{
 	{"B+", "B"}, {"B", "B"}, {"A", "B"}, {"B", "O"}, {"A", "O"}, {"W", "O"},
 }
 
-// SynergyConfigs adds the halfway points used in the synergy analysis.
-var SynergyConfigs = []LayerConfig{
-	{"H", "O"}, {"A", "H"}, {"H", "B"}, {"B", "H"}, {"H", "H"},
-}
-
 // AppBar is one application's full Figure-3 bar group.
 type AppBar struct {
 	App     string
@@ -61,7 +56,7 @@ type AppBar struct {
 }
 
 // configSlot names one (protocol, layer-config) cell of a sweep, used
-// to map index-ordered runner results back to their labels.
+// to map index-ordered session results back to their labels.
 type configSlot struct {
 	prot  ProtocolKind
 	label string
@@ -140,16 +135,10 @@ func Figure3Specs(app string, scale apps.Scale, procs int, configs []LayerConfig
 }
 
 // Figure3 runs the speedup ladder for one application at the given
-// scale and processor count (one-off session; sweeps over several
-// figures should share a Session to reuse cached runs).
-func Figure3(app string, scale apps.Scale, procs int, configs []LayerConfig) (*AppBar, error) {
-	return NewSession(0).Figure3(app, scale, procs, configs)
-}
-
-// Figure3 runs the speedup ladder through the session's worker pool.
-// All runs — sequential baseline, ideal machine, and the protocol x
-// config grid — are scheduled at once; results are collected by index,
-// so the output is identical to the serial path.
+// scale and processor count.  All runs — sequential baseline, ideal
+// machine, and the protocol x config grid — are scheduled at once;
+// results are collected by index, so the output is identical at any
+// parallelism.
 func (s *Session) Figure3(app string, scale apps.Scale, procs int, configs []LayerConfig) (*AppBar, error) {
 	gridSpecs, slots, err := configSpecs(app, scale, procs, configs)
 	if err != nil {
@@ -214,14 +203,8 @@ type Figure4Row struct {
 	Cycles    int64
 }
 
-// Figure4 computes breakdowns for an application across configurations
-// (one-off session).
-func Figure4(app string, scale apps.Scale, procs int, configs []LayerConfig) ([]Figure4Row, error) {
-	return NewSession(0).Figure4(app, scale, procs, configs)
-}
-
-// Figure4 computes breakdowns through the session's worker pool; rows
-// come back in the same protocol x config order as the serial path.
+// Figure4 computes breakdowns for an application across configurations;
+// rows come back in protocol x config order.
 func (s *Session) Figure4(app string, scale apps.Scale, procs int, configs []LayerConfig) ([]Figure4Row, error) {
 	specs, slots, err := configSpecs(app, scale, procs, configs)
 	if err != nil {
@@ -320,16 +303,11 @@ func vary(base comm.Params, param string, num, den int64) comm.Params {
 }
 
 // Figure5 sweeps one communication parameter at a time (others at
-// achievable values), for both protocols (one-off session).
-func Figure5(app string, scale apps.Scale, procs int) ([]Figure5Point, error) {
-	return NewSession(0).Figure5(app, scale, procs)
-}
-
-// Figure5 runs the single-parameter sweeps through the session's worker
-// pool.  The baseline and every (protocol, parameter, factor) run are
-// scheduled together; the x1 point of each parameter is the same memo
-// key (the unmodified achievable Params), so the cache collapses those
-// duplicates to one run per protocol.
+// achievable values), for both protocols.  The baseline and every
+// (protocol, parameter, factor) run are scheduled together; the x1
+// point of each parameter is the same memo key (the unmodified
+// achievable Params), so the memo collapses those duplicates to one run
+// per protocol.
 func (s *Session) Figure5(app string, scale apps.Scale, procs int) ([]Figure5Point, error) {
 	factors := []struct {
 		label    string
@@ -389,29 +367,4 @@ func FormatFigure5(points []Figure5Point) string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// OriginalApps lists the original (non-restructured) applications in
-// Table 1 order.
-func OriginalApps() []string {
-	var out []string
-	for _, name := range apps.Names() {
-		info, _ := apps.Lookup(name)
-		if info.RestructuredOf == "" {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
-// RestructuredPairs maps original -> restructured app names.
-func RestructuredPairs() map[string]string {
-	out := map[string]string{}
-	for _, name := range apps.Names() {
-		info, _ := apps.Lookup(name)
-		if info.RestructuredOf != "" {
-			out[info.RestructuredOf] = name
-		}
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 
@@ -141,26 +140,6 @@ func WriteHotObjectsCSV(w io.Writer, p *trace.Profile, k int) error {
 	}
 	if err := writeSync("barrier", p.TopBarriers(k)); err != nil {
 		return err
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteTable4CSV emits the protocol-activity split.
-func WriteTable4CSV(w io.Writer, rows []Table4Row) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"app", "total_pct", "handler_pct", "diff_pct"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := cw.Write([]string{
-			r.App,
-			fmt.Sprintf("%.2f", r.TotalPct),
-			fmt.Sprintf("%.2f", r.HandlerPct),
-			fmt.Sprintf("%.2f", r.DiffPct),
-		}); err != nil {
-			return err
-		}
 	}
 	cw.Flush()
 	return cw.Error()

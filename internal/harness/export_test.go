@@ -48,14 +48,3 @@ func TestWriteFigure5CSV(t *testing.T) {
 		t.Fatalf("bad csv:\n%s", sb.String())
 	}
 }
-
-func TestWriteTable4CSV(t *testing.T) {
-	var sb strings.Builder
-	rows := []Table4Row{{App: "toy", TotalPct: 12.345, HandlerPct: 5, DiffPct: 7.3}}
-	if err := WriteTable4CSV(&sb, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "toy,12.35,5.00,7.30") {
-		t.Fatalf("bad csv:\n%s", sb.String())
-	}
-}

@@ -15,7 +15,7 @@ func TestFigure3One(t *testing.T) {
 		app = "fft"
 	}
 	start := time.Now()
-	bar, err := harness.Figure3(app, apps.Base, 16, harness.Figure3Configs)
+	bar, err := harness.NewSession(0).Figure3(app, apps.Base, 16, harness.Figure3Configs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,9 +68,9 @@ type HeteroPoint struct {
 }
 
 // HeterogeneitySweep measures every app x skew x placement x protocol
-// cell through the session's worker pool.  Points come back in
-// app-major, then skew, then placement, then protocol order —
-// deterministic regardless of execution parallelism.
+// cell through the session.  Points come back in app-major, then skew,
+// then placement, then protocol order — deterministic regardless of
+// execution parallelism.
 func (s *Session) HeterogeneitySweep(appNames []string, protos []ProtocolKind, scale apps.Scale, procs int, skews, placements []string) ([]HeteroPoint, error) {
 	type slot struct {
 		app, skew, placement string

@@ -6,6 +6,7 @@ import (
 
 	"swsm/internal/consistency"
 	"swsm/internal/stats"
+	"swsm/internal/store"
 )
 
 // RunRow is the machine-readable form of a Result: the one JSON shape
@@ -84,6 +85,33 @@ func DecodeRow(payload []byte, spec RunSpec) (*RunRow, bool) {
 		return nil, false
 	}
 	return &row, true
+}
+
+// LoadRow reads spec's row from the persistent store under key.  It
+// returns nil when st is nil, on a miss, and for an entry DecodeRow
+// refuses: the caller recomputes.
+func LoadRow(st *store.Store, key string, spec RunSpec) *RunRow {
+	if st == nil {
+		return nil
+	}
+	payload, ok := st.Get(key)
+	if !ok {
+		return nil
+	}
+	row, _ := DecodeRow(payload, spec)
+	return row
+}
+
+// SaveRow writes row to the persistent store under key (a no-op when st
+// is nil).  Store damage never fails the caller: a later reader just
+// recomputes.
+func SaveRow(st *store.Store, key string, row *RunRow) {
+	if st == nil {
+		return
+	}
+	if payload, err := json.Marshal(row); err == nil {
+		_ = st.Put(key, payload)
+	}
 }
 
 // WithSpeedup returns a copy of the row annotated with the sequential

@@ -1,13 +1,13 @@
 package harness
 
 import (
+	"context"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
-	"sync"
 
 	"swsm/internal/apps"
 	"swsm/internal/apps/litmus"
@@ -54,8 +54,8 @@ func LitmusSpec(seed uint64, prot ProtocolKind, scale apps.Scale, procs int) Run
 
 // LitmusSweep runs seeds baseSeed..baseSeed+n-1 against every protocol
 // and drop rate (PPM; 0 = the clean fabric), all checked, through the
-// session's worker pool.  Points come back in grid order — seed-major,
-// then protocol, then rate — regardless of execution parallelism.
+// session.  Points come back in grid order — seed-major, then protocol,
+// then rate — regardless of execution parallelism.
 // Consistency violations are reported in the point; any other failure
 // aborts the sweep.
 func (s *Session) LitmusSweep(baseSeed uint64, n int, protos []ProtocolKind, scale apps.Scale, procs int, dropPPMs []int64) ([]LitmusPoint, error) {
@@ -77,20 +77,9 @@ func (s *Session) LitmusSweep(baseSeed uint64, n int, protos []ProtocolKind, sca
 			}
 		}
 	}
-	// Fan out through the memoizing pool but keep per-point errors:
-	// unlike RunAll, a violation in one cell must not hide the rest of
-	// the ladder.
-	results := make([]*Result, len(specs))
-	errs := make([]error, len(specs))
-	var wg sync.WaitGroup
-	for i := range specs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = s.Run(specs[i])
-		}(i)
-	}
-	wg.Wait()
+	// Keep per-point errors: unlike RunAll, a violation in one cell
+	// must not hide the rest of the ladder.
+	results, errs := s.RunEach(context.Background(), specs)
 	for i := range pts {
 		if errs[i] != nil {
 			var v *consistency.Violation

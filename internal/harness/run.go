@@ -304,9 +304,3 @@ func SequentialBaseline(app string, scale apps.Scale, cacheEnabled bool) (int64,
 	}
 	return res.Cycles, nil
 }
-
-// Speedup runs spec and reports cycles(seq)/cycles(parallel), using a
-// one-off parallel session (spec and baseline run concurrently).
-func Speedup(spec RunSpec) (float64, *Result, error) {
-	return NewSession(0).Speedup(spec)
-}

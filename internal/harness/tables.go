@@ -90,13 +90,8 @@ type Table4Row struct {
 
 // Table4 measures the percentage of processor time spent in protocol
 // activity and its split into diff computation and handler execution
-// (HLRC, base configuration), for every application (one-off session).
-func Table4(scale apps.Scale, procs int) ([]Table4Row, error) {
-	return NewSession(0).Table4(scale, procs)
-}
-
-// Table4 runs every application's base-configuration HLRC run through
-// the session's worker pool; rows come back in apps.Names() order.
+// (HLRC, base configuration), for every application; rows come back in
+// apps.Names() order.
 func (s *Session) Table4(scale apps.Scale, procs int) ([]Table4Row, error) {
 	names := apps.Names()
 	specs := make([]RunSpec, len(names))
@@ -147,16 +142,10 @@ type Table5Row struct {
 	AO, AB, BO, HB, BB, BPlusB, Ideal float64
 }
 
-// Table5 computes the per-application summary for HLRC (one-off
-// session).
-func Table5(scale apps.Scale, procs int) ([]Table5Row, error) {
-	return NewSession(0).Table5(scale, procs)
-}
-
-// Table5 schedules every application's full run set — sequential
-// baseline, ideal machine, and the six-configuration HLRC ladder — in
-// one batch over the session's worker pool, then assembles the rows
-// from the index-ordered results.
+// Table5 computes the per-application summary for HLRC.  It schedules
+// every application's full run set — sequential baseline, ideal
+// machine, and the six-configuration HLRC ladder — in one batch over
+// the session, then assembles the rows from the index-ordered results.
 func (s *Session) Table5(scale apps.Scale, procs int) ([]Table5Row, error) {
 	ladder := []LayerConfig{{"A", "O"}, {"A", "B"}, {"B", "O"}, {"H", "B"}, {"B", "B"}, {"B+", "B"}}
 	names := apps.Names()

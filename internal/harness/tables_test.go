@@ -9,7 +9,7 @@ import (
 )
 
 func TestTable4ShapeHolds(t *testing.T) {
-	rows, err := harness.Table4(apps.Tiny, 8)
+	rows, err := harness.NewSession(0).Table4(apps.Tiny, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestTable4ShapeHolds(t *testing.T) {
 }
 
 func TestTable5Consistency(t *testing.T) {
-	rows, err := harness.Table5(apps.Tiny, 8)
+	rows, err := harness.NewSession(0).Table5(apps.Tiny, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"swsm/internal/apps"
 	"swsm/internal/explore"
 	"swsm/internal/harness"
-	"swsm/internal/harness/runner"
 	"swsm/internal/obs"
 	"swsm/internal/store"
 )
@@ -156,10 +155,9 @@ type Metrics struct {
 	// StoreHitRatio is Hits/(Hits+Misses).
 	Store         store.Stats `json:"store"`
 	StoreHitRatio float64     `json:"storeHitRatio"`
-	// Runner reports the in-process memoization pool underneath the
-	// scheduler (simulations actually executed, memo hits, coalesced
-	// waits).
-	Runner runner.Stats `json:"runner"`
+	// Runner reports the session memo underneath the scheduler
+	// (simulations actually executed, memo hits, coalesced waits).
+	Runner harness.Stats `json:"runner"`
 	// Process reports Go process health: uptime, goroutine count, heap
 	// residency and GC totals.  Added with the observability plane;
 	// older clients that don't know the field simply ignore it.

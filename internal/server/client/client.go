@@ -13,11 +13,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"swsm/internal/explore"
@@ -31,16 +31,11 @@ type Client struct {
 	// HTTP is the transport (http.DefaultClient if nil).
 	HTTP *http.Client
 	// Retries bounds re-submissions after 429 responses (default 10).
+	// Every retry delay is jittered over [d/2, d) so the explore
+	// optimizer's fan-out — dozens of clients told "Retry-After: 1" by
+	// the same busy daemon in the same instant — decorrelates instead of
+	// stampeding back in lockstep.
 	Retries int
-	// JitterSeed seeds the deterministic backoff jitter (tests pin it;
-	// 0 derives a per-client seed from the clock and a process-global
-	// counter).  Jitter spreads every retry delay over [d/2, d) so the
-	// explore optimizer's fan-out — dozens of clients told "Retry-After:
-	// 1" by the same busy daemon in the same instant — decorrelates
-	// instead of stampeding back in lockstep.
-	JitterSeed uint64
-
-	jitter atomic.Uint64 // splitmix64 state, lazily seeded
 }
 
 // New builds a client for the daemon at baseURL.
@@ -153,46 +148,6 @@ func StatusCode(err error) int {
 	return -1
 }
 
-// jitterClients decorrelates auto-derived seeds of clients created in
-// the same clock tick (the explore fan-out case).
-var jitterClients atomic.Uint64
-
-// splitmix64 is the finalizer of the splitmix64 generator (same mix the
-// fault layer and the explore search use).
-func splitmix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// nextJitter draws the client's next jitter word: a lock-free
-// splitmix64 stream seeded once per client.
-func (c *Client) nextJitter() uint64 {
-	for {
-		s := c.jitter.Load()
-		if s == 0 {
-			seed := c.JitterSeed
-			if seed == 0 {
-				seed = uint64(time.Now().UnixNano()) + jitterClients.Add(1)<<32
-			}
-			s = seed*0x9e3779b97f4a7c15 + 0x9e3779b97f4a7c15
-			if s == 0 {
-				s = 0x9e3779b97f4a7c15
-			}
-			if !c.jitter.CompareAndSwap(0, s) {
-				continue
-			}
-		}
-		next := s + 0x9e3779b97f4a7c15
-		if next == 0 { // state 0 means "unseeded"; skip over it
-			next = 0x9e3779b97f4a7c15
-		}
-		if c.jitter.CompareAndSwap(s, next) {
-			return splitmix64(s)
-		}
-	}
-}
-
 // jittered spreads a backoff delay over [d/2, d): never longer than the
 // daemon asked for, never synchronized with other clients.
 func jittered(d time.Duration, r uint64) time.Duration {
@@ -235,7 +190,7 @@ func (c *Client) withBackoff(ctx context.Context, fn func() error) error {
 		if be.transient {
 			delay = transientDelay(attempt)
 		}
-		delay = jittered(delay, c.nextJitter())
+		delay = jittered(delay, rand.Uint64())
 		select {
 		case <-time.After(delay):
 		case <-ctx.Done():

@@ -178,36 +178,3 @@ func TestJitteredRange(t *testing.T) {
 		t.Errorf("jittered(1ns) = %v", got)
 	}
 }
-
-func TestJitterDeterministicPerSeed(t *testing.T) {
-	draw := func(seed uint64, n int) []uint64 {
-		c := &Client{JitterSeed: seed}
-		out := make([]uint64, n)
-		for i := range out {
-			out[i] = c.nextJitter()
-		}
-		return out
-	}
-	a, b := draw(7, 16), draw(7, 16)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at draw %d: %d != %d", i, a[i], b[i])
-		}
-	}
-	c := draw(8, 16)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("seeds 7 and 8 produced identical streams")
-	}
-	// An unseeded client still jitters (auto-derived seed).
-	un := &Client{}
-	if x, y := un.nextJitter(), un.nextJitter(); x == y {
-		t.Error("auto-seeded stream repeated immediately")
-	}
-}

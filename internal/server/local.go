@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"log/slog"
 	"slices"
 	"sync"
@@ -170,7 +169,9 @@ func (s *Server) observeTerminal(j *Job) {
 		if j.state != api.StateFailed {
 			reason = "slo breach"
 		}
+		s.dumps.Add(1)
 		go func() {
+			defer s.dumps.Done()
 			if path, _ := s.flight.Dump(reason, j.id); path != "" {
 				s.met.flightDumps.Inc()
 				if s.log != nil {
@@ -190,13 +191,11 @@ func (s *Server) resolve(ctx context.Context, spec harness.RunSpec, sp *obs.Span
 	key := spec.Key()
 	if s.st != nil {
 		t0 := time.Now()
-		payload, ok := s.st.Get(key)
+		row := harness.LoadRow(s.st, key, spec)
 		s.met.storeGet.ObserveSince(t0)
 		sp.Add(prefix+obs.SpanStoreGet, t0, time.Now())
-		if ok {
-			if row, ok := harness.DecodeRow(payload, spec); ok {
-				return row, true, nil
-			}
+		if row != nil {
+			return row, true, nil
 		}
 	}
 	t0 := time.Now()
@@ -207,14 +206,10 @@ func (s *Server) resolve(ctx context.Context, spec harness.RunSpec, sp *obs.Span
 	}
 	row := harness.NewRunRow(res)
 	if s.st != nil {
-		if payload, err := json.Marshal(row); err == nil {
-			// Store damage must not fail the run; the next daemon just
-			// recomputes.
-			t0 := time.Now()
-			_ = s.st.Put(key, payload)
-			s.met.storePut.ObserveSince(t0)
-			sp.Add(prefix+obs.SpanStorePut, t0, time.Now())
-		}
+		t0 := time.Now()
+		harness.SaveRow(s.st, key, &row)
+		s.met.storePut.ObserveSince(t0)
+		sp.Add(prefix+obs.SpanStorePut, t0, time.Now())
 	}
 	return &row, false, nil
 }

@@ -13,9 +13,9 @@ import (
 // bridged to state that already has a synchronized source of truth
 // (queue depth, store stats, runner stats, the Go runtime).
 //
-// It also implements runner.Observer, so the memoization pool under the
-// session reports per-simulation slot wait and run duration without the
-// harness knowing about Prometheus.
+// It also implements harness.Observer, so the session reports
+// per-simulation slot wait and run duration without the harness
+// knowing about Prometheus.
 type svmdMetrics struct {
 	reg *obs.Registry
 
@@ -208,7 +208,7 @@ func (m *svmdMetrics) registerServer(s *Server) {
 		explored(func(x *exploration) int { return len(x.frontier) }))
 }
 
-// RunStart / RunEnd implement runner.Observer for the session pool.
+// RunStart / RunEnd implement harness.Observer for the session.
 func (m *svmdMetrics) RunStart(queueWait time.Duration) {
 	m.simSlot.Observe(queueWait.Seconds())
 }

@@ -9,9 +9,9 @@
 //
 //  1. The persistent store (internal/store), keyed by the stable
 //     versioned RunSpec content key — survives restarts.
-//  2. The in-process memoization pool (harness/runner) underneath the
-//     session — deduplicates everything the daemon computed this
-//     lifetime, including sequential baselines shared across requests.
+//  2. The in-process memo of the harness.Session — deduplicates
+//     everything the daemon computed this lifetime, including
+//     sequential baselines shared across requests.
 //  3. Single-flight job coalescing at the HTTP layer — N identical
 //     concurrent POSTs attach to one job and therefore one simulation.
 //
@@ -38,7 +38,6 @@ import (
 
 	"swsm/internal/apps"
 	"swsm/internal/harness"
-	"swsm/internal/harness/runner"
 	"swsm/internal/obs"
 	"swsm/internal/server/api"
 	"swsm/internal/store"
@@ -198,6 +197,9 @@ type Server struct {
 	met      *svmdMetrics
 	log      *slog.Logger // nil = service logging disabled
 	flight   *obs.Flight
+	// dumps counts async flight-recorder dumps still writing; Drain
+	// waits for them so a dump is never cut off by exit.
+	dumps sync.WaitGroup
 	// runFn executes one spec; tests substitute it to make scheduling
 	// behavior (backpressure, cancellation) deterministic.
 	runFn func(context.Context, harness.RunSpec) (*harness.Result, error)
@@ -263,9 +265,7 @@ func NewWith(cfg Config, mk func(*Server) Executor) (*Server, error) {
 		stateCount: make(map[string]int),
 		start:      start,
 	}
-	s.runFn = func(ctx context.Context, spec harness.RunSpec) (*harness.Result, error) {
-		return s.ses.RunCtx(ctx, spec)
-	}
+	s.runFn = s.ses.RunCtx
 	s.ses.SetObserver(met)
 	met.registerServer(s)
 	s.executor = mk(s)
@@ -274,7 +274,7 @@ func NewWith(cfg Config, mk func(*Server) Executor) (*Server, error) {
 
 // RunnerStats exposes the in-process memoization counters (simulations
 // actually executed, memo hits, coalesced waits).
-func (s *Server) RunnerStats() runner.Stats { return s.ses.Stats() }
+func (s *Server) RunnerStats() harness.Stats { return s.ses.Stats() }
 
 // StoreStats exposes the persistent store's counters (zero value when
 // persistence is disabled).
@@ -327,7 +327,7 @@ func (s *Server) SetRunFunc(fn func(context.Context, harness.RunSpec) (*harness.
 }
 
 // SimsInFlight reports how many simulations currently occupy a
-// memoization-pool slot; Parallelism() - SimsInFlight() is the node's
+// session worker slot; Parallelism() - SimsInFlight() is the node's
 // idle capacity, which the cluster worker agent uses to size its lease
 // requests.
 func (s *Server) SimsInFlight() int { return s.ses.InFlight() }
@@ -726,6 +726,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		<-x.done
 	}
 	err := s.executor.Close(ctx)
+	s.dumps.Wait()
 	s.baseCancel()
 	s.bus.Close()
 	return err

@@ -50,7 +50,6 @@ import (
 	"swsm/internal/explore"
 	"swsm/internal/fault"
 	"swsm/internal/harness"
-	"swsm/internal/harness/runner"
 	"swsm/internal/hetero"
 	"swsm/internal/proto"
 	"swsm/internal/proto/hlrc"
@@ -191,7 +190,7 @@ var (
 )
 
 // Session is a sweep session: it fans independent runs over a bounded
-// worker pool and memoizes every run by its RunSpec, so a configuration
+// number of workers and memoizes every run by its RunSpec, so a configuration
 // executes at most once per session no matter how many figures and
 // tables request it.  Each figure/table helper exists as a Session
 // method; the package-level functions are one-off sessions.
@@ -199,14 +198,16 @@ type Session = harness.Session
 
 // SweepStats are a Session's cache counters (runs executed, cache hits,
 // single-flight waits).
-type SweepStats = runner.Stats
+type SweepStats = harness.Stats
 
 // NewSession creates a sweep session running at most parallel
 // simulations concurrently (0 = one per available CPU).
 func NewSession(parallel int) *Session { return harness.NewSession(parallel) }
 
 // Speedup runs spec and reports speedup over the sequential baseline.
-func Speedup(spec RunSpec) (float64, *Result, error) { return harness.Speedup(spec) }
+func Speedup(spec RunSpec) (float64, *Result, error) {
+	return harness.NewSession(0).Speedup(spec)
+}
 
 // SequentialBaseline reports the one-processor ideal-machine cycle count
 // used as every speedup's denominator.
@@ -216,31 +217,39 @@ func SequentialBaseline(app string, scale Scale) (int64, error) {
 
 // Figure3 reproduces the paper's Figure 3 speedup ladder for one app.
 func Figure3(app string, scale Scale, procs int) (*harness.AppBar, error) {
-	return harness.Figure3(app, scale, procs, harness.Figure3Configs)
+	return harness.NewSession(0).Figure3(app, scale, procs, harness.Figure3Configs)
 }
 
 // Figure4 reproduces the paper's Figure 4 execution-time breakdowns.
 func Figure4(app string, scale Scale, procs int) ([]harness.Figure4Row, error) {
-	return harness.Figure4(app, scale, procs, harness.Figure3Configs)
+	return harness.NewSession(0).Figure4(app, scale, procs, harness.Figure3Configs)
 }
 
 // Figure5 reproduces the paper's Figure 5 single-communication-parameter
 // sweeps.
 func Figure5(app string, scale Scale, procs int) ([]harness.Figure5Point, error) {
-	return harness.Figure5(app, scale, procs)
+	return harness.NewSession(0).Figure5(app, scale, procs)
 }
 
-// Tables 1-3 render the static configuration tables; Table4 and Table5
-// run the measurements behind the paper's Tables 4 and 5.
+// Tables 1-3 render the static configuration tables.
 var (
 	Table1       = harness.Table1
 	Table2       = harness.Table2
 	Table3       = harness.Table3
-	Table4       = harness.Table4
-	Table5       = harness.Table5
 	FormatTable4 = harness.FormatTable4
 	FormatTable5 = harness.FormatTable5
 )
+
+// Table4 measures the paper's Table 4: protocol activity as a share of
+// processor time, with its diff/handler split.
+func Table4(scale Scale, procs int) ([]harness.Table4Row, error) {
+	return harness.NewSession(0).Table4(scale, procs)
+}
+
+// Table5 measures the paper's Table 5 per-application HLRC summary.
+func Table5(scale Scale, procs int) ([]harness.Table5Row, error) {
+	return harness.NewSession(0).Table5(scale, procs)
+}
 
 // Formatting helpers for the figure reproductions.
 var (
