@@ -124,6 +124,18 @@ type Point struct {
 	Eval int `json:"eval"`
 }
 
+// FrontierTable holds the frontier: one row per Pareto point in
+// discovery order, cost and speedup both non-decreasing down the table.
+// The content key column makes every row resolvable from the persistent
+// store.
+func FrontierTable(frontier []Point) *harness.Table {
+	t := &harness.Table{Columns: []string{"eval", "cost_cycles", "speedup", "cycles", "label", "key"}}
+	for _, p := range frontier {
+		t.Rows = append(t.Rows, []any{p.Eval, p.CostCycles, harness.Float{V: p.Speedup, Prec: 4}, p.Cycles, p.Label, p.Key})
+	}
+	return t
+}
+
 // Progress is a per-batch snapshot of a running exploration.
 type Progress struct {
 	// Phase is the search phase that produced the batch: "baseline",

@@ -336,7 +336,7 @@ func TestSpaceHeteroDims(t *testing.T) {
 func TestWriteFrontierCSV(t *testing.T) {
 	var b strings.Builder
 	pts := []Point{{Key: "v1-abc", Label: "hlrc/BO/p4", Cycles: 100, Speedup: 2.5, CostCycles: 400, Eval: 3}}
-	if err := WriteFrontierCSV(&b, pts); err != nil {
+	if err := FrontierTable(pts).WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	want := "eval,cost_cycles,speedup,cycles,label,key\n3,400,2.5000,100,hlrc/BO/p4,v1-abc\n"

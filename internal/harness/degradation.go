@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
@@ -125,26 +123,18 @@ func FormatDegradation(points []DegradationPoint) string {
 	return sb.String()
 }
 
-// WriteDegradationCSV emits one row per sweep point:
+// DegradationTable holds one row per sweep point:
 // app,protocol,drop_ppm,cycles,base_cycles,slowdown_pct,retransmits,drops,acks,dups.
-func WriteDegradationCSV(w io.Writer, points []DegradationPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
+func DegradationTable(points []DegradationPoint) *Table {
+	t := &Table{Columns: []string{
 		"app", "protocol", "drop_ppm", "cycles", "base_cycles",
 		"slowdown_pct", "retransmits", "drops", "acks", "dups",
-	}); err != nil {
-		return err
-	}
-	n := func(v int64) string { return strconv.FormatInt(v, 10) }
+	}}
 	for _, p := range points {
-		if err := cw.Write([]string{
-			p.App, string(p.Proto), n(p.DropPPM), n(p.Cycles), n(p.BaseCycles),
-			strconv.FormatFloat(p.SlowdownPct, 'f', 4, 64),
-			n(p.Retransmits), n(p.Drops), n(p.Acks), n(p.Dups),
-		}); err != nil {
-			return err
-		}
+		t.Rows = append(t.Rows, []any{
+			p.App, string(p.Proto), p.DropPPM, p.Cycles, p.BaseCycles,
+			Float{p.SlowdownPct, 4}, p.Retransmits, p.Drops, p.Acks, p.Dups,
+		})
 	}
-	cw.Flush()
-	return cw.Error()
+	return t
 }

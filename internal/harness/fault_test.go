@@ -175,7 +175,7 @@ func TestDegradationSweep(t *testing.T) {
 		t.Fatal("2% drops induced no retransmissions")
 	}
 	var buf bytes.Buffer
-	if err := harness.WriteDegradationCSV(&buf, points); err != nil {
+	if err := harness.DegradationTable(points).WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := bytes.Count(buf.Bytes(), []byte("\n")); got != 3 {

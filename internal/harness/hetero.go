@@ -1,10 +1,7 @@
 package harness
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
-	"strconv"
 	"strings"
 
 	"swsm/internal/apps"
@@ -201,38 +198,29 @@ func FormatHeterogeneity(points []HeteroPoint) string {
 	return sb.String()
 }
 
-// WriteHeterogeneityCSV emits one row per sweep point:
+// HeterogeneityTable holds one row per sweep point:
 // app,skew,placement,protocol,cycles,speedup,pages_rehomed,pages_demoted,
 // uniform_best,flipped.  The last two columns carry the verdict of the
 // point's (app, placement, skew) cell so a flip is visible on the row
-// itself.
-func WriteHeterogeneityCSV(w io.Writer, points []HeteroPoint) error {
+// itself; both are empty for a cell without a verdict.
+func HeterogeneityTable(points []HeteroPoint) *Table {
 	verdicts := make(map[[3]string]HeteroFlip)
 	for _, f := range HeteroVerdicts(points) {
 		verdicts[[3]string{f.App, f.Skew, f.Placement}] = f
 	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
+	t := &Table{Columns: []string{
 		"app", "skew", "placement", "protocol", "cycles", "speedup",
 		"pages_rehomed", "pages_demoted", "uniform_best", "flipped",
-	}); err != nil {
-		return err
-	}
-	n := func(v int64) string { return strconv.FormatInt(v, 10) }
+	}}
 	for _, p := range points {
-		uniBest, flipped := "", ""
+		var uniBest, flipped any = "", ""
 		if f, ok := verdicts[[3]string{p.App, p.Skew, p.Placement}]; ok {
-			uniBest = string(f.UniformBest)
-			flipped = strconv.FormatBool(f.Flipped)
+			uniBest, flipped = string(f.UniformBest), f.Flipped
 		}
-		if err := cw.Write([]string{
-			p.App, p.Skew, p.Placement, string(p.Proto), n(p.Cycles),
-			strconv.FormatFloat(p.Speedup, 'f', 4, 64),
-			n(p.Rehomed), n(p.Demoted), uniBest, flipped,
-		}); err != nil {
-			return err
-		}
+		t.Rows = append(t.Rows, []any{
+			p.App, p.Skew, p.Placement, string(p.Proto), p.Cycles, Float{p.Speedup, 4},
+			p.Rehomed, p.Demoted, uniBest, flipped,
+		})
 	}
-	cw.Flush()
-	return cw.Error()
+	return t
 }

@@ -82,7 +82,7 @@ func heteroSweepCSV(t *testing.T, parallel int) ([]harness.HeteroPoint, []byte, 
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := harness.WriteHeterogeneityCSV(&buf, points); err != nil {
+	if err := harness.HeterogeneityTable(points).WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return points, buf.Bytes(), s
@@ -114,7 +114,7 @@ func TestHeteroSweepDeterministicAndWarm(t *testing.T) {
 		t.Fatalf("warm replay simulated %d fresh runs, want 0", fresh)
 	}
 	var buf bytes.Buffer
-	if err := harness.WriteHeterogeneityCSV(&buf, points); err != nil {
+	if err := harness.HeterogeneityTable(points).WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), csv1) {

@@ -2,11 +2,8 @@ package harness
 
 import (
 	"context"
-	"encoding/csv"
 	"errors"
 	"fmt"
-	"io"
-	"strconv"
 	"strings"
 
 	"swsm/internal/apps"
@@ -136,24 +133,16 @@ func FormatLitmus(points []LitmusPoint) string {
 	return sb.String()
 }
 
-// WriteLitmusCSV emits one row per point:
+// LitmusTable holds one row per point:
 // seed,protocol,drop_ppm,cycles,loads,stores,sync_ops,conforms.
-func WriteLitmusCSV(w io.Writer, points []LitmusPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
+func LitmusTable(points []LitmusPoint) *Table {
+	t := &Table{Columns: []string{
 		"seed", "protocol", "drop_ppm", "cycles", "loads", "stores", "sync_ops", "conforms",
-	}); err != nil {
-		return err
-	}
-	n := func(v int64) string { return strconv.FormatInt(v, 10) }
+	}}
 	for _, p := range points {
-		if err := cw.Write([]string{
-			strconv.FormatUint(p.Seed, 10), string(p.Proto), n(p.DropPPM), n(p.Cycles),
-			n(p.Loads), n(p.Stores), n(p.SyncOps), strconv.FormatBool(p.Conforms()),
-		}); err != nil {
-			return err
-		}
+		t.Rows = append(t.Rows, []any{
+			p.Seed, string(p.Proto), p.DropPPM, p.Cycles, p.Loads, p.Stores, p.SyncOps, p.Conforms(),
+		})
 	}
-	cw.Flush()
-	return cw.Error()
+	return t
 }

@@ -130,7 +130,7 @@ func runLadder(t *testing.T, parallel int) []byte {
 		}
 	}
 	var buf bytes.Buffer
-	if err := harness.WriteLitmusCSV(&buf, points); err != nil {
+	if err := harness.LitmusTable(points).WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

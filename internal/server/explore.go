@@ -311,6 +311,6 @@ func (s *Server) handleExploreFrontier(w http.ResponseWriter, r *http.Request) {
 	if x := s.explorationByID(w, r); x != nil {
 		st := s.exploreStatus(r.Context(), x, false)
 		w.Header().Set("Content-Type", "text/csv")
-		explore.WriteFrontierCSV(w, st.Frontier)
+		explore.FrontierTable(st.Frontier).WriteCSV(w)
 	}
 }

@@ -42,6 +42,8 @@
 package swsm
 
 import (
+	"io"
+
 	"swsm/internal/apps"
 	"swsm/internal/apps/litmus"
 	"swsm/internal/comm"
@@ -282,13 +284,23 @@ var (
 	WriteJSONLTrace       = trace.WriteJSONL
 )
 
-// Observability CSV exports and traced-sweep helpers.
+// Traced-sweep helpers.
 var (
-	WriteBreakdownTimelineCSV = harness.WriteBreakdownTimelineCSV
-	WriteHotObjectsCSV        = harness.WriteHotObjectsCSV
-	TracedConfigSpecs         = harness.TracedConfigSpecs
-	TraceRuns                 = harness.TraceRuns
+	TracedConfigSpecs = harness.TracedConfigSpecs
+	TraceRuns         = harness.TraceRuns
 )
+
+// WriteBreakdownTimelineCSV exports a traced run's breakdown time series,
+// one row per sample.
+func WriteBreakdownTimelineCSV(w io.Writer, samples []trace.Sample) error {
+	return harness.BreakdownTimelineTable(samples).WriteCSV(w)
+}
+
+// WriteHotObjectsCSV exports a traced run's top k pages, locks and
+// barriers, hottest first (all if k <= 0).
+func WriteHotObjectsCSV(w io.Writer, p *trace.Profile, k int) error {
+	return harness.HotObjectsTable(p, k).WriteCSV(w)
+}
 
 // Closed-loop auto-tuning: Explore adaptively searches the configuration
 // space of one application (protocol x communication set x cost set x
@@ -313,12 +325,13 @@ type (
 	SessionEvaluator = explore.SessionEvaluator
 )
 
-// Explore runs one auto-tuning search to completion; WriteFrontierCSV
-// exports a frontier in the svmbench/svmd CSV schema.
-var (
-	Explore          = explore.Run
-	WriteFrontierCSV = explore.WriteFrontierCSV
-)
+// Explore runs one auto-tuning search to completion.
+var Explore = explore.Run
+
+// WriteFrontierCSV exports a frontier in the svmbench/svmd CSV schema.
+func WriteFrontierCSV(w io.Writer, frontier []ExplorePoint) error {
+	return explore.FrontierTable(frontier).WriteCSV(w)
+}
 
 // Fault injection and graceful degradation: set RunSpec.Fault and the
 // machine routes every protocol message through a reliable transport
@@ -345,10 +358,14 @@ const FaultPPM = fault.PPM
 // plan to a spec; Session.DegradationSweep measures slowdown vs drop
 // rate across app x protocol; the formatters render/export the points.
 var (
-	FaultedSpec         = harness.FaultedSpec
-	FormatDegradation   = harness.FormatDegradation
-	WriteDegradationCSV = harness.WriteDegradationCSV
+	FaultedSpec       = harness.FaultedSpec
+	FormatDegradation = harness.FormatDegradation
 )
+
+// WriteDegradationCSV exports degradation-sweep points, one row each.
+func WriteDegradationCSV(w io.Writer, points []DegradationPoint) error {
+	return harness.DegradationTable(points).WriteCSV(w)
+}
 
 // Heterogeneous clusters: set RunSpec.Hetero and every node gets its own
 // machine model (CPU, accelerator and link-speed multipliers as exact
@@ -378,14 +395,19 @@ const (
 // Heterogeneity-sweep helpers: presets and placement policies by name,
 // spec composition, the verdict table, and the render/export paths.
 var (
-	HeteroPresetNames     = hetero.PresetNames
-	HeteroPresetByName    = hetero.PresetByName
-	HeteroPlacementNames  = harness.PlacementNames
-	ComposeHeteroSpec     = harness.HeteroSpec
-	HeteroVerdicts        = harness.HeteroVerdicts
-	FormatHeterogeneity   = harness.FormatHeterogeneity
-	WriteHeterogeneityCSV = harness.WriteHeterogeneityCSV
+	HeteroPresetNames    = hetero.PresetNames
+	HeteroPresetByName   = hetero.PresetByName
+	HeteroPlacementNames = harness.PlacementNames
+	ComposeHeteroSpec    = harness.HeteroSpec
+	HeteroVerdicts       = harness.HeteroVerdicts
+	FormatHeterogeneity  = harness.FormatHeterogeneity
 )
+
+// WriteHeterogeneityCSV exports heterogeneity-sweep points, one row each
+// with its cell's verdict.
+func WriteHeterogeneityCSV(w io.Writer, points []HeteroPoint) error {
+	return harness.HeterogeneityTable(points).WriteCSV(w)
+}
 
 // Consistency conformance checking: set RunSpec.Check and every load of
 // the run is verified against the writes the protocol's declared memory
@@ -425,5 +447,9 @@ var (
 	LitmusSpec     = harness.LitmusSpec
 	ShrinkLitmus   = harness.ShrinkLitmus
 	FormatLitmus   = harness.FormatLitmus
-	WriteLitmusCSV = harness.WriteLitmusCSV
 )
+
+// WriteLitmusCSV exports litmus-sweep points, one row each.
+func WriteLitmusCSV(w io.Writer, points []LitmusPoint) error {
+	return harness.LitmusTable(points).WriteCSV(w)
+}
