@@ -363,17 +363,7 @@ func writeTraceOutputs(notices io.Writer, res *swsm.Result, chromePath, jsonlPat
 		fmt.Fprintf(notices, "  timeline: %s (%d samples)\n", timelinePath, len(d.Samples))
 	}
 	if hotK > 0 && d.Hot != nil {
-		fmt.Fprintf(notices, "  hot objects (top %d):\n", hotK)
-		for _, p := range d.Hot.TopPages(hotK) {
-			fmt.Fprintf(notices, "    page %6d: faults %d, fetches %d (wait %d cy), diffs %d (%d B), twins %d, invals %d\n",
-				p.ID, p.Faults, p.Fetches, p.FetchWait, p.Diffs, p.DiffBytes, p.Twins, p.Invals)
-		}
-		for _, l := range d.Hot.TopLocks(hotK) {
-			fmt.Fprintf(notices, "    lock %6d: acquires %d, wait %d cy\n", l.ID, l.Count, l.Wait)
-		}
-		for _, b := range d.Hot.TopBarriers(hotK) {
-			fmt.Fprintf(notices, "    barrier %4d: episodes %d, wait %d cy\n", b.ID, b.Count, b.Wait)
-		}
+		fmt.Fprintf(notices, "%s hot objects (top %d):\n%s", label, hotK, harness.FormatHotObjects(d.Hot, hotK))
 	}
 	return nil
 }
