@@ -7,49 +7,32 @@ import (
 	"strconv"
 	"strings"
 
-	"swsm"
+	"swsm/internal/cli"
 	"swsm/internal/explore"
 	"swsm/internal/harness"
 	"swsm/internal/server/api"
-	"swsm/internal/server/client"
 	"swsm/internal/store"
 )
-
-// exploreOpts collects the -explore* flags.
-type exploreOpts struct {
-	app       string
-	scale     swsm.Scale
-	budget    int64
-	seed      uint64
-	points    int
-	width     int
-	protocols string
-	procs     string
-	storeDir  string
-	serverURL string
-	jsonOut   bool
-	csvPath   string
-}
 
 // runExplore drives one auto-tuning search, locally through the shared
 // session (optionally backed by a persistent store) or remotely through
 // a svmd daemon/coordinator, then prints the Pareto frontier.
-func runExplore(ses *swsm.Session, opts exploreOpts) error {
+func (r *request) runExplore(ctx context.Context) error {
 	req := explore.Request{
-		App:        opts.app,
-		Scale:      opts.scale,
-		Budget:     opts.budget,
-		Seed:       opts.seed,
-		SeedPoints: opts.points,
-		Width:      opts.width,
+		App:        r.exploreApp,
+		Scale:      r.scale,
+		Budget:     r.exploreBudget,
+		Seed:       r.exploreSeed,
+		SeedPoints: r.explorePoints,
+		Width:      r.exploreWidth,
 	}
-	if opts.protocols != "" {
-		for _, p := range strings.Split(opts.protocols, ",") {
+	if r.exploreProtos != "" {
+		for _, p := range strings.Split(r.exploreProtos, ",") {
 			req.Space.Protocols = append(req.Space.Protocols, harness.ProtocolKind(strings.TrimSpace(p)))
 		}
 	}
-	if opts.procs != "" {
-		for _, p := range strings.Split(opts.procs, ",") {
+	if r.exploreProcs != "" {
+		for _, p := range strings.Split(r.exploreProcs, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(p))
 			if err != nil {
 				return fmt.Errorf("bad -explore-procs entry %q: %v", p, err)
@@ -58,65 +41,61 @@ func runExplore(ses *swsm.Session, opts exploreOpts) error {
 		}
 	}
 
-	if opts.serverURL != "" {
-		return runExploreRemote(opts, req)
-	}
-
-	var st *store.Store
-	if opts.storeDir != "" {
-		var err error
-		if st, err = store.Open(opts.storeDir, 0); err != nil {
+	// The search's JSON form, its title, counts and frontier, from the
+	// daemon or from the local run.
+	var (
+		out      any
+		title    string
+		p        explore.Progress
+		frontier []explore.Point
+	)
+	if r.client != nil {
+		st, err := r.client.Explore(ctx, req)
+		if err != nil {
 			return err
 		}
+		if st.State != api.StateDone {
+			return fmt.Errorf("exploration %s ended %s: %s", st.ID, st.State, st.Error)
+		}
+		out, p, frontier = st, st.Progress, st.Frontier
+		p.Budget = st.Budget
+		title = fmt.Sprintf("Explore %s (remote %s, id %s, seed %d): %s", st.App, r.server, st.ID, st.Seed, st.Stopped)
+	} else {
+		var st *store.Store
+		if r.exploreStore != "" {
+			var err error
+			if st, err = store.Open(r.exploreStore, 0); err != nil {
+				return err
+			}
+		}
+		progress := func(p explore.Progress) {
+			fmt.Fprintf(os.Stderr, "[explore] %-8s batch %3d: evaluated %3d (sims %3d, cached %3d), best speedup %6.2f, spent %d cycles\n",
+				p.Phase, p.Batches, p.Evaluated, p.SimsRun, p.CachedHits, p.BestSpeedup, p.SpentCycles)
+		}
+		rep, err := explore.Run(ctx, req, explore.SessionEvaluator{Ses: r.ses, St: st}, progress)
+		if err != nil {
+			return err
+		}
+		out, frontier = rep, rep.Frontier
+		p = explore.Progress{Batches: rep.Batches, Evaluated: rep.Evaluated, SimsRun: rep.SimsRun, CachedHits: rep.CachedHits,
+			Errors: rep.Errors, CostCycles: rep.CostCycles, SpentCycles: rep.SpentCycles, Budget: rep.Budget}
+		title = fmt.Sprintf("Explore %s (scale %d, seed %d): %s", rep.App, int(rep.Scale), rep.Seed, rep.Stopped)
 	}
-	progress := func(p explore.Progress) {
-		fmt.Fprintf(os.Stderr, "[explore] %-8s batch %3d: evaluated %3d (sims %3d, cached %3d), best speedup %6.2f, spent %d cycles\n",
-			p.Phase, p.Batches, p.Evaluated, p.SimsRun, p.CachedHits, p.BestSpeedup, p.SpentCycles)
-	}
-	rep, err := explore.Run(context.Background(), req, explore.SessionEvaluator{Ses: ses, St: st}, progress)
-	if err != nil {
-		return err
-	}
-	if opts.jsonOut {
-		if err := printJSON(rep); err != nil {
+	if r.json {
+		if err := printJSON(out); err != nil {
 			return err
 		}
 	} else {
-		fmt.Printf("Explore %s (scale %d, seed %d): %s after %d evaluations (%d simulated, %d cached, %d failed) in %d batches\n",
-			rep.App, int(rep.Scale), rep.Seed, rep.Stopped,
-			rep.Evaluated, rep.SimsRun, rep.CachedHits, rep.Errors, rep.Batches)
+		fmt.Printf("%s after %d evaluations (%d simulated, %d cached, %d failed) in %d batches\n",
+			title, p.Evaluated, p.SimsRun, p.CachedHits, p.Errors, p.Batches)
 		fmt.Printf("Budget: spent %d fresh-simulation cycles (budget %d); total simulated cost %d cycles\n",
-			rep.SpentCycles, rep.Budget, rep.CostCycles)
-		printFrontier(rep.Frontier)
+			p.SpentCycles, p.Budget, p.CostCycles)
+		printFrontier(frontier)
 	}
-	return writeFrontierCSV(opts.csvPath, rep.Frontier)
-}
-
-// runExploreRemote submits the search to a daemon/coordinator and
-// blocks until it finishes.
-func runExploreRemote(opts exploreOpts, req explore.Request) error {
-	cl := client.New(opts.serverURL)
-	st, err := cl.Explore(context.Background(), req)
-	if err != nil {
-		return err
+	if r.csv == "" {
+		return nil
 	}
-	if st.State != api.StateDone {
-		return fmt.Errorf("exploration %s ended %s: %s", st.ID, st.State, st.Error)
-	}
-	if opts.jsonOut {
-		if err := printJSON(st); err != nil {
-			return err
-		}
-	} else {
-		p := st.Progress
-		fmt.Printf("Explore %s (remote %s, id %s, seed %d): %s after %d evaluations (%d simulated, %d cached, %d failed) in %d batches\n",
-			st.App, opts.serverURL, st.ID, st.Seed, st.Stopped,
-			p.Evaluated, p.SimsRun, p.CachedHits, p.Errors, p.Batches)
-		fmt.Printf("Budget: spent %d fresh-simulation cycles (budget %d); total simulated cost %d cycles\n",
-			p.SpentCycles, st.Budget, p.CostCycles)
-		printFrontier(st.Frontier)
-	}
-	return writeFrontierCSV(opts.csvPath, st.Frontier)
+	return cli.WriteCSV(os.Stdout, r.csv, explore.FrontierTable(frontier))
 }
 
 // printFrontier renders the Pareto frontier, best configuration last.
@@ -132,11 +111,4 @@ func printFrontier(frontier []explore.Point) {
 	}
 	best := frontier[len(frontier)-1]
 	fmt.Printf("Best: %s (speedup %.2f, key %s)\n", best.Label, best.Speedup, best.Key)
-}
-
-func writeFrontierCSV(path string, frontier []explore.Point) error {
-	if path == "" {
-		return nil
-	}
-	return writeCSVFile(path, explore.FrontierTable(frontier))
 }

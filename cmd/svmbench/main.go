@@ -8,6 +8,11 @@
 // deterministic regardless of -parallel: results are collected by
 // index, never by completion order.
 //
+// Every requested output runs, in a fixed order, or the command exits 2
+// before any runs: -json, -server and -csv must fit the outputs
+// requested, and a flag that none of them reads is rejected.  Figure 3
+// prints the same report in process and through an svmd daemon.
+//
 // Examples:
 //
 //	svmbench -table 4
@@ -21,78 +26,225 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"swsm"
+	"swsm/internal/apps"
+	"swsm/internal/cli"
 	"swsm/internal/harness"
 	"swsm/internal/server/api"
 	"swsm/internal/server/client"
 )
 
-func main() {
-	var (
-		table    = flag.Int("table", 0, "regenerate table N (1-5)")
-		figure   = flag.Int("figure", 0, "regenerate figure N (3-5)")
-		all      = flag.Bool("all", false, "regenerate everything")
-		validate = flag.Bool("validate", false, "run the simulator-validation microbenchmarks (Appendix)")
-		appsCS   = flag.String("apps", "", "comma-separated application subset (default: all)")
-		procs    = flag.Int("procs", 16, "processor count")
-		scale    = flag.String("scale", "base", "problem scale: tiny, base, large")
-		csvPath  = flag.String("csv", "", "also write figure data as CSV to this file")
-		parallel = flag.Int("parallel", 0, "max concurrent simulations (0 = one per CPU)")
-		jsonOut  = flag.Bool("json", false, "with -figure 3: print the grid as machine-readable JSON rows instead of tables")
-		server   = flag.String("server", "", "with -figure 3: resolve the grid through a svmd daemon at this URL")
+// reads maps each output to the flags it reads.  A flag listed here is
+// rejected when no requested output reads it (cli.CheckFlags); -json,
+// -server and -csv have rules of their own (see parseArgs).  With
+// -server, figure 3 and explore are named remote-figure3 and
+// remote-explore: a remote run reads fewer flags.
+var reads = map[string]string{
+	"table4":         sized,
+	"table5":         sized,
+	"figure3":        sized + " apps",
+	"figure4":        sized + " apps",
+	"figure5":        sized + " apps",
+	"remote-figure3": sized + " apps",
+	"trace":          sized + " apps trace-sample",
+	"degradation":    sized + " apps drops fault-seed",
+	"litmus":         sized + " litmus-seed litmus-drops",
+	"hetero":         sized + " apps skews placements",
+	"explore":        search + " parallel explore-store",
+	"remote-explore": search,
+}
 
-		traceOut    = flag.String("trace", "", "write a multi-run Chrome trace of the figure-3 config ladder to this file")
-		traceSample = flag.Int64("trace-sample", 0, "sample the breakdown every N cycles in traced runs")
-		hotK        = flag.Int("hot", 0, "print the top K hot pages/locks/barriers per traced run")
+const (
+	sized  = "procs scale parallel"
+	search = "scale explore-budget explore-seed explore-points explore-width explore-protocols explore-procs"
+)
 
-		degradation = flag.Bool("degradation", false, "run the slowdown-vs-drop-rate fault sweep")
-		dropsCS     = flag.String("drops", "0.5,1,2,5", "comma-separated drop rates in percent for -degradation")
-		faultSeed   = flag.Uint64("fault-seed", 1, "seed for the -degradation fault plans")
+// errNoOutput is a command line that requests nothing.
+var errNoOutput = errors.New("no output requested")
 
-		litmusN     = flag.Int("litmus", 0, "run the litmus conformance sweep with N seeds across hlrc/lrc/sc")
-		litmusSeed  = flag.Uint64("litmus-seed", 1, "first seed of the -litmus sweep")
-		litmusDrops = flag.String("litmus-drops", "", "comma-separated drop percents for a faulted -litmus column (empty = clean fabric only)")
+// request is one invocation: its flags, then what parseArgs derives
+// from them.
+type request struct {
+	table, figure, procs, parallel, hotK, litmusN, explorePoints, exploreWidth int
+	all, validate, json, degradation, hetero                                   bool
+	sample, exploreBudget                                                      int64
+	faultSeed, litmusSeed, exploreSeed                                         uint64
+	appsCS, scaleName, csv, server, trace, dropsCS, litmusDrops, skews, places string
+	cpuProf, memProf, exploreApp, exploreProtos, exploreProcs, exploreStore    string
 
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
+	// outputs are the requested outputs in the order they run.
+	outputs []string
+	apps    []string
+	scale   apps.Scale
+	drops   []int64
+	litmus  cli.Litmus
+	ses     *harness.Session
+	// client, when set, resolves Figure-3 rows and explorations on the
+	// daemon; jobs collects its points' statuses for the closing lines.
+	client *client.Client
+	jobs   []*api.RunStatus
+}
 
-		exploreApp    = flag.String("explore", "", "auto-tune APP: search the configuration space for the Pareto frontier of speedup vs. simulated cost")
-		exploreBudget = flag.Int64("explore-budget", 0, "simulated-cycle budget for fresh (uncached) simulations; 0 runs the search to convergence")
-		exploreSeed   = flag.Uint64("explore-seed", 1, "seed of the deterministic search")
-		explorePoints = flag.Int("explore-points", 0, "Latin-hypercube seed-set size (0 = default 16)")
-		exploreWidth  = flag.Int("explore-width", 0, "evaluation batch width (0 = default 8)")
-		exploreProtos = flag.String("explore-protocols", "", "comma-separated protocol subset to search (default hlrc,lrc,sc)")
-		exploreProcs  = flag.String("explore-procs", "", "comma-separated processor counts to search (default 4,8,16,32)")
-		exploreStore  = flag.String("explore-store", "", "local mode: persistent result store directory — re-running the same search against it costs zero new simulations")
+// parseArgs parses args into fs and checks them: every error is a usage
+// error, found before anything runs.
+func parseArgs(fs *flag.FlagSet, args []string) (*request, error) {
+	r := &request{}
+	fs.IntVar(&r.table, "table", 0, "regenerate table N (1-5)")
+	fs.IntVar(&r.figure, "figure", 0, "regenerate figure N (3-5)")
+	fs.BoolVar(&r.all, "all", false, "regenerate everything")
+	fs.BoolVar(&r.validate, "validate", false, "run the simulator-validation microbenchmarks (Appendix)")
+	fs.StringVar(&r.appsCS, "apps", "", "comma-separated application subset (default: all)")
+	fs.IntVar(&r.procs, "procs", 16, "processor count")
+	fs.StringVar(&r.scaleName, "scale", "base", "problem scale: tiny, base, large")
+	fs.StringVar(&r.csv, "csv", "", "also write the data of the one requested figure or sweep as CSV to this file")
+	fs.IntVar(&r.parallel, "parallel", 0, "max concurrent simulations (0 = one per CPU)")
+	fs.BoolVar(&r.json, "json", false, "with -figure 3 or -explore alone: print machine-readable JSON instead of tables")
+	fs.StringVar(&r.server, "server", "", "with -figure 3 and -explore only: resolve them through a svmd daemon at this URL")
 
-		hetero     = flag.Bool("hetero", false, "run the heterogeneity sweep: skew x placement x protocol with protocol-verdict flips")
-		skewsCS    = flag.String("skews", "uniform,cpu4,cpu8,accel4,accel8,link4,link8,mixed", "comma-separated skew presets for -hetero")
-		placements = flag.String("placements", "rr,adaptive", "comma-separated placement policies for -hetero")
-	)
-	flag.Parse()
-	if *csvPath != "" {
-		req := csvRequest{figure: *figure, json: *jsonOut, all: *all, server: *server,
-			degradation: *degradation, litmus: *litmusN, hetero: *hetero, explore: *exploreApp}
-		if err := req.check(); err != nil {
-			fmt.Fprintf(os.Stderr, "svmbench: %v\n", err)
-			flag.Usage()
-			os.Exit(2)
-		}
+	fs.StringVar(&r.trace, "trace", "", "write a multi-run Chrome trace of the figure-3 config ladder to this file")
+	fs.Int64Var(&r.sample, "trace-sample", 0, "sample the breakdown every N cycles in traced runs")
+	fs.IntVar(&r.hotK, "hot", 0, "print the top K hot pages/locks/barriers per traced run")
+
+	fs.BoolVar(&r.degradation, "degradation", false, "run the slowdown-vs-drop-rate fault sweep")
+	fs.StringVar(&r.dropsCS, "drops", "0.5,1,2,5", "comma-separated drop rates in percent for -degradation")
+	fs.Uint64Var(&r.faultSeed, "fault-seed", 1, "seed for the -degradation fault plans")
+
+	fs.IntVar(&r.litmusN, "litmus", 0, "run the litmus conformance sweep with N seeds across hlrc/lrc/sc")
+	fs.Uint64Var(&r.litmusSeed, "litmus-seed", 1, "first seed of the -litmus sweep")
+	fs.StringVar(&r.litmusDrops, "litmus-drops", "", "comma-separated drop percents for a faulted -litmus column (empty = clean fabric only)")
+
+	fs.StringVar(&r.cpuProf, "cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
+	fs.StringVar(&r.memProf, "memprofile", "", "write a pprof heap profile at exit to this file")
+
+	fs.StringVar(&r.exploreApp, "explore", "", "auto-tune APP: search the configuration space for the Pareto frontier of speedup vs. simulated cost")
+	fs.Int64Var(&r.exploreBudget, "explore-budget", 0, "simulated-cycle budget for fresh (uncached) simulations; 0 runs the search to convergence")
+	fs.Uint64Var(&r.exploreSeed, "explore-seed", 1, "seed of the deterministic search")
+	fs.IntVar(&r.explorePoints, "explore-points", 0, "Latin-hypercube seed-set size (0 = default 16)")
+	fs.IntVar(&r.exploreWidth, "explore-width", 0, "evaluation batch width (0 = default 8)")
+	fs.StringVar(&r.exploreProtos, "explore-protocols", "", "comma-separated protocol subset to search (default hlrc,lrc,sc)")
+	fs.StringVar(&r.exploreProcs, "explore-procs", "", "comma-separated processor counts to search (default 4,8,16,32)")
+	fs.StringVar(&r.exploreStore, "explore-store", "", "local mode: persistent result store directory — re-running the same search against it costs zero new simulations")
+
+	fs.BoolVar(&r.hetero, "hetero", false, "run the heterogeneity sweep: skew x placement x protocol with protocol-verdict flips")
+	fs.StringVar(&r.skews, "skews", "uniform,cpu4,cpu8,accel4,accel8,link4,link8,mixed", "comma-separated skew presets for -hetero")
+	fs.StringVar(&r.places, "placements", "rr,adaptive", "comma-separated placement policies for -hetero")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if r.table != 0 && (r.table < 1 || r.table > 5) {
+		return nil, fmt.Errorf("no table %d (have 1-5)", r.table)
+	}
+	if r.figure != 0 && (r.figure < 3 || r.figure > 5) {
+		return nil, fmt.Errorf("no figure %d (have 3-5)", r.figure)
+	}
+	for t := 1; t <= 5; t++ {
+		if r.all || r.table == t {
+			r.outputs = append(r.outputs, fmt.Sprintf("table%d", t))
+		}
+	}
+	for f := 3; f <= 5; f++ {
+		if r.all || r.figure == f {
+			r.outputs = append(r.outputs, fmt.Sprintf("figure%d", f))
+		}
+	}
+	for _, o := range []struct {
+		name string
+		on   bool
+	}{
+		{"trace", r.trace != "" || r.hotK > 0}, {"degradation", r.degradation}, {"litmus", r.litmusN > 0},
+		{"hetero", r.hetero}, {"validate", r.validate}, {"explore", r.exploreApp != ""},
+	} {
+		if o.on {
+			r.outputs = append(r.outputs, o.name)
+		}
+	}
+	if len(r.outputs) == 0 {
+		return nil, errNoOutput
+	}
+
+	names := r.outputs
+	if r.server != "" {
+		names = nil
+		for _, out := range r.outputs {
+			if out != "figure3" && out != "explore" {
+				return nil, fmt.Errorf("-server resolves only -figure 3 and -explore; run %s locally", out)
+			}
+			names = append(names, "remote-"+out)
+		}
+	}
+	requested := strings.Join(r.outputs, ", ")
+	if r.json && requested != "figure3" && requested != "explore" {
+		return nil, fmt.Errorf("-json prints exactly one of -figure 3 or -explore; requested %s", requested)
+	}
+	if r.csv != "" {
+		n := 0
+		for _, out := range r.outputs {
+			if slices.Contains([]string{"figure3", "figure4", "figure5", "degradation", "litmus", "hetero", "explore"}, out) {
+				n++
+			}
+		}
+		if n != 1 || r.json {
+			return nil, fmt.Errorf("-csv needs exactly one of -figure, -degradation, -litmus, -hetero or -explore, without -json; requested %s", requested)
+		}
+	}
+	if err := cli.CheckFlags(cli.Set(fs), reads, "a request for "+strings.Join(names, ", "), names...); err != nil {
+		return nil, err
+	}
+
+	var err error
+	if r.scale, err = apps.ParseScale(r.scaleName); err != nil {
+		return nil, err
+	}
+	r.apps = swsm.Apps()
+	if r.appsCS != "" {
+		r.apps = strings.Split(r.appsCS, ",")
+	}
+	for _, app := range r.apps {
+		spec := harness.DefaultSpec(app, harness.HLRC)
+		spec.Scale, spec.Procs = r.scale, r.procs
+		if err := spec.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	if r.drops, err = cli.PPMs("drops", r.dropsCS); err != nil {
+		return nil, err
+	}
+	r.litmus = cli.Litmus{Seed: r.litmusSeed, N: r.litmusN, Procs: r.procs, Scale: r.scale, CSV: r.csv}
+	if r.litmusDrops != "" {
+		if r.litmus.DropPPMs, err = cli.PPMs("litmus-drops", r.litmusDrops); err != nil {
+			return nil, err
+		}
+	}
+	r.ses = swsm.NewSession(r.parallel)
+	if r.server != "" {
+		r.client = client.New(r.server)
+	}
+	return r, nil
+}
+
+func main() {
+	r, err := parseArgs(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "svmbench: %v\n", err)
+		if errors.Is(err, errNoOutput) {
+			flag.Usage()
+		}
+		os.Exit(2)
+	}
+	if r.cpuProf != "" {
+		f, err := os.Create(r.cpuProf)
 		if err != nil {
 			fatalf("cpuprofile: %v", err)
 		}
@@ -101,9 +253,9 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProfile != "" {
+	if r.memProf != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
+			f, err := os.Create(r.memProf)
 			if err != nil {
 				fatalf("memprofile: %v", err)
 			}
@@ -114,124 +266,105 @@ func main() {
 			}
 		}()
 	}
-
-	sc := swsm.Base
-	switch *scale {
-	case "tiny":
-		sc = swsm.Tiny
-	case "base":
-		sc = swsm.Base
-	case "large":
-		sc = swsm.Large
-	default:
-		fatalf("unknown scale %q", *scale)
+	ctx := context.Background()
+	for _, out := range r.outputs {
+		if err := r.run(ctx, out); err != nil {
+			fatalf("%s: %v", out, err)
+		}
 	}
+}
 
-	var sel []string
-	if *appsCS == "" {
-		sel = swsm.Apps()
-	} else {
-		sel = strings.Split(*appsCS, ",")
-	}
-
-	ses := swsm.NewSession(*parallel)
-
-	if *exploreApp != "" {
-		err := runExplore(ses, exploreOpts{
-			app: *exploreApp, scale: sc,
-			budget: *exploreBudget, seed: *exploreSeed,
-			points: *explorePoints, width: *exploreWidth,
-			protocols: *exploreProtos, procs: *exploreProcs,
-			storeDir: *exploreStore, serverURL: *server,
-			jsonOut: *jsonOut, csvPath: *csvPath,
+// run produces one requested output.
+func (r *request) run(ctx context.Context, out string) error {
+	switch out {
+	case "table1", "table2", "table3", "table4", "table5":
+		n := int(out[len(out)-1] - '0')
+		err := r.sweep(fmt.Sprintf("table %d", n), func() error { return r.printTable(n) })
+		fmt.Println()
+		return err
+	case "figure3", "figure4", "figure5":
+		n := int(out[len(out)-1] - '0')
+		var t *harness.Table
+		err := r.sweep(fmt.Sprintf("figure %d", n), func() (err error) {
+			t, err = r.printFigure(ctx, n)
+			return err
 		})
-		if err != nil {
-			fatalf("explore: %v", err)
+		if err != nil || r.json {
+			return err
 		}
-		return
-	}
-
-	if *server != "" {
-		if *figure != 3 || *table != 0 || *all {
-			fatalf("-server supports exactly -figure 3 (the speedup grid); run other sweeps locally")
+		fmt.Println()
+		if r.csv == "" {
+			return nil
 		}
-		if err := runFigure3Remote(*server, sel, sc, *procs, *jsonOut, *parallel); err != nil {
-			fatalf("%v", err)
-		}
-		return
-	}
-	if *jsonOut {
-		if *figure != 3 {
-			fatalf("-json renders the -figure 3 grid; combine them")
-		}
-		if err := runFigure3JSON(ses, sel, sc, *procs); err != nil {
-			fatalf("%v", err)
-		}
-		return
-	}
-
-	if *all {
-		for t := 1; t <= 5; t++ {
-			runTable(ses, t, sc, *procs)
-		}
-		for f := 3; f <= 5; f++ {
-			runFigure(ses, f, sel, sc, *procs)
-		}
-		return
-	}
-	if *table != 0 {
-		runTable(ses, *table, sc, *procs)
-	}
-	if *figure != 0 {
-		t := runFigure(ses, *figure, sel, sc, *procs)
-		if *csvPath != "" {
-			if err := writeCSVFile(*csvPath, t); err != nil {
-				fatalf("csv: %v", err)
-			}
-		}
-	}
-	if *traceOut != "" || *hotK > 0 {
-		sweep(ses, "trace", func() {
-			if err := runTraced(ses, sel, sc, *procs, *traceOut, *traceSample, *hotK); err != nil {
-				fatalf("trace: %v", err)
-			}
-		})
-	}
-	if *degradation {
-		sweep(ses, "degradation", func() {
-			if err := runDegradation(ses, sel, sc, *procs, *faultSeed, *dropsCS, *csvPath); err != nil {
-				fatalf("degradation: %v", err)
-			}
-		})
-	}
-	if *litmusN > 0 {
-		sweep(ses, "litmus", func() {
-			if err := runLitmus(ses, sc, *procs, *litmusSeed, *litmusN, *litmusDrops, *csvPath); err != nil {
-				fatalf("litmus: %v", err)
-			}
-		})
-	}
-	if *hetero {
-		sweep(ses, "hetero", func() {
-			if err := runHetero(ses, sel, sc, *procs, *skewsCS, *placements, *csvPath); err != nil {
-				fatalf("hetero: %v", err)
-			}
-		})
-	}
-	if *validate {
+		return cli.WriteCSV(os.Stdout, r.csv, t)
+	case "trace":
+		return r.sweep("trace", r.traced)
+	case "degradation":
+		return r.sweep("degradation", r.degradationSweep)
+	case "litmus":
+		l := r.litmus
+		title := fmt.Sprintf("Litmus conformance sweep: seeds %d..%d x {hlrc, lrc, sc}, %d procs (checker on)",
+			l.Seed, l.Seed+uint64(l.N)-1, l.Procs)
+		return r.sweep("litmus", func() error { return l.Run(os.Stdout, r.ses, title) })
+	case "hetero":
+		return r.sweep("hetero", r.heteroSweep)
+	case "validate":
 		res, err := harness.ValidateAll()
 		if err != nil {
-			fatalf("validate: %v", err)
+			return err
 		}
 		fmt.Println("Simulator validation microbenchmarks (achievable parameters):")
-		for _, r := range res {
-			fmt.Printf("  %-24s %8d cycles (%.1f us @200MHz)\n", r.Name, r.Cycles, float64(r.Cycles)/200)
+		for _, v := range res {
+			fmt.Printf("  %-24s %8d cycles (%.1f us @200MHz)\n", v.Name, v.Cycles, float64(v.Cycles)/200)
 		}
-		return
+		return nil
+	case "explore":
+		return r.runExplore(ctx)
 	}
-	if *table == 0 && *figure == 0 && *traceOut == "" && *hotK == 0 && !*degradation && *litmusN == 0 && !*hetero {
-		flag.Usage()
+	return fmt.Errorf("unknown output %q", out)
+}
+
+// rows resolves specs to rows through the session, or on the daemon
+// with -server.
+func (r *request) rows(ctx context.Context, specs []harness.RunSpec) ([]harness.RunRow, error) {
+	if r.client == nil {
+		return r.ses.Rows(ctx, specs)
 	}
+	rows, jobs, err := r.client.Rows(ctx, specs, r.parallel)
+	r.jobs = append(r.jobs, jobs...)
+	return rows, err
+}
+
+// sweep runs f and prints its one-line summary: the wall clock plus the
+// session's memo traffic, or with -server the daemon's store hits.  A
+// static table that runs nothing prints none, and -json prints none.
+func (r *request) sweep(label string, f func() error) error {
+	before, jobs := r.ses.Stats(), len(r.jobs)
+	start := time.Now()
+	if err := f(); err != nil || r.json {
+		return err
+	}
+	wall := time.Since(start).Seconds()
+	if r.client != nil {
+		cached := 0
+		for _, st := range r.jobs[jobs:] {
+			if st.Cached {
+				cached++
+			}
+		}
+		fmt.Printf("[%s: %.2fs wall, svmd %s, %d points, %d served from the daemon's result store]\n",
+			label, wall, r.server, len(r.jobs)-jobs, cached)
+		return nil
+	}
+	st := r.ses.Stats()
+	runs := st.Runs - before.Runs
+	hits := (st.Hits + st.Waits) - (before.Hits + before.Waits)
+	if runs+hits == 0 {
+		return nil
+	}
+	fmt.Printf("[%s: %.2fs wall, parallel=%d, %d runs, %d cache hits]\n",
+		label, wall, r.ses.Parallelism(), runs, hits)
+	return nil
 }
 
 // figureRow labels one cell of the Figure-3 grid for machine-readable
@@ -242,48 +375,188 @@ type figureRow struct {
 	Row   swsm.RunRow `json:"row"`
 }
 
-// figure3Rows expands the grid for the selected apps and pairs each
-// spec with its label, in deterministic output order.
-func figure3Rows(sel []string, scale swsm.Scale, procs int) ([]figureRow, []swsm.RunSpec, error) {
-	var rows []figureRow
-	var specs []swsm.RunSpec
-	for _, app := range sel {
-		ss, labels, err := harness.Figure3Specs(app, scale, procs, harness.Figure3Configs)
+// figure3 resolves the Figure-3 grid of every selected app in one
+// batch of rows and prints it as JSON rows or as the figure, returning
+// its table.
+func (r *request) figure3(ctx context.Context) (*harness.Table, error) {
+	var (
+		frows  []figureRow
+		specs  []harness.RunSpec
+		labels [][]string
+	)
+	for _, app := range r.apps {
+		ss, ls, err := harness.Figure3Specs(app, r.scale, r.procs, harness.Figure3Configs)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		for i := range ss {
-			rows = append(rows, figureRow{App: app, Label: labels[i]})
-			specs = append(specs, ss[i])
+		specs = append(specs, ss...)
+		labels = append(labels, ls)
+		for _, l := range ls {
+			frows = append(frows, figureRow{App: app, Label: l})
 		}
 	}
-	return rows, specs, nil
+	rows, err := r.rows(ctx, specs)
+	if err != nil {
+		return nil, err
+	}
+	if r.json {
+		for i := range frows {
+			frows[i].Row = rows[i]
+		}
+		return nil, printJSON(frows)
+	}
+	fmt.Println("Figure 3: speedups across layer configurations")
+	var bars []*harness.AppBar
+	for i, app := range r.apps {
+		n := len(labels[i])
+		bar := harness.Figure3Bar(app, labels[i], rows[:n], nil)
+		rows = rows[n:]
+		fmt.Print(swsm.FormatFigure3(bar, swsm.Figure3Configs))
+		fmt.Print(harness.RenderFigure3(bar, swsm.Figure3Configs))
+		bars = append(bars, bar)
+	}
+	return harness.Figure3Table(bars, swsm.Figure3Configs), nil
 }
 
-// runFigure3JSON runs the grid locally through the shared session and
-// prints it as JSON rows (speedups against each app's sequential
-// baseline included) — the same shape svmd returns remotely.
-func runFigure3JSON(ses *swsm.Session, sel []string, scale swsm.Scale, procs int) error {
-	rows, specs, err := figure3Rows(sel, scale, procs)
-	if err != nil {
-		return err
-	}
-	results, err := ses.RunAll(specs)
-	if err != nil {
-		return err
-	}
-	seq := map[string]int64{}
-	for i := range rows {
-		base, ok := seq[rows[i].App]
-		if !ok {
-			if base, err = ses.SequentialBaseline(rows[i].App, scale, true); err != nil {
-				return err
+// printFigure prints figure n for the selected apps and returns its
+// data points as a table.
+func (r *request) printFigure(ctx context.Context, n int) (*harness.Table, error) {
+	switch n {
+	case 3:
+		return r.figure3(ctx)
+	case 4:
+		fmt.Println("Figure 4: execution time breakdowns (avg cycles/proc)")
+		var all []harness.Figure4Row
+		for _, app := range r.apps {
+			rows, err := r.ses.Figure4(app, r.scale, r.procs, harness.Figure3Configs)
+			if err != nil {
+				return nil, err
 			}
-			seq[rows[i].App] = base
+			fmt.Println(app)
+			fmt.Print(swsm.FormatFigure4(rows))
+			fmt.Print(harness.RenderFigure4(rows))
+			all = append(all, rows...)
 		}
-		rows[i].Row = swsm.NewRunRow(results[i]).WithSpeedup(base)
+		return harness.Figure4Table(all), nil
+	default:
+		fmt.Println("Figure 5: one communication parameter varied at a time (speedups)")
+		var all [][]harness.Figure5Point
+		for _, app := range r.apps {
+			pts, err := r.ses.Figure5(app, r.scale, r.procs)
+			if err != nil {
+				return nil, err
+			}
+			fmt.Println(app)
+			fmt.Print(swsm.FormatFigure5(pts))
+			all = append(all, pts)
+		}
+		return harness.Figure5Table(r.apps, all), nil
 	}
-	return printJSON(rows)
+}
+
+// printTable prints table n.
+func (r *request) printTable(n int) error {
+	switch n {
+	case 1:
+		fmt.Println("Table 1: applications and problem sizes")
+		fmt.Print(swsm.Table1())
+	case 2:
+		fmt.Println("Table 2: communication parameter sets")
+		fmt.Print(swsm.Table2())
+	case 3:
+		fmt.Println("Table 3: protocol cost sets")
+		fmt.Print(swsm.Table3())
+	case 4:
+		fmt.Println("Table 4: % time in protocol activity (HLRC, base config)")
+		rows, err := r.ses.Table4(r.scale, r.procs)
+		if err != nil {
+			return err
+		}
+		fmt.Print(swsm.FormatTable4(rows))
+	default:
+		fmt.Println("Table 5: per-application layer-importance summary (HLRC)")
+		rows, err := r.ses.Table5(r.scale, r.procs)
+		if err != nil {
+			return err
+		}
+		fmt.Print(swsm.FormatTable5(rows))
+	}
+	return nil
+}
+
+// heteroSweep sweeps machine skew x placement x protocol through the
+// shared session and prints the speedup grid plus the protocol-verdict
+// flips — the configurations where the protocol that wins on the
+// paper's uniform cluster loses under skew.
+func (r *request) heteroSweep() error {
+	protos := []swsm.ProtocolKind{swsm.HLRC, swsm.SC}
+	points, err := r.ses.HeterogeneitySweep(r.apps, protos, r.scale, r.procs, splitList(r.skews), splitList(r.places))
+	if err != nil {
+		return err
+	}
+	fmt.Printf("Heterogeneity sweep: skew x placement x {hlrc, sc}, %d procs\n", r.procs)
+	fmt.Print(swsm.FormatHeterogeneity(points))
+	if r.csv == "" {
+		return nil
+	}
+	return cli.WriteCSV(os.Stdout, r.csv, harness.HeterogeneityTable(points))
+}
+
+// degradationSweep sweeps drop rate x app x protocol through the shared
+// session, printing the slowdown table (and optionally its CSV).  Each
+// faulted run re-verifies the application's answer, so completing the
+// sweep certifies correctness under every injected fault rate.
+func (r *request) degradationSweep() error {
+	protos := []swsm.ProtocolKind{swsm.HLRC, swsm.SC}
+	points, err := r.ses.DegradationSweep(r.apps, protos, r.scale, r.procs, r.faultSeed, r.drops)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("Degradation sweep: slowdown vs drop rate (seed %d, all answers verified)\n", r.faultSeed)
+	fmt.Print(swsm.FormatDegradation(points))
+	if r.csv == "" {
+		return nil
+	}
+	return cli.WriteCSV(os.Stdout, r.csv, harness.DegradationTable(points))
+}
+
+// traced re-runs the figure-3 configuration ladder for each selected
+// application with tracing enabled and writes every run into one
+// multi-run Chrome trace (one Perfetto process per app/config pair).
+// Traced specs are memoized separately from their untraced twins, so
+// this never contaminates figure results.
+func (r *request) traced() error {
+	var runs []swsm.TraceRun
+	for _, app := range r.apps {
+		specs, labels, err := swsm.TracedConfigSpecs(app, r.scale, r.procs, swsm.Figure3Configs, r.sample)
+		if err != nil {
+			return err
+		}
+		results, err := r.ses.RunAll(specs)
+		if err != nil {
+			return err
+		}
+		for i := range labels {
+			labels[i] = app + "/" + labels[i]
+		}
+		runs = append(runs, swsm.TraceRuns(labels, results)...)
+	}
+	if r.hotK > 0 {
+		for _, run := range runs {
+			if run.Data.Hot == nil {
+				continue
+			}
+			fmt.Printf("%s hot objects (top %d):\n%s", run.Label, r.hotK, harness.FormatHotObjects(run.Data.Hot, r.hotK))
+		}
+	}
+	if r.trace != "" {
+		err := cli.WriteFile(r.trace, func(w io.Writer) error { return swsm.WriteChromeTraceMulti(w, runs) })
+		if err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s (%d traced runs)\n", r.trace, len(runs))
+	}
+	return nil
 }
 
 // printJSON prints v to stdout as indented JSON.
@@ -291,210 +564,6 @@ func printJSON(v any) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
-}
-
-// runFigure3Remote resolves the grid through a running svmd daemon:
-// every point is submitted with speedup resolution and bounded client
-// fan-out, so warm daemons answer the whole figure from their result
-// store without simulating.  Points are submitted individually (not as
-// one sweep) so a grid larger than the daemon's admission queue
-// degrades to backoff-and-retry instead of rejection.
-func runFigure3Remote(baseURL string, sel []string, scale swsm.Scale, procs int, jsonOut bool, parallel int) error {
-	rows, specs, err := figure3Rows(sel, scale, procs)
-	if err != nil {
-		return err
-	}
-	if parallel <= 0 {
-		parallel = 4
-	}
-	c := client.New(baseURL)
-	start := time.Now()
-	var (
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, parallel)
-		mu       sync.Mutex
-		firstErr error
-		cached   int
-	)
-	for i := range rows {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			st, err := c.Run(context.Background(), api.RunRequest{Spec: specs[i], Speedup: true})
-			mu.Lock()
-			defer mu.Unlock()
-			if err == nil && (st.State != api.StateDone || st.Row == nil) {
-				err = fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error)
-			}
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%s %s: %w", rows[i].App, rows[i].Label, err)
-				}
-				return
-			}
-			rows[i].Row = *st.Row
-			if st.Cached {
-				cached++
-			}
-		}(i)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if jsonOut {
-		return printJSON(rows)
-	}
-	fmt.Println("Figure 3: speedups across layer configurations (via svmd)")
-	for _, app := range sel {
-		bar := &harness.AppBar{App: app, HLRC: map[string]float64{}, SC: map[string]float64{}}
-		for _, r := range rows {
-			if r.App != app {
-				continue
-			}
-			switch {
-			case r.Label == "ideal":
-				bar.Ideal = r.Row.Speedup
-			case strings.HasPrefix(r.Label, "hlrc/"):
-				bar.HLRC[strings.TrimPrefix(r.Label, "hlrc/")] = r.Row.Speedup
-			case strings.HasPrefix(r.Label, "sc/"):
-				bar.SC[strings.TrimPrefix(r.Label, "sc/")] = r.Row.Speedup
-			}
-		}
-		fmt.Print(swsm.FormatFigure3(bar, swsm.Figure3Configs))
-	}
-	fmt.Printf("[remote: %.2fs wall, %d points, %d served from the daemon's result store]\n",
-		time.Since(start).Seconds(), len(rows), cached)
-	return nil
-}
-
-// runLitmus sweeps the litmus ladder (n seeds x every real protocol,
-// optionally with a faulted drop-rate column) with the conformance
-// checker on, printing per-point coverage and failing on any violation.
-func runLitmus(ses *swsm.Session, scale swsm.Scale, procs int, seed uint64, n int, dropsCS, csvPath string) error {
-	var dropPPMs []int64
-	if dropsCS != "" {
-		var err error
-		if dropPPMs, err = parseDrops("-litmus-drops", dropsCS); err != nil {
-			return err
-		}
-	}
-	protos := []swsm.ProtocolKind{swsm.HLRC, swsm.LRC, swsm.SC}
-	points, err := ses.LitmusSweep(seed, n, protos, scale, procs, dropPPMs)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Litmus conformance sweep: seeds %d..%d x {hlrc, lrc, sc}, %d procs (checker on)\n",
-		seed, seed+uint64(n)-1, procs)
-	fmt.Print(swsm.FormatLitmus(points))
-	if csvPath != "" {
-		if err := writeCSVFile(csvPath, harness.LitmusTable(points)); err != nil {
-			return err
-		}
-	}
-	bad := 0
-	for _, p := range points {
-		if !p.Conforms() {
-			bad++
-		}
-	}
-	if bad > 0 {
-		return fmt.Errorf("%d of %d points violated their consistency model", bad, len(points))
-	}
-	fmt.Printf("all %d points conform\n", len(points))
-	return nil
-}
-
-// runHetero sweeps machine skew x placement x protocol through the
-// shared session and prints the speedup grid plus the protocol-verdict
-// flips — the configurations where the protocol that wins on the
-// paper's uniform cluster loses under skew.
-func runHetero(ses *swsm.Session, sel []string, scale swsm.Scale, procs int, skewsCS, placementsCS, csvPath string) error {
-	skews := splitList(skewsCS)
-	placements := splitList(placementsCS)
-	protos := []swsm.ProtocolKind{swsm.HLRC, swsm.SC}
-	points, err := ses.HeterogeneitySweep(sel, protos, scale, procs, skews, placements)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Heterogeneity sweep: skew x placement x {hlrc, sc}, %d procs\n", procs)
-	fmt.Print(swsm.FormatHeterogeneity(points))
-	if csvPath == "" {
-		return nil
-	}
-	return writeCSVFile(csvPath, harness.HeterogeneityTable(points))
-}
-
-// csvRequest holds the flags that decide which output, if any, writes
-// -csv.
-type csvRequest struct {
-	figure              int
-	json, all           bool
-	server              string
-	degradation, hetero bool
-	litmus              int
-	explore             string
-}
-
-// check rejects a -csv that no requested output would write, or that
-// two would overwrite.  The writers are a local -figure without -json,
-// -degradation, -litmus, -hetero and -explore.  -all, -json and -server
-// run no other sweep that writes a CSV.
-func (r csvRequest) check() error {
-	local := !r.all && !r.json && r.server == ""
-	n := 0
-	for _, writes := range []bool{
-		local && r.figure != 0, local && r.degradation, local && r.litmus > 0, local && r.hetero, r.explore != "",
-	} {
-		if writes {
-			n++
-		}
-	}
-	if n != 1 {
-		return fmt.Errorf("-csv needs exactly one of: a local -figure without -json, -degradation, -litmus, -hetero, -explore (%d given)", n)
-	}
-	return nil
-}
-
-// parseDrops parses a comma-separated list of drop percents into PPM,
-// naming flag in its errors.
-func parseDrops(flag, cs string) ([]int64, error) {
-	var ppms []int64
-	for _, s := range strings.Split(cs, ",") {
-		pct, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
-			return nil, fmt.Errorf("%s %q: %v", flag, cs, err)
-		}
-		if pct < 0 || pct > 100 {
-			return nil, fmt.Errorf("%s rate %.2f outside [0, 100]", flag, pct)
-		}
-		ppms = append(ppms, int64(pct*1e4))
-	}
-	return ppms, nil
-}
-
-// writeCSVFile writes t to path as CSV and reports "wrote path".
-func writeCSVFile(path string, t *harness.Table) error {
-	if err := writeFile(path, t.WriteCSV); err != nil {
-		return err
-	}
-	fmt.Println("wrote", path)
-	return nil
-}
-
-// writeFile creates path, fills it with write and closes it.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // splitList splits a comma-separated flag into trimmed entries.
@@ -506,172 +575,6 @@ func splitList(cs string) []string {
 		}
 	}
 	return out
-}
-
-// runDegradation sweeps drop rate x app x protocol through the shared
-// session, printing the slowdown table (and optionally its CSV).  Each
-// faulted run re-verifies the application's answer, so completing the
-// sweep certifies correctness under every injected fault rate.
-func runDegradation(ses *swsm.Session, sel []string, scale swsm.Scale, procs int, seed uint64, dropsCS, csvPath string) error {
-	dropPPMs, err := parseDrops("-drops", dropsCS)
-	if err != nil {
-		return err
-	}
-	protos := []swsm.ProtocolKind{swsm.HLRC, swsm.SC}
-	points, err := ses.DegradationSweep(sel, protos, scale, procs, seed, dropPPMs)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Degradation sweep: slowdown vs drop rate (seed %d, all answers verified)\n", seed)
-	fmt.Print(swsm.FormatDegradation(points))
-	if csvPath == "" {
-		return nil
-	}
-	return writeCSVFile(csvPath, harness.DegradationTable(points))
-}
-
-// runTraced re-runs the figure-3 configuration ladder for each selected
-// application with tracing enabled and writes every run into one
-// multi-run Chrome trace (one Perfetto process per app/config pair).
-// Traced specs are memoized separately from their untraced twins, so
-// this never contaminates figure results.
-func runTraced(ses *swsm.Session, sel []string, scale swsm.Scale, procs int, path string, sample int64, hotK int) error {
-	var runs []swsm.TraceRun
-	for _, app := range sel {
-		specs, labels, err := swsm.TracedConfigSpecs(app, scale, procs, swsm.Figure3Configs, sample)
-		if err != nil {
-			return err
-		}
-		results, err := ses.RunAll(specs)
-		if err != nil {
-			return err
-		}
-		for i := range labels {
-			labels[i] = app + "/" + labels[i]
-		}
-		runs = append(runs, swsm.TraceRuns(labels, results)...)
-	}
-	if hotK > 0 {
-		for _, r := range runs {
-			if r.Data.Hot == nil {
-				continue
-			}
-			fmt.Printf("%s hot objects (top %d):\n%s", r.Label, hotK, harness.FormatHotObjects(r.Data.Hot, hotK))
-		}
-	}
-	if path != "" {
-		err := writeFile(path, func(w io.Writer) error { return swsm.WriteChromeTraceMulti(w, runs) })
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d traced runs)\n", path, len(runs))
-	}
-	return nil
-}
-
-// sweep times f and prints the one-line wall-clock + cache summary the
-// session accumulated during it (skipped for static tables that run
-// nothing).
-func sweep(ses *swsm.Session, label string, f func()) {
-	before := ses.Stats()
-	start := time.Now()
-	f()
-	elapsed := time.Since(start)
-	st := ses.Stats()
-	runs := st.Runs - before.Runs
-	hits := (st.Hits + st.Waits) - (before.Hits + before.Waits)
-	if runs+hits == 0 {
-		return
-	}
-	fmt.Printf("[%s: %.2fs wall, parallel=%d, %d runs, %d cache hits]\n",
-		label, elapsed.Seconds(), ses.Parallelism(), runs, hits)
-}
-
-func runTable(ses *swsm.Session, n int, scale swsm.Scale, procs int) {
-	sweep(ses, fmt.Sprintf("table %d", n), func() {
-		switch n {
-		case 1:
-			fmt.Println("Table 1: applications and problem sizes")
-			fmt.Print(swsm.Table1())
-		case 2:
-			fmt.Println("Table 2: communication parameter sets")
-			fmt.Print(swsm.Table2())
-		case 3:
-			fmt.Println("Table 3: protocol cost sets")
-			fmt.Print(swsm.Table3())
-		case 4:
-			fmt.Println("Table 4: % time in protocol activity (HLRC, base config)")
-			rows, err := ses.Table4(scale, procs)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Print(swsm.FormatTable4(rows))
-		case 5:
-			fmt.Println("Table 5: per-application layer-importance summary (HLRC)")
-			rows, err := ses.Table5(scale, procs)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Print(swsm.FormatTable5(rows))
-		default:
-			fatalf("no table %d (have 1-5)", n)
-		}
-	})
-	fmt.Println()
-}
-
-// runFigure prints figure n for the selected apps and returns its data
-// points as a table.
-func runFigure(ses *swsm.Session, n int, sel []string, scale swsm.Scale, procs int) *harness.Table {
-	var t *harness.Table
-	sweep(ses, fmt.Sprintf("figure %d", n), func() {
-		switch n {
-		case 3:
-			fmt.Println("Figure 3: speedups across layer configurations")
-			var bars []*harness.AppBar
-			for _, app := range sel {
-				bar, err := ses.Figure3(app, scale, procs, harness.Figure3Configs)
-				if err != nil {
-					fatalf("%v", err)
-				}
-				fmt.Print(swsm.FormatFigure3(bar, swsm.Figure3Configs))
-				fmt.Print(harness.RenderFigure3(bar, swsm.Figure3Configs))
-				bars = append(bars, bar)
-			}
-			t = harness.Figure3Table(bars, swsm.Figure3Configs)
-		case 4:
-			fmt.Println("Figure 4: execution time breakdowns (avg cycles/proc)")
-			var all []harness.Figure4Row
-			for _, app := range sel {
-				rows, err := ses.Figure4(app, scale, procs, harness.Figure3Configs)
-				if err != nil {
-					fatalf("%v", err)
-				}
-				fmt.Println(app)
-				fmt.Print(swsm.FormatFigure4(rows))
-				fmt.Print(harness.RenderFigure4(rows))
-				all = append(all, rows...)
-			}
-			t = harness.Figure4Table(all)
-		case 5:
-			fmt.Println("Figure 5: one communication parameter varied at a time (speedups)")
-			var all [][]harness.Figure5Point
-			for _, app := range sel {
-				pts, err := ses.Figure5(app, scale, procs)
-				if err != nil {
-					fatalf("%v", err)
-				}
-				fmt.Println(app)
-				fmt.Print(swsm.FormatFigure5(pts))
-				all = append(all, pts)
-			}
-			t = harness.Figure5Table(sel, all)
-		default:
-			fatalf("no figure %d (have 3-5)", n)
-		}
-	})
-	fmt.Println()
-	return t
 }
 
 func fatalf(format string, args ...interface{}) {

@@ -1,30 +1,81 @@
 package main
 
-import "testing"
+import (
+	"flag"
+	"io"
+	"strings"
+	"testing"
+)
 
-func TestCSVRequestCheck(t *testing.T) {
+// TestRequestedOutputs checks which outputs a command line runs, and
+// that every line a requested output cannot serve fails before any
+// runs.
+func TestRequestedOutputs(t *testing.T) {
+	const srv = "-server=http://127.0.0.1:1"
 	for _, tc := range []struct {
 		name string
-		req  csvRequest
-		ok   bool
+		args string
+		want string // the outputs in run order, or "error: <substring>"
 	}{
-		{"local figure", csvRequest{figure: 5}, true},
-		{"degradation", csvRequest{degradation: true}, true},
-		{"litmus", csvRequest{litmus: 4}, true},
-		{"hetero", csvRequest{hetero: true}, true},
-		{"explore", csvRequest{explore: "fft"}, true},
-		{"explore json remote", csvRequest{explore: "fft", json: true, server: "http://x"}, true},
-		{"tables write no CSV", csvRequest{}, false},
-		{"figure json", csvRequest{figure: 3, json: true}, false},
-		{"figure remote", csvRequest{figure: 3, server: "http://x"}, false},
-		{"all", csvRequest{all: true}, false},
-		{"all with figure", csvRequest{all: true, figure: 3}, false},
-		{"json returns before the sweep", csvRequest{json: true, figure: 3, degradation: true}, false},
-		{"figure and degradation overwrite", csvRequest{figure: 3, degradation: true}, false},
-		{"explore drops hetero", csvRequest{explore: "fft", hetero: true}, false},
+		// The -csv cases: exactly one output writes it.
+		{"local figure", "-figure 5 -csv x.csv", "figure5"},
+		{"degradation", "-degradation -csv x.csv", "degradation"},
+		{"litmus", "-litmus 4 -csv x.csv", "litmus"},
+		{"hetero", "-hetero -csv x.csv", "hetero"},
+		{"explore", "-explore fft -csv x.csv", "explore"},
+		{"explore json remote", "-explore fft -json " + srv + " -csv x.csv", "error: -csv"},
+		{"tables write no CSV", "-table 4 -csv x.csv", "error: -csv"},
+		{"figure json", "-figure 3 -json -csv x.csv", "error: -csv"},
+		{"figure remote", "-figure 3 " + srv + " -csv x.csv", "figure3"},
+		{"all", "-all -csv x.csv", "error: -csv"},
+		{"all with figure", "-all -figure 3 -csv x.csv", "error: -csv"},
+		{"json with a sweep", "-json -figure 3 -degradation -csv x.csv", "error: -json"},
+		{"figure and degradation overwrite", "-figure 3 -degradation -csv x.csv", "error: -csv"},
+		{"explore drops hetero", "-explore fft -hetero -csv x.csv", "error: -csv"},
+
+		// Every requested output runs.
+		{"explore and figure", "-explore fft -figure 3", "figure3 explore"},
+		{"all and validate", "-all -validate", "table1 table2 table3 table4 table5 figure3 figure4 figure5 validate"},
+		{"all and table", "-all -table 4", "table1 table2 table3 table4 table5 figure3 figure4 figure5"},
+		{"sweeps in order", "-hetero -litmus 2 -degradation -hot 2", "trace degradation litmus hetero"},
+		{"nothing", "-scale tiny", "error: no output"},
+
+		// -json and -server fit one kind of output.
+		{"figure json", "-figure 3 -json", "figure3"},
+		{"json and litmus", "-figure 3 -json -litmus 2 -apps fft -scale tiny -procs 4", "error: -json"},
+		{"remote figure", "-figure 3 -apps fft " + srv, "figure3"},
+		{"remote degradation", "-degradation " + srv, "error: -server"},
+		{"remote all", "-all " + srv, "error: -server"},
+
+		// A flag no requested output reads.
+		{"drops without degradation", "-figure 3 -drops 9", "error: ignores -drops"},
+		{"apps for a static table", "-table 1 -apps fft", "error: ignores -apps"},
+		{"trace sample without trace", "-figure 4 -trace-sample 100", "error: ignores -trace-sample"},
+		{"local store remotely", "-explore fft -explore-store d " + srv, "error: ignores -explore-store"},
+		{"explore store locally", "-explore fft -explore-store d", "explore"},
+
+		// Specs are checked before any runs.
+		{"no processors", "-figure 3 -apps fft -scale tiny -procs 0", "error: procs 0 outside [1, 64]"},
+		{"too many processors", "-figure 3 -apps fft -procs 65", "error: procs 65 outside [1, 64]"},
+		{"unknown app", "-figure 4 -apps nosuch", "error: nosuch"},
+		{"unknown scale", "-figure 4 -scale huge", "error: unknown scale"},
+		{"bad drop rate", "-degradation -drops 1,200", "error: -drops 200.00 outside [0, 100]"},
+		{"no figure 2", "-figure 2", "error: no figure 2"},
 	} {
-		if err := tc.req.check(); (err == nil) != tc.ok {
-			t.Errorf("%s: check() = %v, want ok=%v", tc.name, err, tc.ok)
+		fs := flag.NewFlagSet("svmbench", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		r, err := parseArgs(fs, strings.Fields(tc.args))
+		got := ""
+		if err != nil {
+			got = "error: " + err.Error()
+		} else {
+			got = strings.Join(r.outputs, " ")
+		}
+		if want, ok := strings.CutPrefix(tc.want, "error: "); ok && err != nil && strings.Contains(err.Error(), want) {
+			continue
+		}
+		if got != tc.want {
+			t.Errorf("%s: svmbench %s: got %q, want %q", tc.name, tc.args, got, tc.want)
 		}
 	}
 }

@@ -50,6 +50,7 @@ import (
 	"syscall"
 	"time"
 
+	"swsm/internal/cli"
 	"swsm/internal/cluster"
 	"swsm/internal/obs"
 	"swsm/internal/server"
@@ -79,9 +80,7 @@ func main() {
 		leasePoll   = flag.Duration("lease-poll", 200*time.Millisecond, "worker: lease poll / heartbeat interval")
 	)
 	flag.Parse()
-	var set []string
-	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
-	if err := checkFlags(set, *coordinator, *joinURLs != ""); err != nil {
+	if err := checkFlags(cli.Set(flag.CommandLine), *coordinator, *joinURLs != ""); err != nil {
 		fmt.Fprintf(os.Stderr, "svmd: %v\n", err)
 		os.Exit(2)
 	}
@@ -211,20 +210,13 @@ func main() {
 	}
 }
 
-// flagModes names the modes that use each mode-specific flag; a flag
-// set in any other mode would be silently ignored, so it is rejected.
-var flagModes = map[string]string{
-	"parallel":       "daemon worker",
-	"drain-timeout":  "daemon worker",
-	"slo-ms":         "daemon worker",
-	"debug-dir":      "daemon worker",
-	"node-id":        "worker coordinator",
-	"join":           "worker",
-	"lease-poll":     "worker",
-	"standby-of":     "coordinator",
-	"heartbeat-ttl":  "coordinator",
-	"lease-ttl":      "coordinator",
-	"failover-after": "coordinator",
+// modeFlags names the mode-specific flags each mode reads; a flag set
+// in a mode that does not read it would be silently ignored, so it is
+// rejected.
+var modeFlags = map[string]string{
+	"daemon":      "parallel drain-timeout slo-ms debug-dir",
+	"worker":      "parallel drain-timeout slo-ms debug-dir node-id join lease-poll",
+	"coordinator": "node-id standby-of heartbeat-ttl lease-ttl failover-after",
 }
 
 // checkFlags rejects the explicitly set flags (in flag.Visit's sorted
@@ -237,16 +229,7 @@ func checkFlags(set []string, coordinator, join bool) error {
 	case join:
 		mode = "worker"
 	}
-	var bad []string
-	for _, name := range set {
-		if modes, ok := flagModes[name]; ok && !strings.Contains(modes, mode) {
-			bad = append(bad, "-"+name)
-		}
-	}
-	if len(bad) == 0 {
-		return nil
-	}
-	return fmt.Errorf("%s mode ignores %s", mode, strings.Join(bad, ", "))
+	return cli.CheckFlags(set, modeFlags, mode+" mode", mode)
 }
 
 // defaultStoreDir places the store under the user cache dir, falling

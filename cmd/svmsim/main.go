@@ -1,6 +1,8 @@
 // Command svmsim runs one application on the simulated software
 // shared-memory cluster and reports speedup, the execution-time
-// breakdown and the protocol event counters.
+// breakdown and the protocol event counters.  A run prints the same
+// report in process and on an svmd daemon (-server); a flag that the
+// requested output does not read is rejected (exit 2).
 //
 // Examples:
 //
@@ -26,52 +28,174 @@ import (
 	"time"
 
 	"swsm"
+	"swsm/internal/apps"
+	"swsm/internal/cli"
 	"swsm/internal/harness"
-	"swsm/internal/server/api"
 	"swsm/internal/server/client"
 	"swsm/internal/stats"
 )
 
+// reads maps each output to the flags it reads; a flag listed here is
+// rejected when the selected output does not read it (cli.CheckFlags).
+// A run prints a text report or a JSON row, in process or on a daemon;
+// any trace product also selects trace, and only an in-process run
+// reads the products themselves.
+var reads = map[string]string{
+	"report":        run + " parallel perproc trace trace-jsonl timeline hot",
+	"json":          run + " json parallel trace trace-jsonl timeline hot",
+	"remote-report": run + " server stitched-trace",
+	"remote-json":   run + " json server stitched-trace",
+	"litmus":        "litmus litmus-seed procs scale drop parallel",
+	"trace":         "trace-sample",
+}
+
+// run lists the flags that build a run's spec.
+const run = "app protocol comm costs procs scale scblock check fault-seed drop dup delay delay-max pause reliable hetero placement"
+
+// options is one invocation: its flags, then what parseArgs derives
+// from them.
+type options struct {
+	app, protocol, comm, costs, scale, server, stitched, pause, hetero, placement string
+	chrome, jsonl, timeline                                                       string
+	procs, scBlock, parallel, hotK, litmusN                                       int
+	list, perProc, json, check, reliable                                          bool
+	sample, delayMax                                                              int64
+	litmusSeed, faultSeed                                                         uint64
+	drop, dup, delay                                                              float64
+
+	// outputs are the selected outputs: list, litmus, or one run
+	// output, plus trace when a trace product is requested.
+	outputs []string
+	litmus  cli.Litmus
+	spec    harness.RunSpec
+	config  string
+}
+
+// tracing reports whether a trace product is requested.
+func (o *options) tracing() bool {
+	return o.chrome != "" || o.jsonl != "" || o.timeline != "" || o.hotK > 0
+}
+
+// parseArgs parses args into fs and checks them: every error is a usage
+// error, found before anything runs.
+func parseArgs(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	fs.StringVar(&o.app, "app", "fft", "application name (see -list)")
+	fs.StringVar(&o.protocol, "protocol", "hlrc", "protocol: hlrc, lrc, sc or ideal")
+	fs.StringVar(&o.comm, "comm", "A", "communication parameter set: A, B, H, W, B+")
+	fs.StringVar(&o.costs, "costs", "O", "protocol cost set: O, H, B")
+	fs.IntVar(&o.procs, "procs", 16, "processor count")
+	fs.StringVar(&o.scale, "scale", "base", "problem scale: tiny, base, large")
+	fs.IntVar(&o.scBlock, "scblock", 0, "override SC block granularity (bytes)")
+	fs.BoolVar(&o.list, "list", false, "list applications and exit")
+	fs.BoolVar(&o.perProc, "perproc", false, "print the per-processor breakdown table")
+	fs.IntVar(&o.parallel, "parallel", 0, "max concurrent simulations (0 = one per CPU)")
+	fs.BoolVar(&o.json, "json", false, "print the result as one machine-readable JSON row")
+	fs.StringVar(&o.server, "server", "", "execute on a running svmd daemon at this URL instead of in-process")
+
+	fs.StringVar(&o.chrome, "trace", "", "write Chrome trace_event JSON (Perfetto-loadable) to this file")
+	fs.StringVar(&o.jsonl, "trace-jsonl", "", "write the event trace as compact JSONL to this file")
+	fs.Int64Var(&o.sample, "trace-sample", 0, "sample the breakdown every N cycles (with tracing)")
+	fs.StringVar(&o.timeline, "timeline", "", "write the sampled breakdown timeline CSV to this file")
+	fs.IntVar(&o.hotK, "hot", 0, "print the top K hot pages/locks/barriers (requires tracing)")
+	fs.StringVar(&o.stitched, "stitched-trace", "", "with -server: save the job's stitched service+sim Perfetto timeline to this file")
+
+	fs.BoolVar(&o.check, "check", false, "run the consistency conformance checker over the run")
+	fs.IntVar(&o.litmusN, "litmus", 0, "run a litmus ladder of N seeds across hlrc/lrc/sc instead of -app")
+	fs.Uint64Var(&o.litmusSeed, "litmus-seed", 1, "first seed of the -litmus ladder")
+
+	fs.Uint64Var(&o.faultSeed, "fault-seed", 1, "seed for deterministic fault injection")
+	fs.Float64Var(&o.drop, "drop", 0, "message drop rate in percent (enables the reliable transport)")
+	fs.Float64Var(&o.dup, "dup", 0, "message duplication rate in percent")
+	fs.Float64Var(&o.delay, "delay", 0, "message extra-delay rate in percent")
+	fs.Int64Var(&o.delayMax, "delay-max", 0, "max injected extra delay in cycles (default 10000)")
+	fs.StringVar(&o.pause, "pause", "", "periodic node pause windows as EVERY:FOR[:NODEMASK] cycles")
+	fs.BoolVar(&o.reliable, "reliable", false, "route through the reliable transport even with no faults")
+
+	fs.StringVar(&o.hetero, "hetero", "uniform", "heterogeneity preset: "+strings.Join(swsm.HeteroPresetNames(), ", "))
+	fs.StringVar(&o.placement, "placement", "app", "page-home placement policy: "+strings.Join(swsm.HeteroPlacementNames(), ", "))
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	out := "report"
+	if o.json {
+		out = "json"
+	}
+	if o.server != "" {
+		out = "remote-" + out
+	}
+	switch {
+	case o.list:
+		out = "list"
+	case o.litmusN > 0:
+		out = "litmus"
+	}
+	o.outputs = []string{out}
+	if o.tracing() {
+		o.outputs = append(o.outputs, "trace")
+	}
+	what := "a request for " + strings.Join(o.outputs, " and ")
+	if err := cli.CheckFlags(cli.Set(fs), reads, what, o.outputs...); err != nil || o.list {
+		return o, err
+	}
+
+	sc, err := apps.ParseScale(o.scale)
+	if err != nil {
+		return nil, err
+	}
+	fp := swsm.FaultSpec{Seed: o.faultSeed, DelayMax: o.delayMax, Reliable: o.reliable}
+	if fp.DropPPM, err = cli.PPM("drop", o.drop); err != nil {
+		return nil, err
+	}
+	if o.litmusN > 0 {
+		o.litmus = cli.Litmus{Seed: o.litmusSeed, N: o.litmusN, Procs: o.procs, Scale: sc}
+		if fp.DropPPM > 0 {
+			o.litmus.DropPPMs = []int64{0, fp.DropPPM}
+		}
+		return o, harness.LitmusSpec(o.litmusSeed, harness.HLRC, sc, o.procs).Validate()
+	}
+	if fp.DupPPM, err = cli.PPM("dup", o.dup); err != nil {
+		return nil, err
+	}
+	if fp.DelayPPM, err = cli.PPM("delay", o.delay); err != nil {
+		return nil, err
+	}
+	if o.pause != "" {
+		if fp.PauseEvery, fp.PauseFor, fp.PauseMask, err = parsePause(o.pause); err != nil {
+			return nil, err
+		}
+	}
+	spec := swsm.DefaultSpec(o.app, swsm.ProtocolKind(o.protocol))
+	spec.Procs = o.procs
+	spec.SCBlockOverride = o.scBlock
+	spec.Scale = sc
+	spec.Check = o.check
+	lc := swsm.LayerConfig{Comm: o.comm, Costs: o.costs}
+	if err := lc.Apply(&spec); err != nil {
+		return nil, err
+	}
+	spec.Fault = fp
+	if spec.Hetero, err = swsm.ComposeHeteroSpec(o.hetero, o.placement); err != nil {
+		return nil, err
+	}
+	if o.tracing() {
+		spec.Trace = true
+		spec.TraceSample = o.sample
+		if o.timeline != "" && o.sample <= 0 {
+			return nil, fmt.Errorf("-timeline needs -trace-sample N")
+		}
+	}
+	o.spec, o.config = spec, lc.Label()
+	return o, spec.Validate()
+}
+
 func main() {
-	var (
-		app      = flag.String("app", "fft", "application name (see -list)")
-		protocol = flag.String("protocol", "hlrc", "protocol: hlrc, sc or ideal")
-		commSet  = flag.String("comm", "A", "communication parameter set: A, B, H, W, B+")
-		costSet  = flag.String("costs", "O", "protocol cost set: O, H, B")
-		procs    = flag.Int("procs", 16, "processor count")
-		scale    = flag.String("scale", "base", "problem scale: tiny, base, large")
-		scBlock  = flag.Int("scblock", 0, "override SC block granularity (bytes)")
-		list     = flag.Bool("list", false, "list applications and exit")
-		perProc  = flag.Bool("perproc", false, "print the per-processor breakdown table")
-		parallel = flag.Int("parallel", 0, "max concurrent simulations (0 = one per CPU)")
-		jsonOut  = flag.Bool("json", false, "print the result as one machine-readable JSON row")
-		server   = flag.String("server", "", "execute on a running svmd daemon at this URL instead of in-process")
-
-		traceOut    = flag.String("trace", "", "write Chrome trace_event JSON (Perfetto-loadable) to this file")
-		traceJSONL  = flag.String("trace-jsonl", "", "write the event trace as compact JSONL to this file")
-		traceSample = flag.Int64("trace-sample", 0, "sample the breakdown every N cycles (with tracing)")
-		timelineOut = flag.String("timeline", "", "write the sampled breakdown timeline CSV to this file")
-		hotK        = flag.Int("hot", 0, "print the top K hot pages/locks/barriers (requires tracing)")
-		stitchedOut = flag.String("stitched-trace", "", "with -server: save the job's stitched service+sim Perfetto timeline to this file")
-
-		check      = flag.Bool("check", false, "run the consistency conformance checker over the run")
-		litmusN    = flag.Int("litmus", 0, "run a litmus ladder of N seeds across hlrc/lrc/sc instead of -app")
-		litmusSeed = flag.Uint64("litmus-seed", 1, "first seed of the -litmus ladder")
-
-		faultSeed = flag.Uint64("fault-seed", 1, "seed for deterministic fault injection")
-		dropPct   = flag.Float64("drop", 0, "message drop rate in percent (enables the reliable transport)")
-		dupPct    = flag.Float64("dup", 0, "message duplication rate in percent")
-		delayPct  = flag.Float64("delay", 0, "message extra-delay rate in percent")
-		delayMax  = flag.Int64("delay-max", 0, "max injected extra delay in cycles (default 10000)")
-		pauseSpec = flag.String("pause", "", "periodic node pause windows as EVERY:FOR[:NODEMASK] cycles")
-		reliable  = flag.Bool("reliable", false, "route through the reliable transport even with no faults")
-
-		heteroSkew = flag.String("hetero", "uniform", "heterogeneity preset: "+strings.Join(swsm.HeteroPresetNames(), ", "))
-		placement  = flag.String("placement", "app", "page-home placement policy: "+strings.Join(swsm.HeteroPlacementNames(), ", "))
-	)
-	flag.Parse()
-
-	if *list {
+	o, err := parseArgs(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "svmsim: %v\n", err)
+		os.Exit(2)
+	}
+	if o.list {
 		for _, name := range swsm.Apps() {
 			info, _ := swsm.AppLookup(name)
 			kind := "original"
@@ -82,311 +206,144 @@ func main() {
 		}
 		return
 	}
-
-	var sc swsm.Scale
-	switch *scale {
-	case "tiny":
-		sc = swsm.Tiny
-	case "base":
-		sc = swsm.Base
-	case "large":
-		sc = swsm.Large
-	default:
-		fatalf("unknown scale %q", *scale)
-	}
-	fs := swsm.FaultSpec{
-		Seed:     *faultSeed,
-		DropPPM:  pctToPPM(*dropPct, "drop"),
-		DupPPM:   pctToPPM(*dupPct, "dup"),
-		DelayPPM: pctToPPM(*delayPct, "delay"),
-		DelayMax: *delayMax,
-		Reliable: *reliable,
-	}
-	if *pauseSpec != "" {
-		every, dur, mask, err := parsePause(*pauseSpec)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fs.PauseEvery, fs.PauseFor, fs.PauseMask = every, dur, mask
-	}
-	if err := fs.Validate(); err != nil {
-		fatalf("%v", err)
-	}
-
-	if *litmusN > 0 {
-		if *server != "" {
-			fatalf("-litmus runs locally (the ladder needs in-process shrinking); drop -server")
-		}
-		runLitmus(*parallel, *litmusSeed, *litmusN, *procs, sc, fs)
-		return
-	}
-
-	spec := swsm.DefaultSpec(*app, swsm.ProtocolKind(*protocol))
-	spec.Procs = *procs
-	spec.SCBlockOverride = *scBlock
-	spec.Scale = sc
-	spec.Check = *check
-	lc := swsm.LayerConfig{Comm: *commSet, Costs: *costSet}
-	if err := lc.Apply(&spec); err != nil {
-		fatalf("%v", err)
-	}
-	spec.Fault = fs
-	hs, err := swsm.ComposeHeteroSpec(*heteroSkew, *placement)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	spec.Hetero = hs
-
-	tracing := *traceOut != "" || *traceJSONL != "" || *timelineOut != "" || *hotK > 0
-	if tracing {
-		spec.Trace = true
-		spec.TraceSample = *traceSample
-		if *timelineOut != "" && *traceSample <= 0 {
-			fatalf("-timeline needs -trace-sample N")
-		}
-	}
-
-	if *server != "" {
-		if tracing {
-			fatalf("trace capture is an in-process artifact; drop -server to trace (or use -stitched-trace)")
-		}
-		if *perProc {
-			fatalf("-perproc needs in-process statistics; drop -server")
-		}
-		runRemote(*server, spec, *jsonOut, *stitchedOut)
-		return
-	}
-	if *stitchedOut != "" {
-		fatalf("-stitched-trace fetches a daemon-side timeline; it needs -server (use -trace locally)")
-	}
-
-	// The session runs the spec and its sequential baseline concurrently
-	// (two independent simulations) and memoizes both.
-	ses := swsm.NewSession(*parallel)
+	ses := swsm.NewSession(o.parallel)
 	start := time.Now()
-	speedup, res, err := ses.Speedup(spec)
+	var src string
+	if l := o.litmus; o.litmusN > 0 {
+		err = l.Run(os.Stdout, ses, fmt.Sprintf("Litmus ladder: seeds %d..%d x {hlrc, lrc, sc}, %d procs", l.Seed, l.Seed+uint64(l.N)-1, l.Procs))
+	} else {
+		src, err = o.runOne(context.Background(), ses)
+	}
 	if err != nil {
-		fatalf("%v", err)
+		fmt.Fprintf(os.Stderr, "svmsim: %v\n", err)
+		os.Exit(1)
 	}
-	elapsed := time.Since(start)
-	seq, err := ses.SequentialBaseline(*app, spec.Scale, spec.CacheEnabled)
+	if !o.json {
+		if st := ses.Stats(); src == "" {
+			src = fmt.Sprintf("parallel=%d, %d runs, %d cache hits", ses.Parallelism(), st.Runs, st.Hits+st.Waits)
+		}
+		fmt.Printf("[%.2fs wall, %s]\n", time.Since(start).Seconds(), src)
+	}
+}
+
+// runOne resolves the spec's row through ses, or on the daemon with
+// -server, and prints it as the text report or the JSON row, then the
+// local-only per-processor table and trace products.  A remote run
+// returns the row's source for the closing line.
+func (o *options) runOne(ctx context.Context, ses *harness.Session) (string, error) {
+	if o.server != "" {
+		return o.runRemote(ctx)
+	}
+	rows, err := ses.Rows(ctx, []harness.RunSpec{o.spec})
 	if err != nil {
-		fatalf("sequential baseline: %v", err)
+		return "", err
 	}
-
-	if *jsonOut {
-		row := swsm.NewRunRow(res).WithSpeedup(seq)
-		if err := swsm.WriteRunRowJSON(os.Stdout, row); err != nil {
-			fatalf("%v", err)
-		}
-		if tracing {
-			// Keep stdout pure JSON; file notices and hot-object reports go
-			// to stderr.
-			if err := writeTraceOutputs(os.Stderr, res, *traceOut, *traceJSONL, *timelineOut, *hotK); err != nil {
-				fatalf("%v", err)
-			}
-		}
-		return
+	if err := o.print(rows[0]); err != nil || !o.perProc && !o.tracing() {
+		return "", err
 	}
-
-	fmt.Printf("%s on %s, %d procs, config %s (scale %s)\n",
-		*app, *protocol, *procs, lc.Label(), *scale)
-	if spec.Fault.Enabled() {
-		fmt.Printf("  fault plan: seed %d, drop %.2f%%, dup %.2f%%, delay %.2f%%, pause %d/%d\n",
-			spec.Fault.Seed, *dropPct, *dupPct, *delayPct,
-			spec.Fault.PauseFor, spec.Fault.PauseEvery)
+	res, err := ses.Run(o.spec)
+	if err != nil {
+		return "", err
 	}
-	if spec.Hetero.Enabled() {
-		fmt.Printf("  hetero: skew %s, placement %s\n", *heteroSkew, *placement)
-		if spec.Hetero.Placement == swsm.PlaceAdaptive {
-			fmt.Printf("    pages rehomed %d, demoted %d\n",
-				res.Stats.TotalCount(stats.PagesRehomed),
-				res.Stats.TotalCount(stats.PagesDemoted))
-		}
-	}
-	fmt.Printf("  cycles:   %d (sequential %d)\n", res.Cycles, seq)
-	fmt.Printf("  speedup:  %.2f\n", speedup)
-	fmt.Printf("  breakdown (avg cycles/proc): %s\n", res.Stats.BreakdownString())
-	total, diffPct, handlerPct := res.Stats.ProtocolPercent()
-	fmt.Printf("  protocol activity: %.1f%% of time (diff %.1f%%, handler %.1f%%)\n",
-		total, diffPct, handlerPct)
-	fmt.Printf("  counters: %s\n", res.Stats.CounterString())
-	if res.Consistency != nil {
-		fmt.Printf("  consistency: %s\n", res.Consistency)
-	}
-	fmt.Printf("  imbalance: data %.2fx, lock %.2fx, barrier %.2fx\n",
-		res.Stats.Imbalance(stats.DataWait),
-		res.Stats.Imbalance(stats.LockWait),
-		res.Stats.Imbalance(stats.BarrierWait))
-	if *perProc {
+	if o.perProc {
 		fmt.Println("  per-processor breakdown:")
 		fmt.Print(harness.PerProcBreakdown(res))
 	}
-	if tracing {
-		if err := writeTraceOutputs(os.Stdout, res, *traceOut, *traceJSONL, *timelineOut, *hotK); err != nil {
-			fatalf("%v", err)
-		}
+	if !o.tracing() {
+		return "", nil
 	}
-	st := ses.Stats()
-	fmt.Printf("[%.2fs wall, parallel=%d, %d runs, %d cache hits]\n",
-		elapsed.Seconds(), ses.Parallelism(), st.Runs, st.Hits+st.Waits)
+	// Keep stdout pure JSON under -json; file notices and hot-object
+	// reports go to stderr.
+	notices := io.Writer(os.Stdout)
+	if o.json {
+		notices = os.Stderr
+	}
+	return "", o.writeTrace(notices, res)
 }
 
-// runLitmus executes the litmus ladder: n seeds x {hlrc, lrc, sc} with
-// the conformance checker on; with -drop set, a faulted column runs next
-// to the clean one.  Every violation is delta-debugged to a minimal
-// reproducer and the command exits nonzero.
-func runLitmus(parallel int, baseSeed uint64, n, procs int, scale swsm.Scale, fs swsm.FaultSpec) {
-	protos := []swsm.ProtocolKind{swsm.HLRC, swsm.LRC, swsm.SC}
-	var drops []int64
-	if fs.DropPPM > 0 {
-		drops = []int64{0, fs.DropPPM}
-	}
-	ses := swsm.NewSession(parallel)
-	start := time.Now()
-	points, err := ses.LitmusSweep(baseSeed, n, protos, scale, procs, drops)
+// runRemote resolves the spec on the daemon, saves the job's stitched
+// timeline when asked, and prints the row.
+func (o *options) runRemote(ctx context.Context) (string, error) {
+	c := client.New(o.server)
+	rows, jobs, err := c.Rows(ctx, []harness.RunSpec{o.spec}, 1)
 	if err != nil {
-		fatalf("litmus sweep: %v", err)
+		return "", err
 	}
-	fmt.Printf("Litmus ladder: seeds %d..%d x {hlrc, lrc, sc}, %d procs\n",
-		baseSeed, baseSeed+uint64(n)-1, procs)
-	fmt.Print(swsm.FormatLitmus(points))
-	bad := 0
-	for _, p := range points {
-		if p.Conforms() {
-			continue
-		}
-		bad++
-		spec := swsm.LitmusSpec(p.Seed, p.Proto, scale, procs)
-		if p.DropPPM > 0 {
-			spec = swsm.FaultedSpec(spec, p.Seed, p.DropPPM)
-		}
-		prog := swsm.LitmusGenerate(p.Seed, procs, scale)
-		if min := swsm.ShrinkLitmus(spec, prog, nil); min != nil {
-			fmt.Printf("minimal reproducer for seed %d on %s (%d of %d ops):\n%s\n",
-				p.Seed, p.Proto, min.Ops(), prog.Ops(), min)
-		}
-	}
-	st := ses.Stats()
-	fmt.Printf("[%.2fs wall, parallel=%d, %d runs, %d cache hits]\n",
-		time.Since(start).Seconds(), ses.Parallelism(), st.Runs, st.Hits+st.Waits)
-	if bad > 0 {
-		fatalf("%d of %d litmus points violated their consistency model", bad, len(points))
-	}
-	fmt.Printf("all %d points conform\n", len(points))
-}
-
-// runRemote executes the spec on an svmd daemon: the service resolves
-// it through its persistent store and memoized scheduler (always with
-// the sequential-baseline speedup) and returns the same RunRow the
-// local -json path prints.  With stitchedPath the job's stitched
-// service+sim Perfetto timeline is fetched afterwards.
-func runRemote(baseURL string, spec swsm.RunSpec, jsonOut bool, stitchedPath string) {
-	start := time.Now()
-	c := client.New(baseURL)
-	st, err := c.Run(context.Background(), api.RunRequest{Spec: spec, Speedup: true})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if st.State != api.StateDone || st.Row == nil {
-		fatalf("job %s %s: %s", st.ID, st.State, st.Error)
-	}
-	if stitchedPath != "" {
-		if err := writeFile(stitchedPath, func(w *os.File) error {
-			return c.Trace(context.Background(), st.ID, w)
-		}); err != nil {
-			fatalf("stitched trace: %v", err)
+	job := jobs[0]
+	if o.stitched != "" {
+		if err := cli.WriteFile(o.stitched, func(w io.Writer) error { return c.Trace(ctx, job.ID, w) }); err != nil {
+			return "", fmt.Errorf("stitched trace: %v", err)
 		}
 		// Keep stdout pure JSON under -json; notices go to stderr.
-		fmt.Fprintf(os.Stderr, "  stitched-trace: %s (job %s; load in Perfetto)\n", stitchedPath, st.ID)
+		fmt.Fprintf(os.Stderr, "  stitched-trace: %s (job %s; load in Perfetto)\n", o.stitched, job.ID)
 	}
-	row := *st.Row
-	if jsonOut {
-		if err := swsm.WriteRunRowJSON(os.Stdout, row); err != nil {
-			fatalf("%v", err)
-		}
-		return
+	src := "simulated remotely"
+	if job.Cached {
+		src = "served from result store"
 	}
-	source := "simulated remotely"
-	if st.Cached {
-		source = "served from result store"
-	}
-	fmt.Printf("%s on %s, %d procs (svmd %s, %s)\n",
-		spec.App, spec.Protocol, spec.Procs, baseURL, source)
-	fmt.Printf("  cycles:   %d (sequential %d)\n", row.Cycles, row.SeqCycles)
-	fmt.Printf("  speedup:  %.2f\n", row.Speedup)
-	fmt.Printf("  breakdown (avg cycles/proc):")
-	for c := stats.Category(0); c < stats.NumCategories; c++ {
-		fmt.Printf(" %s %.0f", c, row.Breakdown[c.String()])
-	}
-	fmt.Println()
-	fmt.Printf("  protocol activity: %.1f%% of time (diff %.1f%%, handler %.1f%%)\n",
-		row.ProtocolPct.Total, row.ProtocolPct.Diff, row.ProtocolPct.Handler)
-	if row.Consistency != nil {
-		fmt.Printf("  consistency: %s\n", row.Consistency)
-	}
-	fmt.Printf("[%.2fs wall, job %s, key %s]\n",
-		time.Since(start).Seconds(), st.ID, row.Key)
+	return fmt.Sprintf("svmd %s, %s, job %s, key %s", o.server, src, job.ID, rows[0].Key), o.print(rows[0])
 }
 
-// writeTraceOutputs serializes a traced run's observability products:
-// Chrome trace, JSONL trace, timeline CSV, and a hot-object report on
-// the notice writer.
-func writeTraceOutputs(notices io.Writer, res *swsm.Result, chromePath, jsonlPath, timelinePath string, hotK int) error {
+// print prints row as the JSON row or the text report.
+func (o *options) print(row harness.RunRow) error {
+	if o.json {
+		return swsm.WriteRunRowJSON(os.Stdout, row)
+	}
+	_, err := fmt.Print(harness.FormatRunRow(row, o.config, o.scale, o.notes(row)...))
+	return err
+}
+
+// notes are the report lines between its title and its cycles: the
+// fault plan and the heterogeneity plane as the flags gave them, and
+// the adaptive policy's page moves.
+func (o *options) notes(row harness.RunRow) []string {
+	var notes []string
+	if o.spec.Fault.Enabled() {
+		notes = append(notes, fmt.Sprintf("  fault plan: seed %d, drop %.2f%%, dup %.2f%%, delay %.2f%%, pause %d/%d",
+			o.spec.Fault.Seed, o.drop, o.dup, o.delay, o.spec.Fault.PauseFor, o.spec.Fault.PauseEvery))
+	}
+	if o.spec.Hetero.Enabled() {
+		notes = append(notes, fmt.Sprintf("  hetero: skew %s, placement %s", o.hetero, o.placement))
+	}
+	if o.spec.Hetero.Placement == swsm.PlaceAdaptive {
+		notes = append(notes, fmt.Sprintf("    pages rehomed %d, demoted %d",
+			row.Counters[stats.PagesRehomed.String()], row.Counters[stats.PagesDemoted.String()]))
+	}
+	return notes
+}
+
+// writeTrace serializes a traced run's observability products: Chrome
+// trace, JSONL trace, timeline CSV, and a hot-object report on the
+// notice writer.
+func (o *options) writeTrace(notices io.Writer, res *swsm.Result) error {
 	d := res.Trace
 	if d == nil {
 		return fmt.Errorf("run carried no trace data")
 	}
 	label := fmt.Sprintf("%s/%s", res.Spec.App, res.Spec.Protocol)
-	if chromePath != "" {
-		if err := writeFile(chromePath, func(w *os.File) error {
-			return swsm.WriteChromeTrace(w, label, d)
-		}); err != nil {
+	for _, f := range []struct {
+		path, note string
+		write      func(io.Writer) error
+	}{
+		{o.chrome, fmt.Sprintf("trace: %s (%d events; load in Perfetto)", o.chrome, len(d.Events)),
+			func(w io.Writer) error { return swsm.WriteChromeTrace(w, label, d) }},
+		{o.jsonl, "trace-jsonl: " + o.jsonl,
+			func(w io.Writer) error { return swsm.WriteJSONLTrace(w, []swsm.TraceRun{{Label: label, Data: d}}) }},
+		{o.timeline, fmt.Sprintf("timeline: %s (%d samples)", o.timeline, len(d.Samples)),
+			func(w io.Writer) error { return swsm.WriteBreakdownTimelineCSV(w, d.Samples) }},
+	} {
+		if f.path == "" {
+			continue
+		}
+		if err := cli.WriteFile(f.path, f.write); err != nil {
 			return err
 		}
-		fmt.Fprintf(notices, "  trace: %s (%d events; load in Perfetto)\n", chromePath, len(d.Events))
+		fmt.Fprintf(notices, "  %s\n", f.note)
 	}
-	if jsonlPath != "" {
-		if err := writeFile(jsonlPath, func(w *os.File) error {
-			return swsm.WriteJSONLTrace(w, []swsm.TraceRun{{Label: label, Data: d}})
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(notices, "  trace-jsonl: %s\n", jsonlPath)
-	}
-	if timelinePath != "" {
-		if err := writeFile(timelinePath, func(w *os.File) error {
-			return swsm.WriteBreakdownTimelineCSV(w, d.Samples)
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(notices, "  timeline: %s (%d samples)\n", timelinePath, len(d.Samples))
-	}
-	if hotK > 0 && d.Hot != nil {
-		fmt.Fprintf(notices, "%s hot objects (top %d):\n%s", label, hotK, harness.FormatHotObjects(d.Hot, hotK))
+	if o.hotK > 0 && d.Hot != nil {
+		fmt.Fprintf(notices, "%s hot objects (top %d):\n%s", label, o.hotK, harness.FormatHotObjects(d.Hot, o.hotK))
 	}
 	return nil
-}
-
-func writeFile(path string, fn func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// pctToPPM converts a percentage flag to the fault plane's fixed-point
-// parts-per-million rate.
-func pctToPPM(pct float64, name string) int64 {
-	if pct < 0 || pct > 100 {
-		fatalf("-%s %.2f outside [0, 100]", name, pct)
-	}
-	return int64(pct * 1e4)
 }
 
 // parsePause decodes EVERY:FOR[:NODEMASK] (cycles, cycles, hex or
@@ -408,9 +365,4 @@ func parsePause(s string) (every, dur int64, mask uint64, err error) {
 		}
 	}
 	return every, dur, mask, nil
-}
-
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "svmsim: "+format+"\n", args...)
-	os.Exit(1)
 }

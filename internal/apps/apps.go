@@ -46,6 +46,20 @@ const (
 	Large
 )
 
+// ParseScale resolves a scale by its command-line name: tiny, base or
+// large.
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "tiny":
+		return Tiny, nil
+	case "base":
+		return Base, nil
+	case "large":
+		return Large, nil
+	}
+	return 0, fmt.Errorf("unknown scale %q", name)
+}
+
 // Factory builds an instance at a given scale.
 type Factory func(s Scale) Instance
 

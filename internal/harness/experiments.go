@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -117,9 +118,9 @@ func TraceRuns(labels []string, results []*Result) []trace.Run {
 // Figure3Specs expands one application's Figure-3 grid — the parallel
 // ideal machine plus the protocol x configuration ladder — into
 // index-aligned specs and labels ("ideal", "hlrc/AO", "sc/B+B", ...).
-// This is the unit both svmbench -json renders locally and svmbench
-// -server submits to the experiment service; keeping one expansion
-// guarantees remote sweeps hit the same content keys as local runs.
+// Every Figure-3 path expands it, in process or on the experiment
+// service; keeping one expansion guarantees remote sweeps hit the same
+// content keys as local runs.
 func Figure3Specs(app string, scale apps.Scale, procs int, configs []LayerConfig) ([]RunSpec, []string, error) {
 	gridSpecs, slots, err := configSpecs(app, scale, procs, configs)
 	if err != nil {
@@ -140,34 +141,40 @@ func Figure3Specs(app string, scale apps.Scale, procs int, configs []LayerConfig
 // results are collected by index, so the output is identical at any
 // parallelism.
 func (s *Session) Figure3(app string, scale apps.Scale, procs int, configs []LayerConfig) (*AppBar, error) {
-	gridSpecs, slots, err := configSpecs(app, scale, procs, configs)
+	specs, labels, err := Figure3Specs(app, scale, procs, configs)
 	if err != nil {
 		return nil, err
 	}
-	specs := append([]RunSpec{baselineSpec(app, scale, true), idealSpec(app, scale, procs)}, gridSpecs...)
-	results, err := s.RunAll(specs)
+	rows, results, err := s.rows(context.Background(), specs)
 	if err != nil {
 		return nil, fmt.Errorf("figure 3 (%s): %w", app, err)
 	}
-	seq := results[0].Cycles
-	bar := &AppBar{
-		App:  app,
-		HLRC: map[string]float64{}, SC: map[string]float64{},
-		Results: map[string]*Result{},
+	return Figure3Bar(app, labels, rows, results), nil
+}
+
+// Figure3Bar builds one application's bar group from the rows of its
+// Figure3Specs grid, index-aligned with the labels, each row carrying
+// its speedup.  results, when non-nil (a local run), is index-aligned
+// too and fills the bar's Results.
+func Figure3Bar(app string, labels []string, rows []RunRow, results []*Result) *AppBar {
+	bar := &AppBar{App: app, HLRC: map[string]float64{}, SC: map[string]float64{}}
+	if results != nil {
+		bar.Results = map[string]*Result{}
 	}
-	bar.Ideal = float64(seq) / float64(results[1].Cycles)
-	bar.Results["ideal"] = results[1]
-	for i, sl := range slots {
-		res := results[2+i]
-		sp := float64(seq) / float64(res.Cycles)
-		bar.Results[string(sl.prot)+"/"+sl.label] = res
-		if sl.prot == HLRC {
-			bar.HLRC[sl.label] = sp
-		} else {
-			bar.SC[sl.label] = sp
+	for i, label := range labels {
+		if results != nil {
+			bar.Results[label] = results[i]
+		}
+		switch {
+		case label == "ideal":
+			bar.Ideal = rows[i].Speedup
+		case strings.HasPrefix(label, "hlrc/"):
+			bar.HLRC[strings.TrimPrefix(label, "hlrc/")] = rows[i].Speedup
+		case strings.HasPrefix(label, "sc/"):
+			bar.SC[strings.TrimPrefix(label, "sc/")] = rows[i].Speedup
 		}
 	}
-	return bar, nil
+	return bar
 }
 
 // FormatFigure3 renders one app's bars as the paper's figure row.

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -93,23 +94,18 @@ func (s *Session) HeterogeneitySweep(appNames []string, protos []ProtocolKind, s
 			}
 		}
 	}
-	results, err := s.RunAll(specs)
+	rows, err := s.Rows(context.Background(), specs)
 	if err != nil {
 		return nil, fmt.Errorf("heterogeneity sweep: %w", err)
 	}
 	out := make([]HeteroPoint, len(slots))
 	for i, sl := range slots {
-		res := results[i]
-		seq, err := s.SequentialBaseline(sl.app, scale, specs[i].CacheEnabled)
-		if err != nil {
-			return nil, fmt.Errorf("heterogeneity sweep: baseline %s: %w", sl.app, err)
-		}
 		out[i] = HeteroPoint{
 			App: sl.app, Skew: sl.skew, Placement: sl.placement, Proto: sl.prot,
-			Cycles:  res.Cycles,
-			Speedup: float64(seq) / float64(res.Cycles),
-			Rehomed: res.Stats.TotalCount(stats.PagesRehomed),
-			Demoted: res.Stats.TotalCount(stats.PagesDemoted),
+			Cycles:  rows[i].Cycles,
+			Speedup: rows[i].Speedup,
+			Rehomed: rows[i].Counters[stats.PagesRehomed.String()],
+			Demoted: rows[i].Counters[stats.PagesDemoted.String()],
 		}
 	}
 	return out, nil

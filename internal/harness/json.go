@@ -2,7 +2,10 @@ package harness
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"sort"
+	"strings"
 
 	"swsm/internal/consistency"
 	"swsm/internal/stats"
@@ -130,4 +133,46 @@ func WriteRunRowJSON(w io.Writer, row RunRow) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(row)
+}
+
+// FormatRunRow renders a row as svmsim's text report: a title naming
+// the run with its layer config label and scale name, the caller's
+// notes one per line, then cycles, speedup, the average breakdown,
+// protocol activity, the counters sorted by name, the checker's
+// coverage and the wait imbalance.  A row read back from JSON renders
+// the same text, so local and remote runs print one report.
+func FormatRunRow(row RunRow, config, scale string, notes ...string) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%s on %s, %d procs, config %s (scale %s)\n",
+		row.Spec.App, row.Spec.Protocol, row.Spec.Procs, config, scale)
+	for _, n := range notes {
+		sb.WriteString(n + "\n")
+	}
+	fmt.Fprintf(&sb, "  cycles:   %d (sequential %d)\n", row.Cycles, row.SeqCycles)
+	fmt.Fprintf(&sb, "  speedup:  %.2f\n", row.Speedup)
+	parts := make([]string, 0, stats.NumCategories)
+	for c := stats.Category(0); c < stats.NumCategories; c++ {
+		parts = append(parts, fmt.Sprintf("%s=%.0f", c, row.Breakdown[c.String()]))
+	}
+	fmt.Fprintf(&sb, "  breakdown (avg cycles/proc): %s\n", strings.Join(parts, " "))
+	fmt.Fprintf(&sb, "  protocol activity: %.1f%% of time (diff %.1f%%, handler %.1f%%)\n",
+		row.ProtocolPct.Total, row.ProtocolPct.Diff, row.ProtocolPct.Handler)
+	names := make([]string, 0, len(row.Counters))
+	for name := range row.Counters {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	parts = parts[:0]
+	for _, name := range names {
+		parts = append(parts, fmt.Sprintf("%s=%d", name, row.Counters[name]))
+	}
+	fmt.Fprintf(&sb, "  counters: %s\n", strings.Join(parts, " "))
+	if row.Consistency != nil {
+		fmt.Fprintf(&sb, "  consistency: %s\n", row.Consistency)
+	}
+	fmt.Fprintf(&sb, "  imbalance: data %.2fx, lock %.2fx, barrier %.2fx\n",
+		row.Imbalance[stats.DataWait.String()],
+		row.Imbalance[stats.LockWait.String()],
+		row.Imbalance[stats.BarrierWait.String()])
+	return sb.String()
 }

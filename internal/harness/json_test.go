@@ -3,9 +3,12 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"swsm/internal/apps"
+	"swsm/internal/stats"
 )
 
 // TestRunRowRoundTrip pins the wire format's fidelity: a row survives a
@@ -54,6 +57,52 @@ func TestRunRowRoundTrip(t *testing.T) {
 	}
 	if back.Counters["msgsSent"] <= 0 {
 		t.Fatalf("counters lost msgsSent: %v", back.Counters)
+	}
+}
+
+// TestFormatRunRow pins the one text report svmsim prints in process
+// and from a daemon: a row and its JSON round trip render the same
+// text, and counters print as name=total sorted by name.
+func TestFormatRunRow(t *testing.T) {
+	spec := DefaultSpec("fft", HLRC)
+	spec.Scale = apps.Tiny
+	spec.Procs = 4
+	spec.Check = true
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := NewRunRow(res).WithSpeedup(2 * res.Cycles)
+	var buf bytes.Buffer
+	if err := WriteRunRowJSON(&buf, row); err != nil {
+		t.Fatal(err)
+	}
+	var back RunRow
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+		t.Fatal(err)
+	}
+	text := FormatRunRow(row, "AO", "tiny", "  a note")
+	if got := FormatRunRow(back, "AO", "tiny", "  a note"); got != text {
+		t.Fatalf("round-tripped row renders differently:\n%s\nwant:\n%s", got, text)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("fft on hlrc, 4 procs, config AO (scale tiny)\n  a note\n  cycles:   %d (sequential %d)\n  speedup:  2.00\n",
+			res.Cycles, 2*res.Cycles),
+		fmt.Sprintf(" msgsSent=%d ", res.Stats.TotalCount(stats.MsgsSent)),
+		"\n  consistency: RC: ",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("report lacks %q:\n%s", want, text)
+		}
+	}
+
+	m := stats.New(2)
+	m.Inc(0, stats.DiffsCreated, 3)
+	m.Inc(1, stats.DiffsCreated, 4)
+	m.Inc(1, stats.MsgsSent, 1)
+	text = FormatRunRow(NewRunRow(&Result{Spec: spec, Stats: m}), "AO", "tiny")
+	if want := "\n  counters: diffsCreated=7 msgsSent=1\n"; !strings.Contains(text, want) {
+		t.Errorf("report lacks %q:\n%s", want, text)
 	}
 }
 

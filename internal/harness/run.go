@@ -112,6 +112,33 @@ func DefaultSpec(app string, prot ProtocolKind) RunSpec {
 	}
 }
 
+// Validate rejects a spec no run could serve: an unknown application,
+// protocol or scale, procs outside [1, 64], or invalid communication,
+// fault or heterogeneity parameters.
+func (s RunSpec) Validate() error {
+	if _, err := apps.Lookup(s.App); err != nil {
+		return err
+	}
+	switch s.Protocol {
+	case HLRC, LRC, SC, Ideal:
+	default:
+		return fmt.Errorf("unknown protocol %q", s.Protocol)
+	}
+	if s.Procs < 1 || s.Procs > 64 {
+		return fmt.Errorf("procs %d outside [1, 64]", s.Procs)
+	}
+	if s.Scale < apps.Tiny || s.Scale > apps.Large {
+		return fmt.Errorf("unknown scale %d", s.Scale)
+	}
+	if err := s.Comm.Validate(); err != nil {
+		return err
+	}
+	if err := s.Fault.Validate(); err != nil {
+		return err
+	}
+	return s.Hetero.Validate()
+}
+
 // Result is one run's outcome.
 type Result struct {
 	Spec   RunSpec

@@ -314,3 +314,41 @@ func (s *Session) Speedup(spec RunSpec) (float64, *Result, error) {
 	}
 	return float64(results[0].Cycles) / float64(results[1].Cycles), results[1], nil
 }
+
+// Rows runs every spec, plus each distinct sequential baseline they
+// divide by, through RunEach and returns each spec's row with its
+// speedup, in spec order.  Every spec is validated before any runs.
+func (s *Session) Rows(ctx context.Context, specs []RunSpec) ([]RunRow, error) {
+	rows, _, err := s.rows(ctx, specs)
+	return rows, err
+}
+
+// rows is Rows that also returns the specs' results.
+func (s *Session) rows(ctx context.Context, specs []RunSpec) ([]RunRow, []*Result, error) {
+	for _, spec := range specs {
+		if err := spec.Validate(); err != nil {
+			return nil, nil, err
+		}
+	}
+	all := append([]RunSpec(nil), specs...)
+	seqAt := map[RunSpec]int{}
+	for _, spec := range specs {
+		b := baselineSpec(spec.App, spec.Scale, spec.CacheEnabled)
+		if _, ok := seqAt[b]; !ok {
+			seqAt[b] = len(all)
+			all = append(all, b)
+		}
+	}
+	results, errs := s.RunEach(ctx, all)
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	rows := make([]RunRow, len(specs))
+	for i, spec := range specs {
+		seq := results[seqAt[baselineSpec(spec.App, spec.Scale, spec.CacheEnabled)]].Cycles
+		rows[i] = NewRunRow(results[i]).WithSpeedup(seq)
+	}
+	return rows, results[:len(specs)], nil
+}

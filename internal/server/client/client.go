@@ -2,8 +2,9 @@
 // service: the piece both CLIs use in -server mode.  It speaks the
 // api package's wire types, honors the daemon's explicit backpressure
 // (429 + Retry-After triggers a bounded, context-aware retry), and
-// otherwise stays deliberately dumb — spec construction, speedup math
-// and formatting all live with the caller, exactly as in local mode.
+// otherwise stays deliberately dumb — spec construction and formatting
+// live with the caller, exactly as in local mode, and Rows returns the
+// same rows harness.Session.Rows does.
 package client
 
 import (
@@ -18,9 +19,11 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"swsm/internal/explore"
+	"swsm/internal/harness"
 	"swsm/internal/server/api"
 )
 
@@ -60,18 +63,14 @@ func (e *apiError) Error() string {
 	return fmt.Sprintf("svmd: %s (HTTP %d)", e.Msg, e.Status)
 }
 
-// do performs one request, decoding a JSON body into out (ignored when
-// nil) and mapping non-2xx responses to *apiError.  Transport-level
-// failures on idempotent requests (connection refused or reset while a
-// daemon restarts, for example) surface as retryable errors so
-// withBackoff can reconnect; non-idempotent requests fail immediately —
-// the caller knows whether its POST is safe to repeat.
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
-	return c.doRetryable(ctx, method, path, body, out,
-		method == http.MethodGet || method == http.MethodHead)
-}
-
-func (c *Client) doRetryable(ctx context.Context, method, path string, body, out any, idempotent bool) error {
+// do performs one request, decoding a JSON body into out
+// (ignored when nil; copied verbatim when out is an io.Writer) and
+// mapping non-2xx responses to *apiError.  Transport-level failures on
+// idempotent requests (connection refused or reset while a daemon
+// restarts, for example) surface as retryable errors so withBackoff can
+// reconnect; non-idempotent requests fail immediately — the caller
+// knows whether its request is safe to repeat.
+func (c *Client) do(ctx context.Context, method, path string, body, out any, idempotent bool) error {
 	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
@@ -119,8 +118,12 @@ func (c *Client) doRetryable(ctx context.Context, method, path string, body, out
 		}
 		return ae
 	}
-	if out == nil {
+	switch out := out.(type) {
+	case nil:
 		return nil
+	case io.Writer:
+		_, err = io.Copy(out, resp.Body)
+		return err
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
@@ -199,29 +202,74 @@ func (c *Client) withBackoff(ctx context.Context, fn func() error) error {
 	}
 }
 
-// Run submits a run and blocks until it reaches a terminal state,
-// retrying on backpressure.
-func (c *Client) Run(ctx context.Context, req api.RunRequest) (*api.RunStatus, error) {
-	var st api.RunStatus
+// call sends one request through withBackoff and decodes the response
+// into a new T; idempotent requests also retry transport failures.
+func call[T any](ctx context.Context, c *Client, method, path string, body any, idempotent bool) (*T, error) {
+	var out T
 	err := c.withBackoff(ctx, func() error {
-		return c.do(ctx, http.MethodPost, "/runs?wait=1", req, &st)
+		return c.do(ctx, method, path, body, &out, idempotent)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &st, nil
+	return &out, nil
+}
+
+// Run submits a run and blocks until it reaches a terminal state,
+// retrying on backpressure.
+func (c *Client) Run(ctx context.Context, req api.RunRequest) (*api.RunStatus, error) {
+	return call[api.RunStatus](ctx, c, http.MethodPost, "/runs?wait=1", req, false)
+}
+
+// Rows resolves every spec on the daemon with its sequential-baseline
+// speedup, at most parallel points in flight (0 means 4), and returns
+// the rows in spec order with each point's terminal status.  Points are
+// submitted one by one, not as one sweep, so a grid larger than the
+// daemon's admission queue degrades to backoff-and-retry instead of
+// rejection.  Every spec is validated before any is submitted.
+func (c *Client) Rows(ctx context.Context, specs []harness.RunSpec, parallel int) ([]harness.RunRow, []*api.RunStatus, error) {
+	for _, spec := range specs {
+		if err := spec.Validate(); err != nil {
+			return nil, nil, err
+		}
+	}
+	if parallel <= 0 {
+		parallel = 4
+	}
+	rows := make([]harness.RunRow, len(specs))
+	jobs := make([]*api.RunStatus, len(specs))
+	errs := make([]error, len(specs))
+	sem := make(chan struct{}, parallel)
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func(i int, spec harness.RunSpec) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			st, err := c.Run(ctx, api.RunRequest{Spec: spec, Speedup: true})
+			if err == nil && (st.State != api.StateDone || st.Row == nil) {
+				err = fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error)
+			}
+			if err != nil {
+				errs[i] = fmt.Errorf("%s on %s, %d procs: %w", spec.App, spec.Protocol, spec.Procs, err)
+				return
+			}
+			rows[i], jobs[i] = *st.Row, st
+		}(i, spec)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return rows, jobs, nil
 }
 
 // Submit enqueues a run without waiting.
 func (c *Client) Submit(ctx context.Context, req api.RunRequest) (*api.RunStatus, error) {
-	var st api.RunStatus
-	err := c.withBackoff(ctx, func() error {
-		return c.do(ctx, http.MethodPost, "/runs", req, &st)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return call[api.RunStatus](ctx, c, http.MethodPost, "/runs", req, false)
 }
 
 // Get fetches a job's status; wait blocks until it is terminal.  As an
@@ -232,32 +280,13 @@ func (c *Client) Get(ctx context.Context, id string, wait bool) (*api.RunStatus,
 	if wait {
 		path += "?wait=1"
 	}
-	var st api.RunStatus
-	err := c.withBackoff(ctx, func() error {
-		return c.do(ctx, http.MethodGet, path, nil, &st)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-// GetSweep fetches a sweep's progress (idempotent; retried like Get).
-func (c *Client) GetSweep(ctx context.Context, id string) (*api.SweepStatus, error) {
-	var st api.SweepStatus
-	err := c.withBackoff(ctx, func() error {
-		return c.do(ctx, http.MethodGet, "/sweeps/"+url.PathEscape(id), nil, &st)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return call[api.RunStatus](ctx, c, http.MethodGet, path, nil, true)
 }
 
 // Cancel cancels a job.
 func (c *Client) Cancel(ctx context.Context, id string) (*api.RunStatus, error) {
 	var st api.RunStatus
-	if err := c.do(ctx, http.MethodDelete, "/runs/"+url.PathEscape(id), nil, &st); err != nil {
+	if err := c.do(ctx, http.MethodDelete, "/runs/"+url.PathEscape(id), nil, &st, false); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -266,14 +295,7 @@ func (c *Client) Cancel(ctx context.Context, id string) (*api.RunStatus, error) 
 // Sweep submits a batch and blocks until every point is terminal,
 // retrying whole-batch admission on backpressure.
 func (c *Client) Sweep(ctx context.Context, req api.SweepRequest) (*api.SweepStatus, error) {
-	var st api.SweepStatus
-	err := c.withBackoff(ctx, func() error {
-		return c.do(ctx, http.MethodPost, "/sweeps?wait=1", req, &st)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return call[api.SweepStatus](ctx, c, http.MethodPost, "/sweeps?wait=1", req, false)
 }
 
 // Trace fetches a completed job's stitched Chrome/Perfetto timeline —
@@ -282,52 +304,17 @@ func (c *Client) Sweep(ctx context.Context, req api.SweepRequest) (*api.SweepSta
 // copies it to w (it is a trace_event JSON document, typically saved to
 // a file and loaded in Perfetto).
 func (c *Client) Trace(ctx context.Context, id string, w io.Writer) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.BaseURL+"/runs/"+url.PathEscape(id)+"/trace", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		msg := resp.Status
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-			msg = e.Error
-		}
-		return &apiError{Status: resp.StatusCode, Msg: msg}
-	}
-	_, err = io.Copy(w, resp.Body)
-	return err
+	return c.do(ctx, http.MethodGet, "/runs/"+url.PathEscape(id)+"/trace", nil, w, false)
 }
 
 // Metrics fetches the daemon's metrics snapshot.
 func (c *Client) Metrics(ctx context.Context) (*api.Metrics, error) {
-	var m api.Metrics
-	err := c.withBackoff(ctx, func() error {
-		return c.do(ctx, http.MethodGet, "/metrics", nil, &m)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &m, nil
+	return call[api.Metrics](ctx, c, http.MethodGet, "/metrics", nil, true)
 }
 
 // Health fetches the daemon's liveness/drain state.
 func (c *Client) Health(ctx context.Context) (*api.Health, error) {
-	var h api.Health
-	err := c.withBackoff(ctx, func() error {
-		return c.do(ctx, http.MethodGet, "/healthz", nil, &h)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &h, nil
+	return call[api.Health](ctx, c, http.MethodGet, "/healthz", nil, true)
 }
 
 // ---------------------------------------------------------------------------
@@ -340,39 +327,18 @@ func (c *Client) Health(ctx context.Context) (*api.Health, error) {
 
 // Join registers a worker with the coordinator.
 func (c *Client) Join(ctx context.Context, req api.ClusterJoinRequest) (*api.ClusterJoinResponse, error) {
-	var resp api.ClusterJoinResponse
-	err := c.withBackoff(ctx, func() error {
-		return c.doRetryable(ctx, http.MethodPost, "/cluster/join", req, &resp, true)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return call[api.ClusterJoinResponse](ctx, c, http.MethodPost, "/cluster/join", req, true)
 }
 
 // Lease requests jobs (and renews held leases; a Max of 0 is a pure
 // heartbeat).
 func (c *Client) Lease(ctx context.Context, req api.ClusterLeaseRequest) (*api.ClusterLeaseResponse, error) {
-	var resp api.ClusterLeaseResponse
-	err := c.withBackoff(ctx, func() error {
-		return c.doRetryable(ctx, http.MethodPost, "/cluster/lease", req, &resp, true)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return call[api.ClusterLeaseResponse](ctx, c, http.MethodPost, "/cluster/lease", req, true)
 }
 
 // Complete reports a leased job's terminal result.
 func (c *Client) Complete(ctx context.Context, req api.ClusterCompleteRequest) (*api.ClusterCompleteResponse, error) {
-	var resp api.ClusterCompleteResponse
-	err := c.withBackoff(ctx, func() error {
-		return c.doRetryable(ctx, http.MethodPost, "/cluster/complete", req, &resp, true)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return call[api.ClusterCompleteResponse](ctx, c, http.MethodPost, "/cluster/complete", req, true)
 }
 
 // PollLog tails the coordinator's replicated log from seq, long-polling
@@ -384,36 +350,16 @@ func (c *Client) PollLog(ctx context.Context, from int64, wait bool) (*api.Clust
 		path += "&wait=1"
 	}
 	var resp api.ClusterLogResponse
-	if err := c.doRetryable(ctx, http.MethodGet, path, nil, &resp, false); err != nil {
+	if err := c.do(ctx, http.MethodGet, path, nil, &resp, false); err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
 
-// ClusterStatus fetches the coordinator's membership and scheduling
-// snapshot.
-func (c *Client) ClusterStatus(ctx context.Context) (*api.ClusterStatus, error) {
-	var st api.ClusterStatus
-	err := c.withBackoff(ctx, func() error {
-		return c.do(ctx, http.MethodGet, "/cluster/status", nil, &st)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
 // SubmitExplore starts an exploration without waiting, retrying on
 // backpressure (429 at the exploration concurrency limit).
 func (c *Client) SubmitExplore(ctx context.Context, req explore.Request) (*api.ExploreStatus, error) {
-	var st api.ExploreStatus
-	err := c.withBackoff(ctx, func() error {
-		return c.do(ctx, http.MethodPost, "/explore", req, &st)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return call[api.ExploreStatus](ctx, c, http.MethodPost, "/explore", req, false)
 }
 
 // GetExplore fetches an exploration's status; wait blocks until it is
@@ -424,14 +370,7 @@ func (c *Client) GetExplore(ctx context.Context, id string, wait bool) (*api.Exp
 	if wait {
 		path += "?wait=1"
 	}
-	var st api.ExploreStatus
-	err := c.withBackoff(ctx, func() error {
-		return c.do(ctx, http.MethodGet, path, nil, &st)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return call[api.ExploreStatus](ctx, c, http.MethodGet, path, nil, true)
 }
 
 // Explore submits an exploration and blocks until it reaches a terminal
@@ -453,12 +392,5 @@ func (c *Client) Explore(ctx context.Context, req explore.Request) (*api.Explore
 
 // CancelExplore requests cancellation of a running exploration.
 func (c *Client) CancelExplore(ctx context.Context, id string) (*api.ExploreStatus, error) {
-	var st api.ExploreStatus
-	err := c.withBackoff(ctx, func() error {
-		return c.do(ctx, http.MethodDelete, "/explore/"+url.PathEscape(id), nil, &st)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return call[api.ExploreStatus](ctx, c, http.MethodDelete, "/explore/"+url.PathEscape(id), nil, false)
 }

@@ -36,7 +36,6 @@ import (
 	"sync"
 	"time"
 
-	"swsm/internal/apps"
 	"swsm/internal/harness"
 	"swsm/internal/obs"
 	"swsm/internal/server/api"
@@ -286,33 +285,13 @@ func (s *Server) StoreStats() store.Stats {
 }
 
 // ValidateRequest rejects requests the daemon cannot (or will not)
-// serve before they consume a queue slot.
+// serve before they consume a queue slot: specs RunSpec.Validate
+// refuses, and traced runs.
 func ValidateRequest(req api.RunRequest) error {
-	spec := req.Spec
-	if _, err := apps.Lookup(spec.App); err != nil {
+	if err := req.Spec.Validate(); err != nil {
 		return err
 	}
-	switch spec.Protocol {
-	case harness.HLRC, harness.LRC, harness.SC, harness.Ideal:
-	default:
-		return fmt.Errorf("unknown protocol %q", spec.Protocol)
-	}
-	if spec.Procs < 1 || spec.Procs > 64 {
-		return fmt.Errorf("procs %d outside [1, 64]", spec.Procs)
-	}
-	if spec.Scale < apps.Tiny || spec.Scale > apps.Large {
-		return fmt.Errorf("unknown scale %d", spec.Scale)
-	}
-	if err := spec.Comm.Validate(); err != nil {
-		return err
-	}
-	if err := spec.Fault.Validate(); err != nil {
-		return err
-	}
-	if err := spec.Hetero.Validate(); err != nil {
-		return err
-	}
-	if spec.Trace {
+	if req.Spec.Trace {
 		return errors.New("traced runs are not served remotely: trace capture is an in-process artifact (run svmsim -trace locally)")
 	}
 	return nil

@@ -647,3 +647,43 @@ func TestClientBackoffRetries(t *testing.T) {
 		t.Fatalf("client retried through %d rejections, want 2", rejections)
 	}
 }
+
+// TestClientRowsMatchSession pins the one row source behind both CLIs:
+// a grid resolved on the daemon by client.Rows equals, row for row, the
+// grid harness.Session.Rows computes in process, speedups included, and
+// a spec RunSpec.Validate refuses fails before any point is submitted.
+func TestClientRowsMatchSession(t *testing.T) {
+	s, _, c := newTestServer(t, Config{Parallel: 2})
+	specs, _, err := harness.Figure3Specs("fft", apps.Tiny, 4, harness.Figure3Configs[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	remote, jobs, err := c.Rows(ctx, specs, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := harness.NewSession(2).Rows(ctx, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(remote) != len(specs) || len(jobs) != len(specs) {
+		t.Fatalf("got %d rows and %d jobs for %d specs", len(remote), len(jobs), len(specs))
+	}
+	for i := range specs {
+		a, _ := json.Marshal(local[i])
+		b, _ := json.Marshal(remote[i])
+		if !bytes.Equal(a, b) || remote[i].Speedup == 0 {
+			t.Errorf("point %d: remote row %s, local row %s", i, b, a)
+		}
+	}
+
+	bad := append([]harness.RunSpec{tinySpec(0)}, specs...)
+	before := s.Metrics().Jobs
+	if _, _, err := c.Rows(ctx, bad, 3); err == nil || !strings.Contains(err.Error(), "procs 0 outside [1, 64]") {
+		t.Fatalf("Rows with procs 0 = %v, want the validation error", err)
+	}
+	if after := s.Metrics().Jobs; fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("an invalid grid submitted jobs: %v -> %v", before, after)
+	}
+}

@@ -5,7 +5,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -288,26 +287,6 @@ func (m *Machine) BreakdownString() string {
 	parts := make([]string, 0, NumCategories)
 	for c := Category(0); c < NumCategories; c++ {
 		parts = append(parts, fmt.Sprintf("%s=%.0f", c, avg[c]))
-	}
-	return strings.Join(parts, " ")
-}
-
-// CounterString formats the non-zero machine-wide counters sorted by name.
-func (m *Machine) CounterString() string {
-	type kv struct {
-		name string
-		v    int64
-	}
-	var items []kv
-	for c := Counter(0); c < NumCounters; c++ {
-		if v := m.TotalCount(c); v != 0 {
-			items = append(items, kv{c.String(), v})
-		}
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].name < items[j].name })
-	parts := make([]string, len(items))
-	for i, it := range items {
-		parts[i] = fmt.Sprintf("%s=%d", it.name, it.v)
 	}
 	return strings.Join(parts, " ")
 }
