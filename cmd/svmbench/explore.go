@@ -6,6 +6,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"swsm/internal/cli"
 	"swsm/internal/explore"
@@ -16,7 +17,8 @@ import (
 
 // runExplore drives one auto-tuning search, locally through the shared
 // session (optionally backed by a persistent store) or remotely through
-// a svmd daemon/coordinator, then prints the Pareto frontier.
+// a svmd daemon/coordinator, then prints the search's one record, its
+// explore.Report, the same way from either source.
 func (r *request) runExplore(ctx context.Context) error {
 	req := explore.Request{
 		App:        r.exploreApp,
@@ -41,13 +43,12 @@ func (r *request) runExplore(ctx context.Context) error {
 		}
 	}
 
-	// The search's JSON form, its title, counts and frontier, from the
-	// daemon or from the local run.
+	// The one record of the search, from the daemon or from the local
+	// run; only the closing line says where it ran.
+	start := time.Now()
 	var (
-		out      any
-		title    string
-		p        explore.Progress
-		frontier []explore.Point
+		rep     *explore.Report
+		closing string
 	)
 	if r.client != nil {
 		st, err := r.client.Explore(ctx, req)
@@ -57,9 +58,8 @@ func (r *request) runExplore(ctx context.Context) error {
 		if st.State != api.StateDone {
 			return fmt.Errorf("exploration %s ended %s: %s", st.ID, st.State, st.Error)
 		}
-		out, p, frontier = st, st.Progress, st.Frontier
-		p.Budget = st.Budget
-		title = fmt.Sprintf("Explore %s (remote %s, id %s, seed %d): %s", st.App, r.server, st.ID, st.Seed, st.Stopped)
+		rep = &st.Report
+		closing = fmt.Sprintf("svmd %s, id %s", r.server, st.ID)
 	} else {
 		var st *store.Store
 		if r.exploreStore != "" {
@@ -72,30 +72,30 @@ func (r *request) runExplore(ctx context.Context) error {
 			fmt.Fprintf(os.Stderr, "[explore] %-8s batch %3d: evaluated %3d (sims %3d, cached %3d), best speedup %6.2f, spent %d cycles\n",
 				p.Phase, p.Batches, p.Evaluated, p.SimsRun, p.CachedHits, p.BestSpeedup, p.SpentCycles)
 		}
-		rep, err := explore.Run(ctx, req, explore.SessionEvaluator{Ses: r.ses, St: st}, progress)
-		if err != nil {
+		var err error
+		if rep, err = explore.Run(ctx, req, explore.SessionEvaluator{Ses: r.ses, St: st}, progress); err != nil {
 			return err
 		}
-		out, frontier = rep, rep.Frontier
-		p = explore.Progress{Batches: rep.Batches, Evaluated: rep.Evaluated, SimsRun: rep.SimsRun, CachedHits: rep.CachedHits,
-			Errors: rep.Errors, CostCycles: rep.CostCycles, SpentCycles: rep.SpentCycles, Budget: rep.Budget}
-		title = fmt.Sprintf("Explore %s (scale %d, seed %d): %s", rep.App, int(rep.Scale), rep.Seed, rep.Stopped)
+		closing = fmt.Sprintf("parallel=%d", r.ses.Parallelism())
 	}
+	out := os.Stdout
 	if r.json {
-		if err := printJSON(out); err != nil {
+		if err := printJSON(rep); err != nil {
 			return err
 		}
+		out = os.Stderr
 	} else {
-		fmt.Printf("%s after %d evaluations (%d simulated, %d cached, %d failed) in %d batches\n",
-			title, p.Evaluated, p.SimsRun, p.CachedHits, p.Errors, p.Batches)
+		fmt.Printf("Explore %s (scale %d, seed %d): %s after %d evaluations (%d simulated, %d cached, %d failed) in %d batches\n",
+			rep.App, int(rep.Scale), rep.Seed, rep.Stopped, rep.Evaluated, rep.SimsRun, rep.CachedHits, rep.Errors, rep.Batches)
 		fmt.Printf("Budget: spent %d fresh-simulation cycles (budget %d); total simulated cost %d cycles\n",
-			p.SpentCycles, p.Budget, p.CostCycles)
-		printFrontier(frontier)
+			rep.SpentCycles, rep.Budget, rep.CostCycles)
+		printFrontier(rep.Frontier)
 	}
+	fmt.Fprintf(out, "[explore: %.2fs wall, %s]\n", time.Since(start).Seconds(), closing)
 	if r.csv == "" {
 		return nil
 	}
-	return cli.WriteCSV(os.Stdout, r.csv, explore.FrontierTable(frontier))
+	return cli.WriteCSV(os.Stdout, r.csv, explore.FrontierTable(rep.Frontier))
 }
 
 // printFrontier renders the Pareto frontier, best configuration last.

@@ -1,10 +1,19 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"flag"
 	"io"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"swsm/internal/explore"
+	"swsm/internal/server"
 )
 
 // TestRequestedOutputs checks which outputs a command line runs, and
@@ -77,5 +86,83 @@ func TestRequestedOutputs(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: svmbench %s: got %q, want %q", tc.name, tc.args, got, tc.want)
 		}
+	}
+}
+
+// captureStdout runs f with os.Stdout and os.Stderr sent to files and
+// returns what f wrote to stdout.
+func captureStdout(t *testing.T, f func() error) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	out, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errf, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = out, errf
+	ferr := f()
+	os.Stdout, os.Stderr = stdout, stderr
+	out.Close()
+	errf.Close()
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	b, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestExploreJSONIsTheReport checks that -explore -json prints one
+// explore.Report, counters nested under "progress", and that a cold
+// daemon prints the same bytes with -server.
+func TestExploreJSONIsTheReport(t *testing.T) {
+	s, err := server.New(server.Config{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain(context.Background())
+
+	const args = "-explore fft -scale tiny -explore-points 4 -explore-width 4 -explore-protocols hlrc,sc -explore-procs 2,4 -json"
+	run := func(extra string) []byte {
+		fs := flag.NewFlagSet("svmbench", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		r, err := parseArgs(fs, strings.Fields(args+extra))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return captureStdout(t, func() error { return r.run(context.Background(), "explore") })
+	}
+	local := run("")
+
+	dec := json.NewDecoder(bytes.NewReader(local))
+	dec.DisallowUnknownFields()
+	var rep explore.Report
+	if err := dec.Decode(&rep); err != nil {
+		t.Fatalf("local -json is not an explore.Report: %v\n%s", err, local)
+	}
+	if rep.Stopped != "converged" || rep.Evaluated == 0 || len(rep.Frontier) == 0 {
+		t.Errorf("report = %s after %d evaluations, %d frontier points", rep.Stopped, rep.Evaluated, len(rep.Frontier))
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(local, &top); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := top["simsRun"]; ok {
+		t.Error("counters printed at the top level")
+	}
+	if p := string(top["progress"]); !strings.Contains(p, `"simsRun"`) || !strings.Contains(p, `"phase": "descent"`) {
+		t.Errorf("progress = %s, want the counters and the last phase", p)
+	}
+
+	if remote := run(" -server " + ts.URL); !bytes.Equal(local, remote) {
+		t.Errorf("-server prints another record:\nlocal:\n%s\nremote:\n%s", local, remote)
 	}
 }

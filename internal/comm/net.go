@@ -252,9 +252,5 @@ func (nw *Network) deliver(m *Message) {
 	}
 }
 
-// IOBusBusy reports cumulative I/O bus busy cycles on node i (for tests
-// and contention analysis).
-func (nw *Network) IOBusBusy(i int) sim.Time { return nw.eps[i].ioBus.BusyCycles() }
-
 // NIUses reports how many packets node i's NI processed outbound.
 func (nw *Network) NIUses(i int) int64 { return nw.eps[i].niOut.Uses() }

@@ -177,9 +177,6 @@ func NewReliableNetwork(nw *Network, spec fault.Spec, p ReliableParams) *Reliabl
 	return rn
 }
 
-// Inner returns the wrapped Network (stats, parameters).
-func (rn *ReliableNetwork) Inner() *Network { return rn.nw }
-
 // Spec returns the driving fault specification.
 func (rn *ReliableNetwork) Spec() fault.Spec { return rn.inj.Spec() }
 

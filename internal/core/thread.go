@@ -359,16 +359,6 @@ func (t *Thread) StoreF64(a int64, v float64) {
 	t.post(a, 8, true, math.Float64bits(v))
 }
 
-// LoadF32 loads a shared float32 (stored as one word).
-func (t *Thread) LoadF32(a int64) float32 {
-	return math.Float32frombits(t.Load32(a))
-}
-
-// StoreF32 stores a shared float32.
-func (t *Thread) StoreF32(a int64, v float32) {
-	t.Store32(a, math.Float32bits(v))
-}
-
 // Acquire obtains lock l with acquire semantics.  The traced span covers
 // the whole protocol-level acquire (request, transfer wait, notice
 // application), protocol-agnostically.

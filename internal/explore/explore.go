@@ -136,10 +136,12 @@ func FrontierTable(frontier []Point) *harness.Table {
 	return t
 }
 
-// Progress is a per-batch snapshot of a running exploration.
+// Progress is a running exploration's counters: the engine's live
+// tally, emitted after every evaluated batch and kept, as of the last
+// batch, in the finished Report.
 type Progress struct {
-	// Phase is the search phase that produced the batch: "baseline",
-	// "seed", "halving" or "descent".
+	// Phase is the search phase that produced the latest batch:
+	// "baseline", "seed", "halving" or "descent".
 	Phase string `json:"phase"`
 	// Batches counts evaluator calls so far.
 	Batches int `json:"batches"`
@@ -158,22 +160,23 @@ type Progress struct {
 	CostCycles int64 `json:"costCycles"`
 	// SpentCycles is the budget ledger (fresh simulations only).
 	SpentCycles int64 `json:"spentCycles"`
-	// Budget echoes the request's budget (0 = unbounded).
-	Budget int64 `json:"budget"`
 	// BestSpeedup is the best speedup found so far (0 until a point
 	// lands).
 	BestSpeedup float64 `json:"bestSpeedup"`
-	// FrontierSize is the number of frontier points so far.
-	FrontierSize int `json:"frontierSize"`
-	// NewPoints carries the frontier points this batch added, if any
-	// (only populated on frontier-update events).
+	// NewPoints carries the frontier points the latest batch added, if
+	// any (only populated on per-batch frontier-update events, never in
+	// a Report).
 	NewPoints []Point `json:"newPoints,omitempty"`
 }
 
-// Report is a finished exploration.  It contains no wall-clock data:
-// two runs with the same request (and any store temperature) marshal to
-// identical bytes.
+// Report is the record of an exploration, live or finished: the
+// request echo, the counters and the frontier.  It contains no
+// wall-clock data, so two runs with the same request and the same
+// store temperature marshal to identical bytes; the frontier alone is
+// identical cold or warm (SimsRun, CachedHits and SpentCycles depend on
+// what was already cached).
 type Report struct {
+	// App, Scale, Seed and Budget echo the defaulted, validated request.
 	App    string     `json:"app"`
 	Scale  apps.Scale `json:"scale"`
 	Seed   uint64     `json:"seed"`
@@ -181,28 +184,15 @@ type Report struct {
 	// SeqCycles is the sequential-baseline cycle count every speedup
 	// divides by.
 	SeqCycles int64 `json:"seqCycles"`
+	// Stopped is why the search ended: "converged" (coordinate descent
+	// reached a fixed point or the space was exhausted) or "budget";
+	// empty while it runs.
+	Stopped  string `json:"stopped"`
+	Progress `json:"progress"`
 	// Frontier is the Pareto frontier of speedup vs. cumulative
 	// simulated cost, in discovery (= cost) order; the last point is
 	// the best configuration found.
 	Frontier []Point `json:"frontier"`
-	// Stopped is why the search ended: "converged" (coordinate descent
-	// reached a fixed point or the space was exhausted) or "budget".
-	Stopped     string `json:"stopped"`
-	Batches     int    `json:"batches"`
-	Evaluated   int    `json:"evaluated"`
-	SimsRun     int    `json:"simsRun"`
-	CachedHits  int    `json:"cachedHits"`
-	Errors      int    `json:"errors"`
-	CostCycles  int64  `json:"costCycles"`
-	SpentCycles int64  `json:"spentCycles"`
-}
-
-// Best returns the frontier's best point, or nil if nothing succeeded.
-func (r *Report) Best() *Point {
-	if len(r.Frontier) == 0 {
-		return nil
-	}
-	return &r.Frontier[len(r.Frontier)-1]
 }
 
 // rng is the splitmix64 stream seeding the search (same generator the
@@ -249,14 +239,9 @@ type engine struct {
 	rng        rng
 	dims       [numDims]int
 
-	seen     map[vec]bool
-	scored   []*scored
-	frontier []Point
-	seq      int64
-
-	evaluated, sims, cachedHits, errs, batches int
-	cost, spent                                int64
-	stopped                                    string
+	seen   map[vec]bool
+	scored []*scored
+	rep    Report
 }
 
 // Run executes the exploration described by req through ev, invoking
@@ -277,6 +262,7 @@ func Run(ctx context.Context, req Request, ev Evaluator, onProgress func(Progres
 		rng:  rng{state: req.Seed * 0x9e3779b97f4a7c15},
 		dims: req.Space.dims(),
 		seen: make(map[vec]bool),
+		rep:  Report{App: req.App, Scale: req.Scale, Seed: req.Seed, Budget: req.Budget},
 	}
 
 	// Phase 0: the sequential baseline — every speedup's denominator,
@@ -291,7 +277,7 @@ func Run(ctx context.Context, req Request, ev Evaluator, onProgress func(Progres
 	if err := e.evaluateWave(ctx, []candidate{base}, "baseline"); err != nil {
 		return nil, err
 	}
-	if e.seq <= 0 {
+	if e.rep.SeqCycles <= 0 {
 		return nil, fmt.Errorf("explore: sequential baseline for %s failed", req.App)
 	}
 
@@ -303,7 +289,7 @@ func Run(ctx context.Context, req Request, ev Evaluator, onProgress func(Progres
 	// Phase 2: successive halving — keep the top half of everything
 	// scored, propose the unvisited grid neighbors of the survivors,
 	// halve, repeat.
-	for k := e.req.SeedPoints / 2; k >= 1 && e.stopped == ""; k /= 2 {
+	for k := e.req.SeedPoints / 2; k >= 1 && e.rep.Stopped == ""; k /= 2 {
 		survivors := e.topK(k)
 		if len(survivors) == 0 {
 			break
@@ -322,7 +308,7 @@ func Run(ctx context.Context, req Request, ev Evaluator, onProgress func(Progres
 	// best moved, repeat around the new incumbent, else a fixed point is
 	// reached.  The space is finite and the incumbent's speedup strictly
 	// improves between rounds, so this terminates.
-	for e.stopped == "" {
+	for e.rep.Stopped == "" {
 		best := e.topK(1)
 		if len(best) == 0 {
 			break
@@ -334,33 +320,20 @@ func Run(ctx context.Context, req Request, ev Evaluator, onProgress func(Progres
 		if err := e.evaluateWave(ctx, props, "descent"); err != nil {
 			return nil, err
 		}
-		if e.stopped != "" {
+		if e.rep.Stopped != "" {
 			break
 		}
 		if nb := e.topK(1); len(nb) > 0 && nb[0] == best[0] {
 			break
 		}
 	}
-	if e.stopped == "" {
-		e.stopped = "converged"
+	if e.rep.Stopped == "" {
+		e.rep.Stopped = "converged"
 	}
 
-	return &Report{
-		App:         req.App,
-		Scale:       req.Scale,
-		Seed:        req.Seed,
-		Budget:      req.Budget,
-		SeqCycles:   e.seq,
-		Frontier:    append([]Point{}, e.frontier...),
-		Stopped:     e.stopped,
-		Batches:     e.batches,
-		Evaluated:   e.evaluated,
-		SimsRun:     e.sims,
-		CachedHits:  e.cachedHits,
-		Errors:      e.errs,
-		CostCycles:  e.cost,
-		SpentCycles: e.spent,
-	}, nil
+	rep := e.rep
+	rep.Frontier = append([]Point{}, e.rep.Frontier...)
+	return &rep, nil
 }
 
 // evaluateWave runs cands through the evaluator in batches of Width,
@@ -368,7 +341,7 @@ func Run(ctx context.Context, req Request, ev Evaluator, onProgress func(Progres
 // early (without error) once the budget is exhausted.
 func (e *engine) evaluateWave(ctx context.Context, cands []candidate, phase string) error {
 	for start := 0; start < len(cands); start += e.req.Width {
-		if e.stopped != "" {
+		if e.rep.Stopped != "" {
 			return nil
 		}
 		if err := ctx.Err(); err != nil {
@@ -387,71 +360,51 @@ func (e *engine) evaluateWave(ctx context.Context, cands []candidate, phase stri
 		if len(evals) != len(chunk) {
 			return fmt.Errorf("explore: evaluator returned %d results for %d specs", len(evals), len(chunk))
 		}
+		r := &e.rep
 		var newPts []Point
 		for i, ev := range evals {
-			e.evaluated++
+			r.Evaluated++
 			c := chunk[i]
 			if ev.Err != "" || ev.Row == nil {
-				e.errs++
+				r.Errors++
 				continue
 			}
-			e.cost += ev.Row.Cycles * int64(c.spec.Procs)
+			r.CostCycles += ev.Row.Cycles * int64(c.spec.Procs)
 			if ev.Cached {
-				e.cachedHits++
+				r.CachedHits++
 			} else {
-				e.spent += ev.Row.Cycles * int64(c.spec.Procs)
-				e.sims++
+				r.SpentCycles += ev.Row.Cycles * int64(c.spec.Procs)
+				r.SimsRun++
 			}
 			if c.baseline {
-				e.seq = ev.Row.Cycles
+				r.SeqCycles = ev.Row.Cycles
 				continue
 			}
-			sp := float64(e.seq) / float64(ev.Row.Cycles)
+			sp := float64(r.SeqCycles) / float64(ev.Row.Cycles)
 			e.scored = append(e.scored, &scored{cand: c, key: ev.Row.Key, cycles: ev.Row.Cycles, speedup: sp})
-			if sp > e.bestSpeedup() {
+			if sp > r.BestSpeedup {
 				pt := Point{
 					Key: ev.Row.Key, Label: c.label, Spec: c.spec,
 					Cycles: ev.Row.Cycles, Speedup: sp,
-					CostCycles: e.cost, Eval: e.evaluated,
+					CostCycles: r.CostCycles, Eval: r.Evaluated,
 				}
-				e.frontier = append(e.frontier, pt)
+				r.Frontier = append(r.Frontier, pt)
+				r.BestSpeedup = sp
 				newPts = append(newPts, pt)
 			}
 		}
-		e.batches++
-		if e.req.Budget > 0 && e.spent >= e.req.Budget {
-			e.stopped = "budget"
+		r.Batches++
+		r.Phase = phase
+		if r.Budget > 0 && r.SpentCycles >= r.Budget {
+			r.Stopped = "budget"
 		}
-		e.progress(phase, newPts)
+		if e.onProgress != nil {
+			p := r.Progress
+			p.NewPoints = newPts
+			e.onProgress(p)
+		}
 	}
 	return nil
-}
-
-func (e *engine) bestSpeedup() float64 {
-	if len(e.frontier) == 0 {
-		return 0
-	}
-	return e.frontier[len(e.frontier)-1].Speedup
-}
-
-func (e *engine) progress(phase string, newPts []Point) {
-	if e.onProgress == nil {
-		return
-	}
-	e.onProgress(Progress{
-		Phase:        phase,
-		Batches:      e.batches,
-		Evaluated:    e.evaluated,
-		SimsRun:      e.sims,
-		CachedHits:   e.cachedHits,
-		Errors:       e.errs,
-		CostCycles:   e.cost,
-		SpentCycles:  e.spent,
-		Budget:       e.req.Budget,
-		BestSpeedup:  e.bestSpeedup(),
-		FrontierSize: len(e.frontier),
-		NewPoints:    newPts,
-	})
 }
 
 // propose canonicalizes v and appends it to props unless already

@@ -156,8 +156,8 @@ func TestFrontierInvariants(t *testing.T) {
 			t.Errorf("point %d: eval %d not above predecessor %d", i, p.Eval, prev.Eval)
 		}
 	}
-	if best := rep.Best(); best == nil || best.Speedup != rep.Frontier[len(rep.Frontier)-1].Speedup {
-		t.Error("Best is not the last frontier point")
+	if rep.BestSpeedup != rep.Frontier[len(rep.Frontier)-1].Speedup {
+		t.Error("BestSpeedup is not the last frontier point's")
 	}
 	if rep.Evaluated != rep.SimsRun+rep.CachedHits+rep.Errors+0 {
 		// The baseline is included in Evaluated and in exactly one of

@@ -267,3 +267,21 @@ func TestLitmusSweepGridOrder(t *testing.T) {
 		t.Fatalf("Table1 lists a litmus program after a litmus sweep:\n%s", tab)
 	}
 }
+
+// TestCheckedRunReportsViolationBeforeVerification pins the order of a
+// checked run's verdicts: when the broken shim makes ocean compute a
+// wrong grid, the run returns the checker's violation, which explains
+// the wrong value, rather than the failed verification.
+func TestCheckedRunReportsViolationBeforeVerification(t *testing.T) {
+	spec := harness.DefaultSpec("ocean", harness.HLRC)
+	spec.Scale, spec.Procs, spec.Check = apps.Tiny, 4, true
+	inst, err := apps.New(spec.App, spec.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = harness.RunInstance(spec, inst, brokenHLRC(1))
+	var v *consistency.Violation
+	if !errors.As(err, &v) {
+		t.Fatalf("checked ocean on the broken shim returned %v, want a consistency violation", err)
+	}
+}

@@ -302,14 +302,16 @@ func RunInstance(spec RunSpec, inst apps.Instance, newProt func() proto.Protocol
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s on %s: %w", spec.App, spec.Protocol, err)
 	}
+	// The checker speaks first: a wrong answer that a consistency
+	// violation explains reports the violation, not the bad value.
+	if v := rec.Check(); v != nil {
+		return nil, fmt.Errorf("harness: %s on %s: %w", spec.App, spec.Protocol, v)
+	}
 	if err := inst.Verify(m); err != nil {
 		return nil, fmt.Errorf("harness: %s on %s failed verification: %w", spec.App, spec.Protocol, err)
 	}
 	res := &Result{Spec: spec, Cycles: cycles, Stats: m.Stats}
 	if rec != nil {
-		if v := rec.Check(); v != nil {
-			return nil, fmt.Errorf("harness: %s on %s: %w", spec.App, spec.Protocol, v)
-		}
 		sum := rec.CheckSummary()
 		res.Consistency = &sum
 	}

@@ -232,6 +232,3 @@ func (ar *Arena) Alloc(size int64, align int64) Addr {
 
 // AllocPage reserves size bytes starting on a fresh page.
 func (ar *Arena) AllocPage(size int64) Addr { return ar.Alloc(size, PageSize) }
-
-// Used reports the high-water mark of allocation.
-func (ar *Arena) Used() Addr { return ar.next }

@@ -8,7 +8,6 @@
 package api
 
 import (
-	"swsm/internal/apps"
 	"swsm/internal/explore"
 	"swsm/internal/harness"
 	"swsm/internal/obs"
@@ -102,31 +101,22 @@ type Event struct {
 	Worker string `json:"worker,omitempty"`
 }
 
-// ExploreStatus describes an exploration (POST/GET /explore).  Its
-// State is running until the search ends done, failed or canceled.
+// ExploreStatus describes an exploration (POST/GET /explore): the
+// daemon's id, state and wall clock around the search's own Report.
+// Its State is running until the search ends done, failed or canceled.
 type ExploreStatus struct {
 	ID    string `json:"id"`
 	State string `json:"state"`
-	// App, Scale, Seed and Budget echo the defaulted, validated request.
-	App    string     `json:"app"`
-	Scale  apps.Scale `json:"scale"`
-	Seed   uint64     `json:"seed"`
-	Budget int64      `json:"budget"`
 	// Error is set for failed and canceled explorations.
 	Error string `json:"error,omitempty"`
-	// Stopped is the finished search's stop reason (see
-	// explore.Report.Stopped).
-	Stopped string `json:"stopped,omitempty"`
 	// WallMS is the exploration's wall-clock duration, set on
 	// completion.
 	WallMS int64 `json:"wallMs,omitempty"`
-	// Progress is the latest per-batch snapshot.  On exploreFrontier
-	// events its NewPoints field carries the points just added;
-	// elsewhere NewPoints is empty and Frontier holds the whole curve.
-	Progress explore.Progress `json:"progress"`
-	// Frontier is the Pareto frontier discovered so far (complete on
-	// terminal statuses).
-	Frontier []explore.Point `json:"frontier,omitempty"`
+	// Report is the search so far: its counters as of the latest batch
+	// and the frontier discovered so far (complete on terminal
+	// statuses).  On exploreFrontier events Progress.NewPoints carries
+	// the points just added; elsewhere it is empty.
+	explore.Report
 }
 
 // Exploration event types on the /events stream.

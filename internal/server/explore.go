@@ -77,20 +77,20 @@ var errExploreLimit = errors.New("explore: too many active explorations")
 // exploration is one /explore search.  Explorations are born running —
 // the driver starts at once; the limit bounds concurrency instead of
 // queuing.  Mutable fields are guarded by the front end's lock; done is
-// closed when the exploration reaches a terminal state.
+// closed when the exploration reaches a terminal state.  rep is the
+// search so far: the request echo from the start, counters and frontier
+// from every batch, and the engine's own Report once it finishes.
 type exploration struct {
 	id     string
 	req    explore.Request
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	state    string
-	err      error
-	stopped  string
-	prog     explore.Progress
-	frontier []explore.Point
-	start    time.Time
-	wall     time.Duration
+	state string
+	err   error
+	rep   explore.Report
+	start time.Time
+	wall  time.Duration
 }
 
 // startExplore validates req, admits it like a job submission and
@@ -122,9 +122,9 @@ func (s *Server) startExplore(req explore.Request) (*exploration, *api.ExploreSt
 		cancel: cancel,
 		done:   make(chan struct{}),
 		state:  api.StateRunning,
+		rep:    explore.Report{App: req.App, Scale: req.Scale, Seed: req.Seed, Budget: req.Budget},
 		start:  time.Now(),
 	}
-	x.prog.Budget = req.Budget
 	s.explorations = append(s.explorations, x)
 	if s.log != nil {
 		s.log.Info("explore started", "explore", x.id, "app", req.App,
@@ -143,8 +143,8 @@ func (s *Server) drive(ctx context.Context, x *exploration) {
 		defer s.mu.Unlock()
 		newPts := p.NewPoints
 		p.NewPoints = nil
-		x.prog = p
-		x.frontier = append(x.frontier, newPts...)
+		x.rep.Progress = p
+		x.rep.Frontier = append(x.rep.Frontier, newPts...)
 		s.bus.Publish(api.Event{Type: api.EventExploreProgress, Explore: exploreStatusLocked(x, nil)})
 		if len(newPts) > 0 {
 			s.bus.Publish(api.Event{Type: api.EventExploreFrontier, Explore: exploreStatusLocked(x, newPts)})
@@ -157,19 +157,7 @@ func (s *Server) drive(ctx context.Context, x *exploration) {
 	event := api.EventExploreDone
 	switch {
 	case err == nil:
-		x.state = api.StateDone
-		x.stopped = rep.Stopped
-		x.frontier = rep.Frontier
-		x.prog = explore.Progress{
-			Batches: rep.Batches, Evaluated: rep.Evaluated,
-			SimsRun: rep.SimsRun, CachedHits: rep.CachedHits,
-			Errors: rep.Errors, CostCycles: rep.CostCycles,
-			SpentCycles: rep.SpentCycles, Budget: rep.Budget,
-			FrontierSize: len(rep.Frontier),
-		}
-		if best := rep.Best(); best != nil {
-			x.prog.BestSpeedup = best.Speedup
-		}
+		x.state, x.rep = api.StateDone, *rep
 	case errors.Is(err, context.Canceled):
 		x.state, x.err = api.StateCanceled, err
 		event = api.EventExploreCanceled
@@ -183,8 +171,8 @@ func (s *Server) drive(ctx context.Context, x *exploration) {
 		case api.StateDone:
 			s.log.Info("explore done", "explore", x.id,
 				"stopped", st.Stopped, "frontier", len(st.Frontier),
-				"evaluated", st.Progress.Evaluated, "sims", st.Progress.SimsRun,
-				"spentCycles", st.Progress.SpentCycles, "wallMs", st.WallMS)
+				"evaluated", st.Evaluated, "sims", st.SimsRun,
+				"spentCycles", st.SpentCycles, "wallMs", st.WallMS)
 		case api.StateCanceled:
 			s.log.Info("explore canceled", "explore", x.id)
 		default:
@@ -199,18 +187,9 @@ func (s *Server) drive(ctx context.Context, x *exploration) {
 // exploreStatusLocked snapshots x, with newPts as the progress's new
 // frontier points.  Caller holds s.mu.
 func exploreStatusLocked(x *exploration, newPts []explore.Point) *api.ExploreStatus {
-	st := &api.ExploreStatus{
-		ID:       x.id,
-		State:    x.state,
-		App:      x.req.App,
-		Scale:    x.req.Scale,
-		Seed:     x.req.Seed,
-		Budget:   x.req.Budget,
-		Stopped:  x.stopped,
-		Progress: x.prog,
-		Frontier: append([]explore.Point{}, x.frontier...),
-	}
-	st.Progress.NewPoints = newPts
+	st := &api.ExploreStatus{ID: x.id, State: x.state, Report: x.rep}
+	st.Frontier = append([]explore.Point{}, x.rep.Frontier...)
+	st.NewPoints = newPts
 	if x.err != nil {
 		st.Error = x.err.Error()
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -88,6 +89,38 @@ func TestExploreEndToEndAndWarmRestart(t *testing.T) {
 	wf, _ := json.Marshal(warm.Frontier)
 	if string(cf) != string(wf) {
 		t.Errorf("warm frontier diverged:\ncold: %s\nwarm: %s", cf, wf)
+	}
+}
+
+// A search has one record wherever it runs: run cold in-process over
+// the session and cold through POST /explore?wait=1, the two Reports
+// marshal to identical bytes.
+func TestExploreReportSameLocalAndDaemon(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{Parallel: 2})
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	local, err := explore.Run(ctx, exploreReq(), explore.SessionEvaluator{Ses: harness.NewSession(2)}, nil)
+	if err != nil {
+		t.Fatalf("local explore: %v", err)
+	}
+	body, _ := json.Marshal(exploreReq())
+	resp, err := http.Post(ts.URL+"/explore?wait=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st api.ExploreStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || st.State != api.StateDone {
+		t.Fatalf("POST /explore?wait=1 = %d %s (%s)", resp.StatusCode, st.State, st.Error)
+	}
+	lb, _ := json.Marshal(local)
+	rb, _ := json.Marshal(st.Report)
+	if string(lb) != string(rb) {
+		t.Errorf("reports differ:\nlocal:  %s\ndaemon: %s", lb, rb)
 	}
 }
 

@@ -199,13 +199,13 @@ func (m *svmdMetrics) registerServer(s *Server) {
 			`state="`+state+`"`, inState(state))
 	}
 	m.reg.CounterFunc("svmd_explore_batches_total", "Candidate batches evaluated.", "",
-		explored(func(x *exploration) int { return x.prog.Batches }))
+		explored(func(x *exploration) int { return x.rep.Batches }))
 	m.reg.CounterFunc("svmd_explore_evaluations_total", "Point evaluations by cache outcome.",
-		`outcome="sim"`, explored(func(x *exploration) int { return x.prog.SimsRun }))
+		`outcome="sim"`, explored(func(x *exploration) int { return x.rep.SimsRun }))
 	m.reg.CounterFunc("svmd_explore_evaluations_total", "Point evaluations by cache outcome.",
-		`outcome="cached"`, explored(func(x *exploration) int { return x.prog.CachedHits }))
+		`outcome="cached"`, explored(func(x *exploration) int { return x.rep.CachedHits }))
 	m.reg.CounterFunc("svmd_explore_frontier_points_total", "Pareto frontier points discovered.", "",
-		explored(func(x *exploration) int { return len(x.frontier) }))
+		explored(func(x *exploration) int { return len(x.rep.Frontier) }))
 }
 
 // RunStart / RunEnd implement harness.Observer for the session.

@@ -38,9 +38,6 @@ func (r *FIFO) Reserve(now Time, dur Time) (start, end Time) {
 	return start, end
 }
 
-// FreeAt reports when the resource next becomes idle.
-func (r *FIFO) FreeAt() Time { return r.freeAt }
-
 // Name reports the resource name.
 func (r *FIFO) Name() string { return r.name }
 
@@ -87,9 +84,6 @@ func (b *Bandwidth) TransferCycles(n int64) Time {
 func (b *Bandwidth) Reserve(now Time, n int64) (start, end Time) {
 	return b.fifo.Reserve(now, b.TransferCycles(n))
 }
-
-// FreeAt reports when the pipe next becomes idle.
-func (b *Bandwidth) FreeAt() Time { return b.fifo.FreeAt() }
 
 // BusyCycles reports total service time charged so far.
 func (b *Bandwidth) BusyCycles() Time { return b.fifo.BusyCycles() }

@@ -182,9 +182,6 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 // Dir reports the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// MaxBytes reports the configured payload-byte bound.
-func (s *Store) MaxBytes() int64 { return s.max }
-
 // path maps a key to its entry file.  Keys are content hashes
 // ("v1-<hex>"), but harden against anything path-like anyway.
 func (s *Store) path(key string) string {

@@ -314,11 +314,13 @@ type (
 	ExploreRequest = explore.Request
 	// ExploreSpace bounds the searched configuration space.
 	ExploreSpace = explore.Space
-	// ExploreReport is a finished search: the frontier plus counters.
+	// ExploreReport is the one record of a search, live or finished:
+	// the request echo, the counters and the frontier.
 	ExploreReport = explore.Report
 	// ExplorePoint is one Pareto-frontier entry.
 	ExplorePoint = explore.Point
-	// ExploreProgress is the per-batch progress record.
+	// ExploreProgress is a search's counters, emitted per batch and
+	// nested in ExploreReport.
 	ExploreProgress = explore.Progress
 	// SessionEvaluator evaluates explore candidates through a Session,
 	// optionally backed by a persistent result store.
