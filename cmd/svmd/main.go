@@ -21,10 +21,13 @@
 //
 // A coordinator is the daemon's job front end over a cluster executor:
 // it serves the same job API (traces and pprof included) and shards
-// admitted work across joined workers by consistent hashing on the
-// result content key; a worker is a normal daemon plus an agent that
-// leases jobs from the coordinator and executes them locally.  A flag
-// the selected mode ignores is rejected (exit 2).
+// admitted work across its workers by consistent hashing on the result
+// content key; a worker is a normal daemon plus an agent that polls the
+// coordinator for leases and executes them locally.  The poll is the
+// whole worker protocol: the first one registers the worker, each one is
+// its heartbeat (-heartbeat-ttl), and each one names the jobs it holds,
+// so a worker restarted under the same -node-id gives its old jobs back
+// at once.  A flag the selected mode ignores is rejected (exit 2).
 //
 // Observability: structured leveled logs go to stderr (-log-level,
 // -log-json), every job's records carry its ID from enqueue to store
@@ -75,7 +78,6 @@ func main() {
 		joinURLs    = flag.String("join", "", "worker mode: comma-separated coordinator URLs to lease jobs from (primary first)")
 		nodeID      = flag.String("node-id", "", "stable cluster identity (default: host:port of -addr); ring placement hashes it")
 		hbTTL       = flag.Duration("heartbeat-ttl", cluster.DefaultHeartbeatTTL, "coordinator: declare a worker lost after this much heartbeat silence")
-		leaseTTL    = flag.Duration("lease-ttl", cluster.DefaultLeaseTTL, "coordinator: job lease duration (renewed by worker polls)")
 		failAfter   = flag.Duration("failover-after", 0, "standby: promote after this much primary silence (0 = 3x heartbeat-ttl)")
 		leasePoll   = flag.Duration("lease-poll", 200*time.Millisecond, "worker: lease poll / heartbeat interval")
 	)
@@ -112,9 +114,7 @@ func main() {
 			StoreMaxBytes: *storeMax,
 			QueueDepth:    *queue,
 			HeartbeatTTL:  *hbTTL,
-			LeaseTTL:      *leaseTTL,
 			FailoverAfter: *failAfter,
-			Standby:       *standbyOf != "",
 			PeerURL:       *standbyOf,
 			Logger:        logger,
 		})
@@ -216,7 +216,7 @@ func main() {
 var modeFlags = map[string]string{
 	"daemon":      "parallel drain-timeout slo-ms debug-dir",
 	"worker":      "parallel drain-timeout slo-ms debug-dir node-id join lease-poll",
-	"coordinator": "node-id standby-of heartbeat-ttl lease-ttl failover-after",
+	"coordinator": "node-id standby-of heartbeat-ttl failover-after",
 }
 
 // checkFlags rejects the explicitly set flags (in flag.Visit's sorted

@@ -13,11 +13,11 @@ func TestCheckFlags(t *testing.T) {
 		{"daemon defaults", nil, false, false, ""},
 		{"daemon flags", []string{"debug-dir", "drain-timeout", "parallel", "slo-ms", "store"}, false, false, ""},
 		{"worker flags", []string{"join", "lease-poll", "node-id", "parallel", "slo-ms"}, false, true, ""},
-		{"coordinator flags", []string{"coordinator", "failover-after", "heartbeat-ttl", "lease-ttl", "node-id", "queue", "standby-of", "store"}, true, false, ""},
+		{"coordinator flags", []string{"coordinator", "failover-after", "heartbeat-ttl", "node-id", "queue", "standby-of", "store"}, true, false, ""},
 		{"coordinator ignores worker flags", []string{"coordinator", "join", "lease-poll"}, true, false, "coordinator mode ignores -join, -lease-poll"},
 		{"coordinator ignores daemon flags", []string{"coordinator", "debug-dir", "drain-timeout", "parallel", "slo-ms"}, true, false, "coordinator mode ignores -debug-dir, -drain-timeout, -parallel, -slo-ms"},
-		{"daemon ignores coordinator flags", []string{"failover-after", "heartbeat-ttl", "lease-ttl", "standby-of"}, false, false, "daemon mode ignores -failover-after, -heartbeat-ttl, -lease-ttl, -standby-of"},
-		{"worker ignores coordinator flags", []string{"join", "lease-ttl"}, false, true, "worker mode ignores -lease-ttl"},
+		{"daemon ignores coordinator flags", []string{"failover-after", "heartbeat-ttl", "standby-of"}, false, false, "daemon mode ignores -failover-after, -heartbeat-ttl, -standby-of"},
+		{"worker ignores coordinator flags", []string{"heartbeat-ttl", "join"}, false, true, "worker mode ignores -heartbeat-ttl"},
 		{"daemon ignores cluster identity", []string{"lease-poll", "node-id"}, false, false, "daemon mode ignores -lease-poll, -node-id"},
 	} {
 		got := ""

@@ -244,7 +244,6 @@ func TestClusterFailover(t *testing.T) {
 	t.Cleanup(tsA.Close)
 	b := newTestCoordinator(t, CoordinatorConfig{
 		NodeID:        "B",
-		Standby:       true,
 		PeerURL:       tsA.URL,
 		FailoverAfter: 250 * time.Millisecond,
 		HeartbeatTTL:  200 * time.Millisecond,

@@ -16,11 +16,10 @@ import (
 
 // Scheduling and failure-detection defaults.  Heartbeats ride on the
 // workers' lease polls, so the TTL only needs to cover a few poll
-// intervals; the lease TTL is long because a held lease is renewed on
-// every poll — it only expires when the worker stops polling entirely.
+// intervals.  It is the only timer on a lease: a live worker's polls
+// name what it holds, and anything they stop naming is re-dispatched.
 const (
 	DefaultHeartbeatTTL = 5 * time.Second
-	DefaultLeaseTTL     = 60 * time.Second
 	DefaultQueueDepth   = 64
 	DefaultPollWait     = time.Second
 )
@@ -53,30 +52,27 @@ type CoordinatorConfig struct {
 	// HeartbeatTTL is the silence after which a worker is declared lost
 	// and its jobs re-dispatched.
 	HeartbeatTTL time.Duration
-	// LeaseTTL bounds one lease grant; polls renew it.
-	LeaseTTL time.Duration
 	// FailoverAfter is how long a standby tolerates primary silence
 	// before promoting itself (0 = 3x HeartbeatTTL).
 	FailoverAfter time.Duration
 	// PollWait bounds the /cluster/log long-poll hold.
 	PollWait time.Duration
-	// Standby starts this coordinator as a follower of PeerURL.
-	Standby bool
+	// PeerURL, when set, starts this coordinator as a standby following
+	// the primary at that URL.
 	PeerURL string
 	Logger  *slog.Logger
 }
 
 // task is the coordinator's scheduling record for one live job: where
-// the ring placed it and, once leased, until when the lease holds.  The
-// job itself — state, row, watchers, sweeps — lives in the front end.
+// the ring placed it or who holds its lease.  The job itself — state,
+// row, watchers, sweeps — lives in the front end.
 type task struct {
 	job          *server.Job
 	worker       string // dispatch target or lease holder ("" = unassigned)
 	redispatches int
-	leaseUntil   time.Time // zero while queued
 }
 
-// workerState is one joined worker.
+// workerState is one registered worker.
 type workerState struct {
 	id       string
 	slots    int
@@ -135,17 +131,11 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.HeartbeatTTL <= 0 {
 		cfg.HeartbeatTTL = DefaultHeartbeatTTL
 	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = DefaultLeaseTTL
-	}
 	if cfg.FailoverAfter <= 0 {
 		cfg.FailoverAfter = 3 * cfg.HeartbeatTTL
 	}
 	if cfg.PollWait <= 0 {
 		cfg.PollWait = DefaultPollWait
-	}
-	if cfg.Standby && cfg.PeerURL == "" {
-		return nil, errors.New("cluster: standby needs a peer URL to follow")
 	}
 	c := &Coordinator{
 		cfg:       cfg,
@@ -169,7 +159,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Standby {
+	if cfg.PeerURL != "" {
 		c.role = api.RoleStandby
 		c.epoch = 0
 		c.following = true
@@ -302,10 +292,10 @@ func (c *Coordinator) placeLocked(t *task, force bool) error {
 	return nil
 }
 
-// lease is the worker protocol's heart: register/refresh the worker,
-// renew its held leases, then hand out jobs — its own ring share FIFO,
-// then (if it still has idle slots) jobs stolen from the tail of the
-// most backlogged other worker.
+// lease is the whole worker protocol: register/refresh the worker,
+// re-dispatch every lease it no longer reports holding, then hand out
+// jobs — its own ring share FIFO, then (if it still has idle slots)
+// jobs stolen from the tail of the most backlogged other worker.
 func (c *Coordinator) lease(req api.ClusterLeaseRequest) api.ClusterLeaseResponse {
 	now := time.Now()
 	c.fe.Lock()
@@ -321,16 +311,12 @@ func (c *Coordinator) lease(req api.ClusterLeaseRequest) api.ClusterLeaseRespons
 	if req.Slots > 0 {
 		w.slots = req.Slots
 	}
-	for _, id := range req.Held {
-		if t := w.leased[id]; t != nil {
-			t.leaseUntil = now.Add(c.cfg.LeaseTTL)
-		}
-	}
+	c.dropUnheldLocked(w, req.Held)
 	var out []api.ClusterLeasedJob
 	for len(out) < req.Max && len(w.queue) > 0 {
 		t := w.queue[0]
 		w.queue = w.queue[1:]
-		out = append(out, c.leaseJobLocked(t, w, false, now))
+		out = append(out, c.leaseJobLocked(t, w, false))
 	}
 	for len(out) < req.Max {
 		v := c.stealVictimLocked(w.id)
@@ -345,15 +331,37 @@ func (c *Coordinator) lease(req api.ClusterLeaseRequest) api.ClusterLeaseRespons
 			c.log.LogAttrs(c.ctx, slog.LevelInfo, "job stolen",
 				slog.String("job", t.job.ID()), slog.String("from", v.id), slog.String("by", w.id))
 		}
-		out = append(out, c.leaseJobLocked(t, w, true, now))
+		out = append(out, c.leaseJobLocked(t, w, true))
 	}
 	c.updateGaugesLocked()
 	return api.ClusterLeaseResponse{Epoch: c.epoch, Role: c.role, Jobs: out}
 }
 
-func (c *Coordinator) leaseJobLocked(t *task, w *workerState, stolen bool, now time.Time) api.ClusterLeasedJob {
+// dropUnheldLocked re-dispatches, in admission order, every job leased
+// to w that its poll does not name in held: the worker restarted, or
+// never received the grant (see api.ClusterLeaseRequest.Held).
+func (c *Coordinator) dropUnheldLocked(w *workerState, held []string) {
+	if len(w.leased) == 0 {
+		return
+	}
+	names := make(map[string]bool, len(held))
+	for _, id := range held {
+		names[id] = true
+	}
+	var lost []*task
+	for id, t := range w.leased {
+		if !names[id] {
+			lost = append(lost, t)
+		}
+	}
+	sortByID(lost)
+	for _, t := range lost {
+		c.redispatchLocked(t, "not held by "+w.id)
+	}
+}
+
+func (c *Coordinator) leaseJobLocked(t *task, w *workerState, stolen bool) api.ClusterLeasedJob {
 	t.worker = w.id
-	t.leaseUntil = now.Add(c.cfg.LeaseTTL)
 	w.leased[t.job.ID()] = t
 	c.fe.MoveLocked(t.job, api.StateRunning, w.id)
 	return api.ClusterLeasedJob{ID: t.job.ID(), Req: t.job.Request(), Stolen: stolen}
@@ -390,8 +398,8 @@ func (c *Coordinator) workerIDsLocked() []string {
 	return ids
 }
 
-// ensureWorkerLocked registers a worker on first contact (join or lease
-// — after a failover the new primary learns its membership this way)
+// ensureWorkerLocked registers a worker on its first lease poll (after a
+// failover the new primary learns its membership this way)
 // and drains any unassigned backlog onto the grown ring.
 func (c *Coordinator) ensureWorkerLocked(id string, slots int, now time.Time) *workerState {
 	if w, ok := c.workers[id]; ok {
@@ -472,7 +480,6 @@ func (c *Coordinator) loseWorkerLocked(w *workerState) {
 // it again.
 func (c *Coordinator) redispatchLocked(t *task, reason string) {
 	c.dequeueLocked(t)
-	t.leaseUntil = time.Time{}
 	t.redispatches++
 	c.met.redispatches.Inc()
 	if c.log != nil {
@@ -578,8 +585,8 @@ func errOf(msg string) error {
 }
 
 // janitor is the failure detector: it declares workers lost after
-// heartbeat silence, re-dispatches expired leases, and drains the
-// unassigned backlog when capacity appears.
+// heartbeat silence and drains the unassigned backlog when capacity
+// appears.
 func (c *Coordinator) janitor() {
 	defer c.wg.Done()
 	tick := c.cfg.HeartbeatTTL / 4
@@ -608,11 +615,6 @@ func (c *Coordinator) janitorOnce() {
 	for _, id := range c.workerIDsLocked() {
 		if w := c.workers[id]; now.Sub(w.lastSeen) > c.cfg.HeartbeatTTL {
 			c.loseWorkerLocked(w)
-		}
-	}
-	for _, t := range c.tasks {
-		if !t.leaseUntil.IsZero() && now.After(t.leaseUntil) {
-			c.redispatchLocked(t, "lease expired")
 		}
 	}
 	if len(c.workers) > 0 {

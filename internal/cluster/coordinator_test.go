@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -197,44 +198,94 @@ func TestCoordinatorSteal(t *testing.T) {
 	}
 }
 
-// An expired lease re-dispatches the job; the janitor (driven directly
-// here) is the only party that moves running jobs.
-func TestCoordinatorLeaseExpiry(t *testing.T) {
-	c := newTestCoordinator(t, CoordinatorConfig{
-		LeaseTTL:     5 * time.Millisecond,
-		HeartbeatTTL: 10 * time.Second, // keep the worker alive; only the lease lapses
-	})
-	c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 2})
-	j, code := submit(c, creq(2))
+// The lease poll's Held list is the lease: a job the holder keeps
+// naming stays running for as long as it polls, and a job it stops
+// naming — a restart under the same ID, or a grant whose response never
+// arrived — is re-dispatched on that very poll, with no timer involved.
+func TestCoordinatorUnheldLeaseRedispatches(t *testing.T) {
+	c := newTestCoordinator(t, CoordinatorConfig{HeartbeatTTL: 10 * time.Second})
+	poll := func(worker string, max int, held ...string) api.ClusterLeaseResponse {
+		return c.lease(api.ClusterLeaseRequest{WorkerID: worker, Slots: 2, Max: max, Held: held})
+	}
+	check := func(step, id, state, worker string, redispatches int64) {
+		t.Helper()
+		if st := job(t, c, id, false); st.State != state || st.Worker != worker {
+			t.Fatalf("%s: job %s state=%s worker=%q, want %s on %q", step, id, st.State, st.Worker, state, worker)
+		}
+		if got := c.Status().Redispatches; got != redispatches {
+			t.Fatalf("%s: Redispatches = %d, want %d", step, got, redispatches)
+		}
+	}
+
+	// Held keeps a job running across polls.
+	j := leasedJob(t, c, 2)
+	for i := 0; i < 3; i++ {
+		poll("a", 0, j.ID)
+	}
+	check("held", j.ID, api.StateRunning, "a", 0)
+
+	// A restarted worker holds nothing: its first poll gives the job
+	// back, and the same poll can lease it again.
+	if got := poll("a", 1); len(got.Jobs) != 1 || got.Jobs[0].ID != j.ID {
+		t.Fatalf("restarted worker's first poll = %+v, want %s re-leased", got, j.ID)
+	}
+	check("restart", j.ID, api.StateRunning, "a", 1)
+
+	// A grant missing from the next poll (its response was lost) is
+	// re-dispatched; the holder's other lease is untouched.
+	j2, code := submit(c, creq(3))
 	if code != http.StatusAccepted {
 		t.Fatal(code)
 	}
-	if got := c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 2, Max: 1}); len(got.Jobs) != 1 {
-		t.Fatalf("lease = %+v", got)
+	if got := poll("a", 1, j.ID); len(got.Jobs) != 1 || got.Jobs[0].ID != j2.ID {
+		t.Fatalf("lease = %+v, want %s", got, j2.ID)
 	}
-	time.Sleep(20 * time.Millisecond)
-	c.janitorOnce()
-	c.fe.Lock()
-	redispatches := c.tasks[j.ID].redispatches
-	c.fe.Unlock()
-	if st := job(t, c, j.ID, false); st.State != api.StateQueued || redispatches != 1 {
-		t.Fatalf("after expiry: state=%s redispatches=%d", st.State, redispatches)
+	poll("a", 0, j.ID)
+	check("lost grant", j2.ID, api.StateQueued, "a", 2)
+	check("lost grant", j.ID, api.StateRunning, "a", 2)
+	if got := poll("a", 1, j.ID); len(got.Jobs) != 1 || got.Jobs[0].ID != j2.ID {
+		t.Fatalf("re-lease = %+v, want %s", got, j2.ID)
 	}
-	if st := c.Status(); st.Redispatches != 1 {
-		t.Fatalf("Redispatches = %d, want 1", st.Redispatches)
+
+	// Naming an unknown job, a duplicate, or another worker's job
+	// changes nothing.
+	poll("b", 0)
+	ring := NewRing(0)
+	ring.Add("a")
+	ring.Add("b")
+	i := 4
+	for ring.Lookup(cspec(i).Key()) != "b" {
+		i++
 	}
-	// The job is schedulable again.
-	if got := c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 2, Max: 1}); len(got.Jobs) != 1 || got.Jobs[0].ID != j.ID {
-		t.Fatalf("re-lease = %+v", got)
+	jb, code := submit(c, creq(i))
+	if code != http.StatusAccepted {
+		t.Fatal(code)
 	}
-	// A held lease is renewed by polls and does NOT expire.
-	for i := 0; i < 4; i++ {
-		time.Sleep(2 * time.Millisecond)
-		c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 2, Held: []string{j.ID}})
+	if got := poll("b", 1); len(got.Jobs) != 1 || got.Jobs[0].ID != jb.ID {
+		t.Fatalf("b lease = %+v, want %s", got, jb.ID)
 	}
-	c.janitorOnce()
-	if st := job(t, c, j.ID, false); st.State != api.StateRunning {
-		t.Fatalf("renewed lease still expired: state=%s", st.State)
+	poll("a", 0, j.ID, j2.ID, j.ID, "j999", jb.ID)
+	check("stray names", j.ID, api.StateRunning, "a", 2)
+	check("stray names", j2.ID, api.StateRunning, "a", 2)
+	check("stray names", jb.ID, api.StateRunning, "b", 2)
+}
+
+// svmd_run_seconds observes a coordinator's jobs too: a job leased and
+// completed once counts once.
+func TestCoordinatorRunSecondsCountsLeasedJob(t *testing.T) {
+	c := newTestCoordinator(t, CoordinatorConfig{HeartbeatTTL: 10 * time.Second})
+	j := leasedJob(t, c, 2)
+	for i := 0; i < 2; i++ { // the second report is a duplicate
+		if _, err := c.complete(api.ClusterCompleteRequest{WorkerID: "a", JobID: j.ID, Row: crow(2)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, want := range []string{`svmd_jobs_total{state="done"} 1`, "svmd_run_seconds_count 1"} {
+		if !strings.Contains(rec.Body.String(), want+"\n") {
+			t.Errorf("metrics lack %q", want)
+		}
 	}
 }
 
@@ -383,7 +434,6 @@ func TestCoordinatorReplicationLagStandby(t *testing.T) {
 	t.Cleanup(tsA.Close)
 	b := newTestCoordinator(t, CoordinatorConfig{
 		NodeID:        "B",
-		Standby:       true,
 		PeerURL:       tsA.URL,
 		FailoverAfter: time.Hour, // never promote in this test
 		HeartbeatTTL:  10 * time.Second,

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -16,8 +17,7 @@ import (
 // coordinator from a single daemon — plus the cluster protocol
 // underneath:
 //
-//	POST /cluster/join      worker registration
-//	POST /cluster/lease     heartbeat + lease renewal + job handout
+//	POST /cluster/lease     registration + heartbeat + held leases + job handout
 //	POST /cluster/complete  terminal result (idempotent)
 //	GET  /cluster/log       replicated log tail (?from=N&wait=1 long-polls)
 //	GET  /cluster/status    membership/scheduling snapshot
@@ -27,7 +27,6 @@ import (
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", c.fe.Handler())
-	mux.HandleFunc("POST /cluster/join", c.handleJoin)
 	mux.HandleFunc("POST /cluster/lease", c.handleLease)
 	mux.HandleFunc("POST /cluster/complete", c.handleComplete)
 	mux.HandleFunc("GET /cluster/log", c.handleLog)
@@ -35,21 +34,9 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
-	var req api.ClusterJoinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.WorkerID == "" {
-		server.WriteError(w, http.StatusBadRequest, "bad join body")
-		return
-	}
-	// A join is a lease poll that asks for nothing: it registers the
-	// worker (on a primary) and reports the epoch and role.
-	resp := c.lease(api.ClusterLeaseRequest{WorkerID: req.WorkerID, Slots: req.Slots, Epoch: req.Epoch})
-	server.WriteJSON(w, http.StatusOK, api.ClusterJoinResponse{Epoch: resp.Epoch, Role: resp.Role})
-}
-
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req api.ClusterLeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.WorkerID == "" {
+	if err := decodeBody(r, &req); err != nil || req.WorkerID == "" {
 		server.WriteError(w, http.StatusBadRequest, "bad lease body")
 		return
 	}
@@ -58,7 +45,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req api.ClusterCompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.JobID == "" {
+	if err := decodeBody(r, &req); err != nil || req.JobID == "" {
 		server.WriteError(w, http.StatusBadRequest, "bad complete body")
 		return
 	}
@@ -73,6 +60,16 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	default:
 		server.WriteJSON(w, http.StatusOK, resp)
 	}
+}
+
+// decodeBody decodes a request body that must be exactly one JSON
+// value: a valid prefix followed by anything else is malformed too.
+func decodeBody(r *http.Request, v any) error {
+	b, err := io.ReadAll(r.Body)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(b, v)
 }
 
 func (c *Coordinator) handleLog(w http.ResponseWriter, r *http.Request) {

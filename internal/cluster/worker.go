@@ -72,12 +72,15 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 }
 
 // Run polls for leases until ctx is cancelled, then waits for in-
-// flight executions to finish reporting.  The lease poll doubles as the
-// heartbeat: a worker that stops calling is declared lost after the
-// coordinator's heartbeat TTL and its jobs re-dispatched.
+// flight executions to finish reporting.  The lease poll is the whole
+// protocol: the first one registers the worker (so it is sent at once,
+// not a tick later), each one is a heartbeat — a worker that stops
+// calling is declared lost after the coordinator's heartbeat TTL and its
+// jobs re-dispatched — and each one's Held list is the worker's leases.
+// Polls are serial, which is what makes Held trustworthy.
 func (w *Worker) Run(ctx context.Context) error {
-	w.join(ctx)
 	var inflight sync.WaitGroup
+	w.pollOnce(ctx, &inflight)
 	t := time.NewTicker(w.cfg.Poll)
 	defer t.Stop()
 	for {
@@ -88,26 +91,6 @@ func (w *Worker) Run(ctx context.Context) error {
 		case <-t.C:
 			w.pollOnce(ctx, &inflight)
 		}
-	}
-}
-
-// join announces the worker to whichever coordinator answers as
-// primary.  Best-effort: lease polls auto-register too (that is how a
-// freshly promoted primary re-learns membership), so a failed join just
-// delays the first lease by one poll.
-func (w *Worker) join(ctx context.Context) {
-	srv := w.cfg.Server
-	for range w.clients {
-		resp, err := w.client().Join(ctx, api.ClusterJoinRequest{
-			WorkerID: w.cfg.ID, Slots: srv.Parallelism(), Epoch: w.epochNow(),
-		})
-		if err == nil {
-			w.observeEpoch(resp.Epoch)
-			if resp.Role == api.RolePrimary {
-				return
-			}
-		}
-		w.rotate()
 	}
 }
 
@@ -144,7 +127,7 @@ func (w *Worker) pollOnce(ctx context.Context, inflight *sync.WaitGroup) {
 	}
 	for _, lj := range resp.Jobs {
 		if !w.markHeld(lj.ID) {
-			continue // duplicate grant (e.g. re-dispatch raced our renewal)
+			continue // re-granted while still executing (e.g. after a heartbeat lapse)
 		}
 		inflight.Add(1)
 		go func(lj api.ClusterLeasedJob) {
@@ -170,8 +153,9 @@ func (w *Worker) execute(ctx context.Context, lj api.ClusterLeasedJob) {
 			break
 		}
 		if ctx.Err() != nil {
-			// Shutting down mid-execution: stop reporting; the lease
-			// lapses and the job is re-dispatched elsewhere.
+			// Shutting down mid-execution: stop reporting; the job is
+			// re-dispatched when this worker's heartbeat lapses, or at
+			// once if it polls again under the same ID.
 			return
 		}
 		if errors.Is(err, server.ErrQueueFull) {

@@ -174,11 +174,11 @@ type Health struct {
 // ---------------------------------------------------------------------------
 // Cluster protocol: the wire types of the coordinator <-> worker lease
 // protocol and the coordinator <-> standby replication log.  Workers
-// pull: a join registers the node, a lease request doubles as the
-// heartbeat and hands out queued jobs (its own ring share first, then
-// stolen stragglers), and a complete reports the terminal row.  Every
-// message carries the sender's last-seen epoch so a superseded
-// coordinator can be fenced.
+// pull: a lease request registers the node on first contact, doubles as
+// the heartbeat, names the jobs the worker holds, and hands out queued
+// jobs (its own ring share first, then stolen stragglers); a complete
+// reports the terminal row.  Every message carries the sender's
+// last-seen epoch so a superseded coordinator can be fenced.
 
 // Cluster coordinator roles.
 const (
@@ -186,36 +186,29 @@ const (
 	RoleStandby = "standby"
 )
 
-// ClusterJoinRequest registers a worker with the coordinator.
-type ClusterJoinRequest struct {
+// ClusterLeaseRequest asks for up to Max jobs and reports the jobs the
+// worker holds.  The first request from a worker registers it; a
+// request with Max 0 is a pure heartbeat.
+type ClusterLeaseRequest struct {
 	// WorkerID is the worker's stable identity (ring placement hashes
 	// it, so it must survive worker restarts for cache locality to).
 	WorkerID string `json:"workerId"`
 	// Slots is the worker's concurrent-simulation bound, reported for
 	// observability and steal heuristics.
 	Slots int `json:"slots"`
+	Max   int `json:"max"`
+	// Held is the lease: every job granted to this worker that Held
+	// does not name is re-dispatched before anything new is granted.
+	// That is sound because one worker's polls are serial: a grant is
+	// marked held before the next poll is sent, and a job is unmarked
+	// only after a coordinator has answered its completion.  So a
+	// retried or reordered poll lacks only grants the worker never
+	// received, and a worker restarted under the same ID gives back
+	// everything its old process held on its first poll.  Names of jobs
+	// not leased to this worker are ignored.
+	Held []string `json:"held,omitempty"`
 	// Epoch is the highest coordination epoch the worker has seen.
 	Epoch int64 `json:"epoch"`
-}
-
-// ClusterJoinResponse acknowledges a join.
-type ClusterJoinResponse struct {
-	Epoch int64  `json:"epoch"`
-	Role  string `json:"role"`
-}
-
-// ClusterLeaseRequest asks for up to Max jobs and renews the leases of
-// the jobs the worker still holds.  A request with Max 0 is a pure
-// heartbeat.
-type ClusterLeaseRequest struct {
-	WorkerID string `json:"workerId"`
-	Slots    int    `json:"slots"`
-	Max      int    `json:"max"`
-	// Held renews the lease on jobs the worker is still executing, so a
-	// slow simulation is a straggler (stealable queue, extended lease),
-	// not a death (re-dispatch).
-	Held  []string `json:"held,omitempty"`
-	Epoch int64    `json:"epoch"`
 }
 
 // ClusterLeasedJob is one job handed to a worker.

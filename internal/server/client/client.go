@@ -318,20 +318,15 @@ func (c *Client) Health(ctx context.Context) (*api.Health, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Cluster protocol: the worker agent's side of registration, job
-// leasing and completion, and the standby's log tail.  Join, Lease and
-// Complete are idempotent by protocol design (a replayed join re-
-// registers, a replayed lease renews, a replayed complete is discarded
-// as a duplicate), so they opt in to transient-error retry even though
+// Cluster protocol: the worker agent's side of job leasing and
+// completion, and the standby's log tail.  Lease and Complete are safe
+// to replay by protocol design (a replayed lease re-dispatches only the
+// grants its sender never received, a replayed complete is discarded as
+// a duplicate), so they opt in to transient-error retry even though
 // they are POSTs.
 
-// Join registers a worker with the coordinator.
-func (c *Client) Join(ctx context.Context, req api.ClusterJoinRequest) (*api.ClusterJoinResponse, error) {
-	return call[api.ClusterJoinResponse](ctx, c, http.MethodPost, "/cluster/join", req, true)
-}
-
-// Lease requests jobs (and renews held leases; a Max of 0 is a pure
-// heartbeat).
+// Lease registers the worker on first use, reports the jobs it holds
+// and requests up to Max more (a Max of 0 is a pure heartbeat).
 func (c *Client) Lease(ctx context.Context, req api.ClusterLeaseRequest) (*api.ClusterLeaseResponse, error) {
 	return call[api.ClusterLeaseResponse](ctx, c, http.MethodPost, "/cluster/lease", req, true)
 }

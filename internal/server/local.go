@@ -137,11 +137,10 @@ func (s *Server) execLocked(j *Job) {
 }
 
 // observeTerminal runs the post-terminal observability work that must
-// not hold s.mu: latency accounting against the SLO, the per-job
-// outcome log line, and (on failure or SLO breach) an async
-// flight-recorder dump.  j is terminal, so its fields are stable.
+// not hold s.mu: the SLO check, the per-job outcome log line, and (on
+// failure or SLO breach) an async flight-recorder dump.  j is terminal,
+// so its fields are stable.
 func (s *Server) observeTerminal(j *Job) {
-	s.met.runDur.Observe(j.wall.Seconds())
 	breach := s.cfg.SLO > 0 && j.wall > s.cfg.SLO
 	if breach {
 		s.met.sloBreaches.Inc()

@@ -521,6 +521,7 @@ func (s *Server) FinishLocked(j *Job, worker string, row *harness.RunRow, cached
 	j.worker = worker
 	if !j.started.IsZero() {
 		j.wall = respond.Sub(j.started)
+		s.met.runDur.Observe(j.wall.Seconds())
 	}
 	switch {
 	case err == nil:
