@@ -10,20 +10,23 @@
 //
 // Every requested output runs, in a fixed order, or the command exits 2
 // before any runs: -json, -server and -csv must fit the outputs
-// requested, and a flag that none of them reads is rejected.  Figure 3
-// prints the same report in process and through an svmd daemon.
+// requested, and a flag that none of them reads is rejected.  Every
+// output but -trace and -validate prints the same report in process and
+// through an svmd daemon (-server): each is a list of specs, resolved
+// to points by the session or the daemon, and one projection of them.
 //
 // Examples:
 //
 //	svmbench -table 4
 //	svmbench -figure 3 -apps fft,lu -parallel 8
 //	svmbench -figure 3 -apps fft -json > fig3.json
-//	svmbench -figure 3 -server http://127.0.0.1:7099
+//	svmbench -all -server http://127.0.0.1:7099
 //	svmbench -hetero -apps lu,ocean-rowwise -csv hetero.csv
 //	svmbench -all > results.txt
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -48,15 +51,14 @@ import (
 // reads maps each output to the flags it reads.  A flag listed here is
 // rejected when no requested output reads it (cli.CheckFlags); -json,
 // -server and -csv have rules of their own (see parseArgs).  With
-// -server, figure 3 and explore are named remote-figure3 and
-// remote-explore: a remote run reads fewer flags.
+// -server, explore is named remote-explore: a remote search reads fewer
+// flags.
 var reads = map[string]string{
 	"table4":         sized,
 	"table5":         sized,
 	"figure3":        sized + " apps",
 	"figure4":        sized + " apps",
 	"figure5":        sized + " apps",
-	"remote-figure3": sized + " apps",
 	"trace":          sized + " apps trace-sample",
 	"degradation":    sized + " apps drops fault-seed",
 	"litmus":         sized + " litmus-seed litmus-drops",
@@ -90,7 +92,7 @@ type request struct {
 	drops   []int64
 	litmus  cli.Litmus
 	ses     *harness.Session
-	// client, when set, resolves Figure-3 rows and explorations on the
+	// client, when set, resolves every point and exploration on the
 	// daemon; jobs collects its points' statuses for the closing lines.
 	client *client.Client
 	jobs   []*api.RunStatus
@@ -110,7 +112,7 @@ func parseArgs(fs *flag.FlagSet, args []string) (*request, error) {
 	fs.StringVar(&r.csv, "csv", "", "also write the data of the one requested figure or sweep as CSV to this file")
 	fs.IntVar(&r.parallel, "parallel", 0, "max concurrent simulations (0 = one per CPU)")
 	fs.BoolVar(&r.json, "json", false, "with -figure 3 or -explore alone: print machine-readable JSON instead of tables")
-	fs.StringVar(&r.server, "server", "", "with -figure 3 and -explore only: resolve them through a svmd daemon at this URL")
+	fs.StringVar(&r.server, "server", "", "resolve every output but -trace and -validate through an svmd daemon at this URL")
 
 	fs.StringVar(&r.trace, "trace", "", "write a multi-run Chrome trace of the figure-3 config ladder to this file")
 	fs.Int64Var(&r.sample, "trace-sample", 0, "sample the breakdown every N cycles in traced runs")
@@ -178,10 +180,13 @@ func parseArgs(fs *flag.FlagSet, args []string) (*request, error) {
 	if r.server != "" {
 		names = nil
 		for _, out := range r.outputs {
-			if out != "figure3" && out != "explore" {
-				return nil, fmt.Errorf("-server resolves only -figure 3 and -explore; run %s locally", out)
+			switch out {
+			case "trace", "validate":
+				return nil, fmt.Errorf("-server resolves every output but -trace and -validate; run %s locally", out)
+			case "explore":
+				out = "remote-explore"
 			}
-			names = append(names, "remote-"+out)
+			names = append(names, out)
 		}
 	}
 	requested := strings.Join(r.outputs, ", ")
@@ -279,7 +284,7 @@ func (r *request) run(ctx context.Context, out string) error {
 	switch out {
 	case "table1", "table2", "table3", "table4", "table5":
 		n := int(out[len(out)-1] - '0')
-		err := r.sweep(fmt.Sprintf("table %d", n), func() error { return r.printTable(n) })
+		err := r.sweep(fmt.Sprintf("table %d", n), func() error { return r.printTable(ctx, n) })
 		fmt.Println()
 		return err
 	case "figure3", "figure4", "figure5":
@@ -298,16 +303,16 @@ func (r *request) run(ctx context.Context, out string) error {
 		}
 		return cli.WriteCSV(os.Stdout, r.csv, t)
 	case "trace":
-		return r.sweep("trace", r.traced)
+		return r.sweep("trace", func() error { return r.traced(ctx) })
 	case "degradation":
-		return r.sweep("degradation", r.degradationSweep)
+		return r.sweep("degradation", func() error { return r.degradationSweep(ctx) })
 	case "litmus":
 		l := r.litmus
 		title := fmt.Sprintf("Litmus conformance sweep: seeds %d..%d x {hlrc, lrc, sc}, %d procs (checker on)",
 			l.Seed, l.Seed+uint64(l.N)-1, l.Procs)
-		return r.sweep("litmus", func() error { return l.Run(os.Stdout, r.ses, title) })
+		return r.sweep("litmus", func() error { return l.Run(ctx, os.Stdout, r.points, title) })
 	case "hetero":
-		return r.sweep("hetero", r.heteroSweep)
+		return r.sweep("hetero", func() error { return r.heteroSweep(ctx) })
 	case "validate":
 		res, err := harness.ValidateAll()
 		if err != nil {
@@ -324,15 +329,16 @@ func (r *request) run(ctx context.Context, out string) error {
 	return fmt.Errorf("unknown output %q", out)
 }
 
-// rows resolves specs to rows through the session, or on the daemon
-// with -server.
-func (r *request) rows(ctx context.Context, specs []harness.RunSpec) ([]harness.RunRow, error) {
+// points resolves specs to their points through the session, or on
+// the daemon with -server: the one difference between a local and a
+// remote output.
+func (r *request) points(ctx context.Context, specs []harness.RunSpec) ([]harness.Point, error) {
 	if r.client == nil {
-		return r.ses.Rows(ctx, specs)
+		return r.ses.Points(ctx, specs)
 	}
-	rows, jobs, err := r.client.Rows(ctx, specs, r.parallel)
+	points, jobs, err := r.client.Points(ctx, specs, r.parallel)
 	r.jobs = append(r.jobs, jobs...)
-	return rows, err
+	return points, err
 }
 
 // sweep runs f and prints its one-line summary: the wall clock plus the
@@ -346,14 +352,17 @@ func (r *request) sweep(label string, f func() error) error {
 	}
 	wall := time.Since(start).Seconds()
 	if r.client != nil {
-		cached := 0
-		for _, st := range r.jobs[jobs:] {
+		points, cached := r.jobs[jobs:], 0
+		if len(points) == 0 {
+			return nil
+		}
+		for _, st := range points {
 			if st.Cached {
 				cached++
 			}
 		}
 		fmt.Printf("[%s: %.2fs wall, svmd %s, %d points, %d served from the daemon's result store]\n",
-			label, wall, r.server, len(r.jobs)-jobs, cached)
+			label, wall, r.server, len(points), cached)
 		return nil
 	}
 	st := r.ses.Stats()
@@ -375,12 +384,11 @@ type figureRow struct {
 	Row   swsm.RunRow `json:"row"`
 }
 
-// figure3 resolves the Figure-3 grid of every selected app in one
-// batch of rows and prints it as JSON rows or as the figure, returning
-// its table.
+// figure3 resolves the Figure-3 grid of every selected app, with the
+// baselines its speedups divide by, in one batch and prints it as JSON
+// rows or as the figure, returning its table.
 func (r *request) figure3(ctx context.Context) (*harness.Table, error) {
 	var (
-		frows  []figureRow
 		specs  []harness.RunSpec
 		labels [][]string
 	)
@@ -389,31 +397,36 @@ func (r *request) figure3(ctx context.Context) (*harness.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		specs = append(specs, ss...)
+		specs = append(append(specs, ss...), harness.BaselineSpec(app, r.scale, true))
 		labels = append(labels, ls)
-		for _, l := range ls {
-			frows = append(frows, figureRow{App: app, Label: l})
-		}
 	}
-	rows, err := r.rows(ctx, specs)
+	points, err := r.points(ctx, specs)
 	if err != nil {
 		return nil, err
 	}
-	if r.json {
-		for i := range frows {
-			frows[i].Row = rows[i]
+	rows, err := harness.Rows(points)
+	if err != nil {
+		return nil, err
+	}
+	var (
+		frows []figureRow
+		bars  []*harness.AppBar
+	)
+	for i, app := range r.apps {
+		n := len(labels[i])
+		for j, l := range labels[i] {
+			frows = append(frows, figureRow{App: app, Label: l, Row: rows[j]})
 		}
+		bars = append(bars, harness.Figure3Bar(app, labels[i], rows[:n]))
+		rows = rows[n+1:] // past the app's baseline
+	}
+	if r.json {
 		return nil, printJSON(frows)
 	}
 	fmt.Println("Figure 3: speedups across layer configurations")
-	var bars []*harness.AppBar
-	for i, app := range r.apps {
-		n := len(labels[i])
-		bar := harness.Figure3Bar(app, labels[i], rows[:n], nil)
-		rows = rows[n:]
+	for _, bar := range bars {
 		fmt.Print(swsm.FormatFigure3(bar, swsm.Figure3Configs))
 		fmt.Print(harness.RenderFigure3(bar, swsm.Figure3Configs))
-		bars = append(bars, bar)
 	}
 	return harness.Figure3Table(bars, swsm.Figure3Configs), nil
 }
@@ -428,7 +441,7 @@ func (r *request) printFigure(ctx context.Context, n int) (*harness.Table, error
 		fmt.Println("Figure 4: execution time breakdowns (avg cycles/proc)")
 		var all []harness.Figure4Row
 		for _, app := range r.apps {
-			rows, err := r.ses.Figure4(app, r.scale, r.procs, harness.Figure3Configs)
+			rows, err := harness.Figure4(ctx, r.points, app, r.scale, r.procs, harness.Figure3Configs)
 			if err != nil {
 				return nil, err
 			}
@@ -442,7 +455,7 @@ func (r *request) printFigure(ctx context.Context, n int) (*harness.Table, error
 		fmt.Println("Figure 5: one communication parameter varied at a time (speedups)")
 		var all [][]harness.Figure5Point
 		for _, app := range r.apps {
-			pts, err := r.ses.Figure5(app, r.scale, r.procs)
+			pts, err := harness.Figure5(ctx, r.points, app, r.scale, r.procs)
 			if err != nil {
 				return nil, err
 			}
@@ -455,7 +468,7 @@ func (r *request) printFigure(ctx context.Context, n int) (*harness.Table, error
 }
 
 // printTable prints table n.
-func (r *request) printTable(n int) error {
+func (r *request) printTable(ctx context.Context, n int) error {
 	switch n {
 	case 1:
 		fmt.Println("Table 1: applications and problem sizes")
@@ -468,14 +481,14 @@ func (r *request) printTable(n int) error {
 		fmt.Print(swsm.Table3())
 	case 4:
 		fmt.Println("Table 4: % time in protocol activity (HLRC, base config)")
-		rows, err := r.ses.Table4(r.scale, r.procs)
+		rows, err := harness.Table4(ctx, r.points, swsm.Apps(), r.scale, r.procs)
 		if err != nil {
 			return err
 		}
 		fmt.Print(swsm.FormatTable4(rows))
 	default:
 		fmt.Println("Table 5: per-application layer-importance summary (HLRC)")
-		rows, err := r.ses.Table5(r.scale, r.procs)
+		rows, err := harness.Table5(ctx, r.points, swsm.Apps(), r.scale, r.procs)
 		if err != nil {
 			return err
 		}
@@ -484,13 +497,13 @@ func (r *request) printTable(n int) error {
 	return nil
 }
 
-// heteroSweep sweeps machine skew x placement x protocol through the
-// shared session and prints the speedup grid plus the protocol-verdict
-// flips — the configurations where the protocol that wins on the
-// paper's uniform cluster loses under skew.
-func (r *request) heteroSweep() error {
+// heteroSweep sweeps machine skew x placement x protocol and prints the
+// speedup grid plus the protocol-verdict flips — the configurations
+// where the protocol that wins on the paper's uniform cluster loses
+// under skew.
+func (r *request) heteroSweep(ctx context.Context) error {
 	protos := []swsm.ProtocolKind{swsm.HLRC, swsm.SC}
-	points, err := r.ses.HeterogeneitySweep(r.apps, protos, r.scale, r.procs, splitList(r.skews), splitList(r.places))
+	points, err := harness.HeterogeneitySweep(ctx, r.points, r.apps, protos, r.scale, r.procs, splitList(r.skews), splitList(r.places))
 	if err != nil {
 		return err
 	}
@@ -502,13 +515,13 @@ func (r *request) heteroSweep() error {
 	return cli.WriteCSV(os.Stdout, r.csv, harness.HeterogeneityTable(points))
 }
 
-// degradationSweep sweeps drop rate x app x protocol through the shared
-// session, printing the slowdown table (and optionally its CSV).  Each
-// faulted run re-verifies the application's answer, so completing the
-// sweep certifies correctness under every injected fault rate.
-func (r *request) degradationSweep() error {
+// degradationSweep sweeps drop rate x app x protocol, printing the
+// slowdown table (and optionally its CSV).  Each faulted run
+// re-verifies the application's answer, so completing the sweep
+// certifies correctness under every injected fault rate.
+func (r *request) degradationSweep(ctx context.Context) error {
 	protos := []swsm.ProtocolKind{swsm.HLRC, swsm.SC}
-	points, err := r.ses.DegradationSweep(r.apps, protos, r.scale, r.procs, r.faultSeed, r.drops)
+	points, err := harness.DegradationSweep(ctx, r.points, r.apps, protos, r.scale, r.procs, r.faultSeed, r.drops)
 	if err != nil {
 		return err
 	}
@@ -525,15 +538,15 @@ func (r *request) degradationSweep() error {
 // multi-run Chrome trace (one Perfetto process per app/config pair).
 // Traced specs are memoized separately from their untraced twins, so
 // this never contaminates figure results.
-func (r *request) traced() error {
+func (r *request) traced(ctx context.Context) error {
 	var runs []swsm.TraceRun
 	for _, app := range r.apps {
 		specs, labels, err := swsm.TracedConfigSpecs(app, r.scale, r.procs, swsm.Figure3Configs, r.sample)
 		if err != nil {
 			return err
 		}
-		results, err := r.ses.RunAll(specs)
-		if err != nil {
+		results, errs := r.ses.RunEach(ctx, specs)
+		if err := cmp.Or(errs...); err != nil {
 			return err
 		}
 		for i := range labels {

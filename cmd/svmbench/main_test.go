@@ -49,12 +49,19 @@ func TestRequestedOutputs(t *testing.T) {
 		{"sweeps in order", "-hetero -litmus 2 -degradation -hot 2", "trace degradation litmus hetero"},
 		{"nothing", "-scale tiny", "error: no output"},
 
-		// -json and -server fit one kind of output.
+		// -json fits one kind of output; -server every output but the
+		// two that need in-process artifacts.
 		{"figure json", "-figure 3 -json", "figure3"},
 		{"json and litmus", "-figure 3 -json -litmus 2 -apps fft -scale tiny -procs 4", "error: -json"},
 		{"remote figure", "-figure 3 -apps fft " + srv, "figure3"},
-		{"remote degradation", "-degradation " + srv, "error: -server"},
-		{"remote all", "-all " + srv, "error: -server"},
+		{"remote degradation", "-degradation " + srv, "degradation"},
+		{"remote table", "-table 4 " + srv, "table4"},
+		{"remote all", "-all " + srv, "table1 table2 table3 table4 table5 figure3 figure4 figure5"},
+		{"remote sweeps", "-degradation -hetero -litmus 4 -apps fft,lu -scale tiny -procs 4 -parallel 2 " + srv, "degradation litmus hetero"},
+		{"remote trace", "-trace t.json " + srv, "error: -server resolves every output but -trace and -validate"},
+		{"remote hot objects", "-hot 3 " + srv, "error: -server resolves every output but -trace and -validate"},
+		{"remote validate", "-validate " + srv, "error: -server resolves every output but -trace and -validate"},
+		{"remote all and validate", "-all -validate " + srv, "error: run validate locally"},
 
 		// A flag no requested output reads.
 		{"drops without degradation", "-figure 3 -drops 9", "error: ignores -drops"},

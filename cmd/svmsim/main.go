@@ -13,6 +13,7 @@
 //	svmsim -app fft -protocol hlrc -json
 //	svmsim -app fft -protocol hlrc -server http://127.0.0.1:7099
 //	svmsim -litmus 32 -litmus-seed 1 -procs 4 -scale tiny
+//	svmsim -litmus 4 -procs 4 -server http://127.0.0.1:7099
 //	svmsim -app ocean-rowwise -hetero cpu4 -placement adaptive
 //	svmsim -list
 package main
@@ -31,6 +32,7 @@ import (
 	"swsm/internal/apps"
 	"swsm/internal/cli"
 	"swsm/internal/harness"
+	"swsm/internal/server/api"
 	"swsm/internal/server/client"
 	"swsm/internal/stats"
 )
@@ -39,13 +41,13 @@ import (
 // rejected when the selected output does not read it (cli.CheckFlags).
 // A run prints a text report or a JSON row, in process or on a daemon;
 // any trace product also selects trace, and only an in-process run
-// reads the products themselves.
+// reads the products themselves.  A litmus ladder runs either way.
 var reads = map[string]string{
 	"report":        run + " parallel perproc trace trace-jsonl timeline hot",
 	"json":          run + " json parallel trace trace-jsonl timeline hot",
 	"remote-report": run + " server stitched-trace",
 	"remote-json":   run + " json server stitched-trace",
-	"litmus":        "litmus litmus-seed procs scale drop parallel",
+	"litmus":        "litmus litmus-seed procs scale drop parallel server",
 	"trace":         "trace-sample",
 }
 
@@ -69,6 +71,11 @@ type options struct {
 	litmus  cli.Litmus
 	spec    harness.RunSpec
 	config  string
+	ses     *harness.Session
+	// client, when set, resolves every point on the daemon; jobs
+	// collects its points' statuses for the closing line.
+	client *client.Client
+	jobs   []*api.RunStatus
 }
 
 // tracing reports whether a trace product is requested.
@@ -206,51 +213,96 @@ func main() {
 		}
 		return
 	}
-	ses := swsm.NewSession(o.parallel)
+	o.ses = swsm.NewSession(o.parallel)
+	if o.server != "" {
+		o.client = client.New(o.server)
+	}
 	start := time.Now()
-	var src string
+	ctx := context.Background()
 	if l := o.litmus; o.litmusN > 0 {
-		err = l.Run(os.Stdout, ses, fmt.Sprintf("Litmus ladder: seeds %d..%d x {hlrc, lrc, sc}, %d procs", l.Seed, l.Seed+uint64(l.N)-1, l.Procs))
+		err = l.Run(ctx, os.Stdout, o.points, fmt.Sprintf("Litmus ladder: seeds %d..%d x {hlrc, lrc, sc}, %d procs", l.Seed, l.Seed+uint64(l.N)-1, l.Procs))
 	} else {
-		src, err = o.runOne(context.Background(), ses)
+		err = o.runOne(ctx)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "svmsim: %v\n", err)
 		os.Exit(1)
 	}
 	if !o.json {
-		if st := ses.Stats(); src == "" {
-			src = fmt.Sprintf("parallel=%d, %d runs, %d cache hits", ses.Parallelism(), st.Runs, st.Hits+st.Waits)
-		}
-		fmt.Printf("[%.2fs wall, %s]\n", time.Since(start).Seconds(), src)
+		fmt.Printf("[%.2fs wall, %s]\n", time.Since(start).Seconds(), o.source())
 	}
 }
 
-// runOne resolves the spec's row through ses, or on the daemon with
-// -server, and prints it as the text report or the JSON row, then the
-// local-only per-processor table and trace products.  A remote run
-// returns the row's source for the closing line.
-func (o *options) runOne(ctx context.Context, ses *harness.Session) (string, error) {
-	if o.server != "" {
-		return o.runRemote(ctx)
+// points resolves specs to their points through the session, or on
+// the daemon with -server.
+func (o *options) points(ctx context.Context, specs []harness.RunSpec) ([]harness.Point, error) {
+	if o.client == nil {
+		return o.ses.Points(ctx, specs)
 	}
-	rows, err := ses.Rows(ctx, []harness.RunSpec{o.spec})
+	points, jobs, err := o.client.Points(ctx, specs, o.parallel)
+	o.jobs = append(o.jobs, jobs...)
+	return points, err
+}
+
+// source names where the points came from, for the closing line: the
+// session's memo traffic, the daemon's job for a run, or the daemon's
+// store hits for a ladder.
+func (o *options) source() string {
+	if o.client == nil {
+		st := o.ses.Stats()
+		return fmt.Sprintf("parallel=%d, %d runs, %d cache hits", o.ses.Parallelism(), st.Runs, st.Hits+st.Waits)
+	}
+	if job := o.jobs[0]; o.litmusN == 0 {
+		src := "simulated remotely"
+		if job.Cached {
+			src = "served from result store"
+		}
+		return fmt.Sprintf("svmd %s, %s, job %s, key %s", o.server, src, job.ID, job.Key)
+	}
+	cached := 0
+	for _, st := range o.jobs {
+		if st.Cached {
+			cached++
+		}
+	}
+	return fmt.Sprintf("svmd %s, %d points, %d served from the daemon's result store", o.server, len(o.jobs), cached)
+}
+
+// runOne resolves the spec and the sequential baseline its speedup
+// divides by, and prints the spec's row as the text report or the JSON
+// row.  With -server it first saves the job's stitched timeline when
+// asked; in process it then prints the per-processor table and writes
+// the trace products.
+func (o *options) runOne(ctx context.Context) error {
+	points, err := o.points(ctx, []harness.RunSpec{o.spec, harness.BaselineSpec(o.spec.App, o.spec.Scale, o.spec.CacheEnabled)})
 	if err != nil {
-		return "", err
+		return err
+	}
+	rows, err := harness.Rows(points)
+	if err != nil {
+		return err
+	}
+	if o.stitched != "" {
+		job := o.jobs[0]
+		if err := cli.WriteFile(o.stitched, func(w io.Writer) error { return o.client.Trace(ctx, job.ID, w) }); err != nil {
+			return fmt.Errorf("stitched trace: %v", err)
+		}
+		// Keep stdout pure JSON under -json; notices go to stderr.
+		fmt.Fprintf(os.Stderr, "  stitched-trace: %s (job %s; load in Perfetto)\n", o.stitched, job.ID)
 	}
 	if err := o.print(rows[0]); err != nil || !o.perProc && !o.tracing() {
-		return "", err
+		return err
 	}
-	res, err := ses.Run(o.spec)
+	res, err := o.ses.Run(o.spec)
 	if err != nil {
-		return "", err
+		return err
 	}
 	if o.perProc {
 		fmt.Println("  per-processor breakdown:")
 		fmt.Print(harness.PerProcBreakdown(res))
 	}
 	if !o.tracing() {
-		return "", nil
+		return nil
 	}
 	// Keep stdout pure JSON under -json; file notices and hot-object
 	// reports go to stderr.
@@ -258,30 +310,7 @@ func (o *options) runOne(ctx context.Context, ses *harness.Session) (string, err
 	if o.json {
 		notices = os.Stderr
 	}
-	return "", o.writeTrace(notices, res)
-}
-
-// runRemote resolves the spec on the daemon, saves the job's stitched
-// timeline when asked, and prints the row.
-func (o *options) runRemote(ctx context.Context) (string, error) {
-	c := client.New(o.server)
-	rows, jobs, err := c.Rows(ctx, []harness.RunSpec{o.spec}, 1)
-	if err != nil {
-		return "", err
-	}
-	job := jobs[0]
-	if o.stitched != "" {
-		if err := cli.WriteFile(o.stitched, func(w io.Writer) error { return c.Trace(ctx, job.ID, w) }); err != nil {
-			return "", fmt.Errorf("stitched trace: %v", err)
-		}
-		// Keep stdout pure JSON under -json; notices go to stderr.
-		fmt.Fprintf(os.Stderr, "  stitched-trace: %s (job %s; load in Perfetto)\n", o.stitched, job.ID)
-	}
-	src := "simulated remotely"
-	if job.Cached {
-		src = "served from result store"
-	}
-	return fmt.Sprintf("svmd %s, %s, job %s, key %s", o.server, src, job.ID, rows[0].Key), o.print(rows[0])
+	return o.writeTrace(notices, res)
 }
 
 // print prints row as the JSON row or the text report.

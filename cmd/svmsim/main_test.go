@@ -25,7 +25,7 @@ func TestRequestedOutputs(t *testing.T) {
 		{"list", "-list", "list"},
 
 		{"litmus json", "-litmus 2 -json", "error: a request for litmus ignores -json"},
-		{"litmus remote", "-litmus 2 " + srv, "error: ignores -server"},
+		{"litmus remote", "-litmus 2 -drop 1 -parallel 2 " + srv, "litmus"},
 		{"litmus dup", "-litmus 2 -dup 1", "error: ignores -dup"},
 		{"json perproc", "-json -perproc", "error: a request for json ignores -perproc"},
 		{"remote trace", srv + " -trace x.json", "error: ignores -trace"},

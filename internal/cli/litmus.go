@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -21,11 +22,12 @@ type Litmus struct {
 	CSV string
 }
 
-// Run executes the ladder through ses and prints title, one line per
-// point, and a minimal reproducer for every point that violated its
-// consistency model.  It fails if any point did.
-func (l Litmus) Run(w io.Writer, ses *harness.Session, title string) error {
-	points, err := ses.LitmusSweep(l.Seed, l.N, []harness.ProtocolKind{harness.HLRC, harness.LRC, harness.SC}, l.Scale, l.Procs, l.DropPPMs)
+// Run resolves the ladder through source — a session's or a daemon
+// client's points — and prints title, one line per point, and a
+// minimal reproducer, shrunk in process, for every point that violated
+// its consistency model.  It fails if any point did.
+func (l Litmus) Run(ctx context.Context, w io.Writer, source harness.Source, title string) error {
+	points, err := harness.LitmusSweep(ctx, source, l.Seed, l.N, []harness.ProtocolKind{harness.HLRC, harness.LRC, harness.SC}, l.Scale, l.Procs, l.DropPPMs)
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -36,7 +34,7 @@ func (c *Coordinator) Handler() http.Handler {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req api.ClusterLeaseRequest
-	if err := decodeBody(r, &req); err != nil || req.WorkerID == "" {
+	if err := server.DecodeBody(r, &req); err != nil || req.WorkerID == "" {
 		server.WriteError(w, http.StatusBadRequest, "bad lease body")
 		return
 	}
@@ -45,7 +43,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req api.ClusterCompleteRequest
-	if err := decodeBody(r, &req); err != nil || req.JobID == "" {
+	if err := server.DecodeBody(r, &req); err != nil || req.JobID == "" {
 		server.WriteError(w, http.StatusBadRequest, "bad complete body")
 		return
 	}
@@ -60,16 +58,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	default:
 		server.WriteJSON(w, http.StatusOK, resp)
 	}
-}
-
-// decodeBody decodes a request body that must be exactly one JSON
-// value: a valid prefix followed by anything else is malformed too.
-func decodeBody(r *http.Request, v any) error {
-	b, err := io.ReadAll(r.Body)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(b, v)
 }
 
 func (c *Coordinator) handleLog(w http.ResponseWriter, r *http.Request) {

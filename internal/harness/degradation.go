@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -44,55 +45,46 @@ func FaultedSpec(spec RunSpec, seed uint64, dropPPM int64) RunSpec {
 }
 
 // DegradationSweep measures slowdown vs drop rate over app x protocol x
-// dropPPMs through the session.  Every faulted run is verified against
-// the application's reference answer, so a point coming back at all
-// certifies the reliability machinery preserved correctness at that
-// fault rate.  Points are ordered app-major, then protocol, then drop
-// rate — deterministic regardless of execution parallelism.
-func (s *Session) DegradationSweep(appNames []string, protos []ProtocolKind, scale apps.Scale, procs int, seed uint64, dropPPMs []int64) ([]DegradationPoint, error) {
-	type slot struct {
-		app     string
-		prot    ProtocolKind
-		dropPPM int64
-	}
+// dropPPMs through src: each cell's clean run, then its faulted runs.
+// Every faulted run is verified against the application's reference
+// answer, so a point coming back at all certifies the reliability
+// machinery preserved correctness at that fault rate.  Points are
+// ordered app-major, then protocol, then drop rate — deterministic
+// regardless of execution parallelism.
+func DegradationSweep(ctx context.Context, src Source, appNames []string, protos []ProtocolKind, scale apps.Scale, procs int, seed uint64, dropPPMs []int64) ([]DegradationPoint, error) {
 	var specs []RunSpec
-	var slots []slot
 	for _, app := range appNames {
 		for _, prot := range protos {
 			base := DefaultSpec(app, prot)
 			base.Scale = scale
 			base.Procs = procs
 			specs = append(specs, base)
-			slots = append(slots, slot{app, prot, -1}) // clean baseline
 			for _, ppm := range dropPPMs {
 				specs = append(specs, FaultedSpec(base, seed, ppm))
-				slots = append(slots, slot{app, prot, ppm})
 			}
 		}
 	}
-	results, err := s.RunAll(specs)
+	rows, err := resolve(ctx, src, specs)
 	if err != nil {
 		return nil, fmt.Errorf("degradation sweep: %w", err)
 	}
 	var out []DegradationPoint
 	var base int64
-	for i, sl := range slots {
-		res := results[i]
-		if sl.dropPPM < 0 {
-			base = res.Cycles
+	for _, r := range rows {
+		if r.Spec.Fault == (fault.Spec{}) {
+			base = r.Cycles
 			continue
 		}
-		st := res.Stats
 		p := DegradationPoint{
-			App: sl.app, Proto: sl.prot, DropPPM: sl.dropPPM,
-			Cycles: res.Cycles, BaseCycles: base,
-			Retransmits: st.TotalCount(stats.Retransmits),
-			Drops:       st.TotalCount(stats.MsgsDropped),
-			Acks:        st.TotalCount(stats.AcksSent),
-			Dups:        st.TotalCount(stats.DupsSuppressed),
+			App: r.Spec.App, Proto: r.Spec.Protocol, DropPPM: r.Spec.Fault.DropPPM,
+			Cycles: r.Cycles, BaseCycles: base,
+			Retransmits: r.Counters[stats.Retransmits.String()],
+			Drops:       r.Counters[stats.MsgsDropped.String()],
+			Acks:        r.Counters[stats.AcksSent.String()],
+			Dups:        r.Counters[stats.DupsSuppressed.String()],
 		}
 		if base > 0 {
-			p.SlowdownPct = float64(res.Cycles-base) / float64(base) * 100
+			p.SlowdownPct = float64(r.Cycles-base) / float64(base) * 100
 		}
 		out = append(out, p)
 	}

@@ -49,25 +49,22 @@ var Figure3Configs = []LayerConfig{
 
 // AppBar is one application's full Figure-3 bar group.
 type AppBar struct {
-	App     string
-	Ideal   float64 // algorithmic speedup on the ideal machine
-	HLRC    map[string]float64
-	SC      map[string]float64
-	Results map[string]*Result // keyed "hlrc/AO", "sc/BB", ...
+	App   string
+	Ideal float64 // algorithmic speedup on the ideal machine
+	HLRC  map[string]float64
+	SC    map[string]float64
 }
 
-// configSlot names one (protocol, layer-config) cell of a sweep, used
-// to map index-ordered session results back to their labels.
-type configSlot struct {
-	prot  ProtocolKind
-	label string
-}
-
-// configSpecs expands the protocol x config grid into specs plus the
-// slot bookkeeping that labels each index-aligned result.
-func configSpecs(app string, scale apps.Scale, procs int, configs []LayerConfig) ([]RunSpec, []configSlot, error) {
-	var specs []RunSpec
-	var slots []configSlot
+// Figure3Specs expands one application's Figure-3 grid — the parallel
+// ideal machine plus the protocol x configuration ladder — into
+// index-aligned specs and labels ("ideal", "hlrc/AO", "sc/B+B", ...).
+// Every Figure-3 path expands it, in process or on the experiment
+// service; keeping one expansion guarantees remote sweeps hit the same
+// content keys as local runs.  The speedups divide by the app's
+// BaselineSpec, which the grid does not include.
+func Figure3Specs(app string, scale apps.Scale, procs int, configs []LayerConfig) ([]RunSpec, []string, error) {
+	specs := []RunSpec{idealSpec(app, scale, procs)}
+	labels := []string{"ideal"}
 	for _, prot := range []ProtocolKind{HLRC, SC} {
 		for _, lc := range configs {
 			spec := DefaultSpec(app, prot)
@@ -77,27 +74,26 @@ func configSpecs(app string, scale apps.Scale, procs int, configs []LayerConfig)
 				return nil, nil, err
 			}
 			specs = append(specs, spec)
-			slots = append(slots, configSlot{prot, lc.Label()})
+			labels = append(labels, string(prot)+"/"+lc.Label())
 		}
 	}
-	return specs, slots, nil
+	return specs, labels, nil
 }
 
-// TracedConfigSpecs expands the protocol x config grid into specs with
-// tracing enabled, returning parallel label slices ("hlrc/AO", ...).
-// The specs are deterministic and index-ordered, so serializing the
-// runner's results in slice order yields byte-identical trace files
+// TracedConfigSpecs is the protocol x config grid of Figure3Specs (no
+// ideal machine) with tracing enabled, with its labels ("hlrc/AO",
+// ...).  The specs are deterministic and index-ordered, so serializing
+// the results in slice order yields byte-identical trace files
 // regardless of execution parallelism.
 func TracedConfigSpecs(app string, scale apps.Scale, procs int, configs []LayerConfig, sample int64) ([]RunSpec, []string, error) {
-	specs, slots, err := configSpecs(app, scale, procs, configs)
+	specs, labels, err := Figure3Specs(app, scale, procs, configs)
 	if err != nil {
 		return nil, nil, err
 	}
-	labels := make([]string, len(specs))
+	specs, labels = specs[1:], labels[1:]
 	for i := range specs {
 		specs[i].Trace = true
 		specs[i].TraceSample = sample
-		labels[i] = string(slots[i].prot) + "/" + slots[i].label
 	}
 	return specs, labels, nil
 }
@@ -115,63 +111,34 @@ func TraceRuns(labels []string, results []*Result) []trace.Run {
 	return runs
 }
 
-// Figure3Specs expands one application's Figure-3 grid — the parallel
-// ideal machine plus the protocol x configuration ladder — into
-// index-aligned specs and labels ("ideal", "hlrc/AO", "sc/B+B", ...).
-// Every Figure-3 path expands it, in process or on the experiment
-// service; keeping one expansion guarantees remote sweeps hit the same
-// content keys as local runs.
-func Figure3Specs(app string, scale apps.Scale, procs int, configs []LayerConfig) ([]RunSpec, []string, error) {
-	gridSpecs, slots, err := configSpecs(app, scale, procs, configs)
-	if err != nil {
-		return nil, nil, err
-	}
-	specs := append([]RunSpec{idealSpec(app, scale, procs)}, gridSpecs...)
-	labels := make([]string, 0, len(specs))
-	labels = append(labels, "ideal")
-	for _, sl := range slots {
-		labels = append(labels, string(sl.prot)+"/"+sl.label)
-	}
-	return specs, labels, nil
-}
-
-// Figure3 runs the speedup ladder for one application at the given
-// scale and processor count.  All runs — sequential baseline, ideal
-// machine, and the protocol x config grid — are scheduled at once;
-// results are collected by index, so the output is identical at any
-// parallelism.
-func (s *Session) Figure3(app string, scale apps.Scale, procs int, configs []LayerConfig) (*AppBar, error) {
+// Figure3 resolves the speedup ladder for one application at the given
+// scale and processor count through src: its Figure3Specs grid and the
+// baseline its speedups divide by, all at once.
+func Figure3(ctx context.Context, src Source, app string, scale apps.Scale, procs int, configs []LayerConfig) (*AppBar, error) {
 	specs, labels, err := Figure3Specs(app, scale, procs, configs)
 	if err != nil {
 		return nil, err
 	}
-	rows, results, err := s.rows(context.Background(), specs)
+	rows, err := resolve(ctx, src, append(specs, BaselineSpec(app, scale, true)))
 	if err != nil {
 		return nil, fmt.Errorf("figure 3 (%s): %w", app, err)
 	}
-	return Figure3Bar(app, labels, rows, results), nil
+	return Figure3Bar(app, labels, rows), nil
 }
 
 // Figure3Bar builds one application's bar group from the rows of its
 // Figure3Specs grid, index-aligned with the labels, each row carrying
-// its speedup.  results, when non-nil (a local run), is index-aligned
-// too and fills the bar's Results.
-func Figure3Bar(app string, labels []string, rows []RunRow, results []*Result) *AppBar {
+// its speedup (see Rows).
+func Figure3Bar(app string, labels []string, rows []RunRow) *AppBar {
 	bar := &AppBar{App: app, HLRC: map[string]float64{}, SC: map[string]float64{}}
-	if results != nil {
-		bar.Results = map[string]*Result{}
-	}
 	for i, label := range labels {
-		if results != nil {
-			bar.Results[label] = results[i]
-		}
-		switch {
-		case label == "ideal":
+		switch prot, config, _ := strings.Cut(label, "/"); prot {
+		case "ideal":
 			bar.Ideal = rows[i].Speedup
-		case strings.HasPrefix(label, "hlrc/"):
-			bar.HLRC[strings.TrimPrefix(label, "hlrc/")] = rows[i].Speedup
-		case strings.HasPrefix(label, "sc/"):
-			bar.SC[strings.TrimPrefix(label, "sc/")] = rows[i].Speedup
+		case string(HLRC):
+			bar.HLRC[config] = rows[i].Speedup
+		case string(SC):
+			bar.SC[config] = rows[i].Speedup
 		}
 	}
 	return bar
@@ -210,26 +177,25 @@ type Figure4Row struct {
 	Cycles    int64
 }
 
-// Figure4 computes breakdowns for an application across configurations;
-// rows come back in protocol x config order.
-func (s *Session) Figure4(app string, scale apps.Scale, procs int, configs []LayerConfig) ([]Figure4Row, error) {
-	specs, slots, err := configSpecs(app, scale, procs, configs)
+// Figure4 resolves an application's breakdowns across configurations —
+// the Figure3Specs grid without the ideal machine — through src; rows
+// come back in protocol x config order.
+func Figure4(ctx context.Context, src Source, app string, scale apps.Scale, procs int, configs []LayerConfig) ([]Figure4Row, error) {
+	specs, labels, err := Figure3Specs(app, scale, procs, configs)
 	if err != nil {
 		return nil, err
 	}
-	results, err := s.RunAll(specs)
+	rows, err := resolve(ctx, src, specs[1:])
 	if err != nil {
 		return nil, fmt.Errorf("figure 4 (%s): %w", app, err)
 	}
-	out := make([]Figure4Row, 0, len(results))
-	for i, sl := range slots {
-		res := results[i]
-		row := Figure4Row{App: app, Proto: sl.prot, Config: sl.label, Cycles: res.Cycles}
-		avg := res.Stats.AverageBreakdown()
+	out := make([]Figure4Row, len(rows))
+	for i, r := range rows {
+		_, config, _ := strings.Cut(labels[1+i], "/")
+		out[i] = Figure4Row{App: app, Proto: r.Spec.Protocol, Config: config, Cycles: r.Cycles}
 		for c := stats.Category(0); c < stats.NumCategories; c++ {
-			row.Breakdown[c] = avg[c]
+			out[i].Breakdown[c] = r.Breakdown[c.String()]
 		}
-		out = append(out, row)
 	}
 	return out, nil
 }
@@ -310,22 +276,16 @@ func vary(base comm.Params, param string, num, den int64) comm.Params {
 }
 
 // Figure5 sweeps one communication parameter at a time (others at
-// achievable values), for both protocols.  The baseline and every
-// (protocol, parameter, factor) run are scheduled together; the x1
-// point of each parameter is the same memo key (the unmodified
-// achievable Params), so the memo collapses those duplicates to one run
-// per protocol.
-func (s *Session) Figure5(app string, scale apps.Scale, procs int) ([]Figure5Point, error) {
+// achievable values), for both protocols, through src.  The x1 point of
+// each parameter is the same spec (the unmodified achievable Params),
+// so a session runs it once per protocol.
+func Figure5(ctx context.Context, src Source, app string, scale apps.Scale, procs int) ([]Figure5Point, error) {
 	factors := []struct {
 		label    string
 		num, den int64
 	}{{"0", 0, 1}, {"1/2", 1, 2}, {"1", 1, 1}, {"2", 2, 1}}
-	type slot struct {
-		param, factor string
-		prot          ProtocolKind
-	}
-	specs := []RunSpec{baselineSpec(app, scale, true)}
-	var slots []slot
+	var specs []RunSpec
+	var points []Figure5Point
 	for _, prot := range []ProtocolKind{HLRC, SC} {
 		for _, param := range Figure5Params {
 			for _, f := range factors {
@@ -334,23 +294,18 @@ func (s *Session) Figure5(app string, scale apps.Scale, procs int) ([]Figure5Poi
 				spec.Procs = procs
 				spec.Comm = vary(comm.Achievable(), param, f.num, f.den)
 				specs = append(specs, spec)
-				slots = append(slots, slot{param, f.label, prot})
+				points = append(points, Figure5Point{Param: param, Factor: f.label, Proto: prot})
 			}
 		}
 	}
-	results, err := s.RunAll(specs)
+	rows, err := resolve(ctx, src, append(specs, BaselineSpec(app, scale, true)))
 	if err != nil {
 		return nil, fmt.Errorf("figure 5 (%s): %w", app, err)
 	}
-	seq := results[0].Cycles
-	out := make([]Figure5Point, 0, len(slots))
-	for i, sl := range slots {
-		out = append(out, Figure5Point{
-			Param: sl.param, Factor: sl.factor, Proto: sl.prot,
-			Speedup: float64(seq) / float64(results[1+i].Cycles),
-		})
+	for i := range points {
+		points[i].Speedup = rows[i].Speedup
 	}
-	return out, nil
+	return points, nil
 }
 
 // FormatFigure5 renders sweep results grouped by parameter.

@@ -2,6 +2,8 @@ package harness_test
 
 import (
 	"bytes"
+	"cmp"
+	"context"
 	"testing"
 
 	"swsm/internal/apps"
@@ -40,8 +42,8 @@ func runFaulted(t *testing.T, parallel int) (cycles []int64, rx []int64, traces 
 	t.Helper()
 	specs := faultedSpecs()
 	s := harness.NewSession(parallel)
-	results, err := s.RunAll(specs)
-	if err != nil {
+	results, errs := s.RunEach(context.Background(), specs)
+	if err := cmp.Or(errs...); err != nil {
 		t.Fatal(err)
 	}
 	var runs []trace.Run
@@ -151,7 +153,7 @@ func TestFaultedRunsStillVerify(t *testing.T) {
 // higher rates.
 func TestDegradationSweep(t *testing.T) {
 	s := harness.NewSession(0)
-	points, err := s.DegradationSweep(
+	points, err := harness.DegradationSweep(context.Background(), s.Points,
 		[]string{"fft"}, []harness.ProtocolKind{harness.HLRC}, apps.Tiny, 4,
 		1, []int64{5_000, 20_000})
 	if err != nil {

@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"context"
 	"os"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ func TestFigure3One(t *testing.T) {
 		app = "fft"
 	}
 	start := time.Now()
-	bar, err := harness.NewSession(0).Figure3(app, apps.Base, 16, harness.Figure3Configs)
+	bar, err := harness.Figure3(context.Background(), harness.NewSession(0).Points, app, apps.Base, 16, harness.Figure3Configs)
 	if err != nil {
 		t.Fatal(err)
 	}

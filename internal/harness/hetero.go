@@ -66,16 +66,12 @@ type HeteroPoint struct {
 }
 
 // HeterogeneitySweep measures every app x skew x placement x protocol
-// cell through the session.  Points come back in app-major, then skew,
-// then placement, then protocol order — deterministic regardless of
-// execution parallelism.
-func (s *Session) HeterogeneitySweep(appNames []string, protos []ProtocolKind, scale apps.Scale, procs int, skews, placements []string) ([]HeteroPoint, error) {
-	type slot struct {
-		app, skew, placement string
-		prot                 ProtocolKind
-	}
+// cell through src, with each app's baseline the speedups divide by.
+// Points come back in app-major, then skew, then placement, then
+// protocol order — deterministic regardless of execution parallelism.
+func HeterogeneitySweep(ctx context.Context, src Source, appNames []string, protos []ProtocolKind, scale apps.Scale, procs int, skews, placements []string) ([]HeteroPoint, error) {
 	var specs []RunSpec
-	var slots []slot
+	var points []HeteroPoint
 	for _, app := range appNames {
 		for _, skew := range skews {
 			for _, pl := range placements {
@@ -89,26 +85,25 @@ func (s *Session) HeterogeneitySweep(appNames []string, protos []ProtocolKind, s
 					spec.Procs = procs
 					spec.Hetero = hs
 					specs = append(specs, spec)
-					slots = append(slots, slot{app, skew, pl, prot})
+					points = append(points, HeteroPoint{App: app, Skew: skew, Placement: pl, Proto: prot})
 				}
 			}
 		}
 	}
-	rows, err := s.Rows(context.Background(), specs)
+	for _, app := range appNames {
+		specs = append(specs, BaselineSpec(app, scale, true))
+	}
+	rows, err := resolve(ctx, src, specs)
 	if err != nil {
 		return nil, fmt.Errorf("heterogeneity sweep: %w", err)
 	}
-	out := make([]HeteroPoint, len(slots))
-	for i, sl := range slots {
-		out[i] = HeteroPoint{
-			App: sl.app, Skew: sl.skew, Placement: sl.placement, Proto: sl.prot,
-			Cycles:  rows[i].Cycles,
-			Speedup: rows[i].Speedup,
-			Rehomed: rows[i].Counters[stats.PagesRehomed.String()],
-			Demoted: rows[i].Counters[stats.PagesDemoted.String()],
-		}
+	for i, r := range rows[:len(points)] {
+		points[i].Cycles = r.Cycles
+		points[i].Speedup = r.Speedup
+		points[i].Rehomed = r.Counters[stats.PagesRehomed.String()]
+		points[i].Demoted = r.Counters[stats.PagesDemoted.String()]
 	}
-	return out, nil
+	return points, nil
 }
 
 // HeteroFlip is one (app, placement) row of the verdict table: the

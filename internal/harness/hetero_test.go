@@ -2,6 +2,8 @@ package harness_test
 
 import (
 	"bytes"
+	"cmp"
+	"context"
 	"testing"
 
 	"swsm/internal/apps"
@@ -71,7 +73,7 @@ func TestHeteroUniformIsBaseline(t *testing.T) {
 func heteroSweepCSV(t *testing.T, parallel int) ([]harness.HeteroPoint, []byte, *harness.Session) {
 	t.Helper()
 	s := harness.NewSession(parallel)
-	points, err := s.HeterogeneitySweep(
+	points, err := harness.HeterogeneitySweep(context.Background(), s.Points,
 		[]string{"fft", "lu"},
 		[]harness.ProtocolKind{harness.HLRC, harness.SC},
 		apps.Tiny, 8,
@@ -99,7 +101,7 @@ func TestHeteroSweepDeterministicAndWarm(t *testing.T) {
 		t.Fatalf("sweep CSV differs between serial and 8-wide execution:\n%s\nvs\n%s", csv1, csv8)
 	}
 	before := s.Stats()
-	points, err := s.HeterogeneitySweep(
+	points, err := harness.HeterogeneitySweep(context.Background(), s.Points,
 		[]string{"fft", "lu"},
 		[]harness.ProtocolKind{harness.HLRC, harness.SC},
 		apps.Tiny, 8,
@@ -182,12 +184,12 @@ func TestPerNodeModelDeterminismAcrossParallelism(t *testing.T) {
 		}
 		return out
 	}
-	serial, err := harness.NewSession(1).RunAll(specs())
-	if err != nil {
+	serial, errs := harness.NewSession(1).RunEach(context.Background(), specs())
+	if err := cmp.Or(errs...); err != nil {
 		t.Fatal(err)
 	}
-	wide, err := harness.NewSession(8).RunAll(specs())
-	if err != nil {
+	wide, errs := harness.NewSession(8).RunEach(context.Background(), specs())
+	if err := cmp.Or(errs...); err != nil {
 		t.Fatal(err)
 	}
 	for i := range serial {

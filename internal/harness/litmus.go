@@ -50,17 +50,16 @@ func LitmusSpec(seed uint64, prot ProtocolKind, scale apps.Scale, procs int) Run
 }
 
 // LitmusSweep runs seeds baseSeed..baseSeed+n-1 against every protocol
-// and drop rate (PPM; 0 = the clean fabric), all checked, through the
-// session.  Points come back in grid order — seed-major, then protocol,
-// then rate — regardless of execution parallelism.
-// Consistency violations are reported in the point; any other failure
-// aborts the sweep.
-func (s *Session) LitmusSweep(baseSeed uint64, n int, protos []ProtocolKind, scale apps.Scale, procs int, dropPPMs []int64) ([]LitmusPoint, error) {
+// and drop rate (PPM; 0 = the clean fabric), all checked, through src.
+// Points come back in grid order — seed-major, then protocol, then
+// rate — regardless of execution parallelism.  Consistency violations
+// are reported in the point; any other failure aborts the sweep.
+func LitmusSweep(ctx context.Context, src Source, baseSeed uint64, n int, protos []ProtocolKind, scale apps.Scale, procs int, dropPPMs []int64) ([]LitmusPoint, error) {
 	if len(dropPPMs) == 0 {
 		dropPPMs = []int64{0}
 	}
 	var specs []RunSpec
-	var pts []LitmusPoint
+	var points []LitmusPoint
 	for i := 0; i < n; i++ {
 		seed := baseSeed + uint64(i)
 		for _, prot := range protos {
@@ -70,30 +69,39 @@ func (s *Session) LitmusSweep(baseSeed uint64, n int, protos []ProtocolKind, sca
 					spec = FaultedSpec(spec, seed, ppm)
 				}
 				specs = append(specs, spec)
-				pts = append(pts, LitmusPoint{Seed: seed, Proto: prot, DropPPM: ppm})
+				points = append(points, LitmusPoint{Seed: seed, Proto: prot, DropPPM: ppm})
 			}
 		}
 	}
-	// Keep per-point errors: unlike RunAll, a violation in one cell
-	// must not hide the rest of the ladder.
-	results, errs := s.RunEach(context.Background(), specs)
-	for i := range pts {
-		if errs[i] != nil {
-			var v *consistency.Violation
-			if errors.As(errs[i], &v) {
-				pts[i].Violation = v.Error()
-				continue
+	pts, err := src(ctx, specs)
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range points {
+		if f := pts[i].Failure; f != "" {
+			report, ok := violationReport(specs[i], f)
+			if !ok {
+				return nil, fmt.Errorf("litmus sweep seed %d on %s (drop %d ppm): %s",
+					p.Seed, p.Proto, p.DropPPM, f)
 			}
-			return nil, fmt.Errorf("litmus sweep seed %d on %s (drop %d ppm): %w",
-				pts[i].Seed, pts[i].Proto, pts[i].DropPPM, errs[i])
+			points[i].Violation = report
+			continue
 		}
-		res := results[i]
-		pts[i].Cycles = res.Cycles
-		if c := res.Consistency; c != nil {
-			pts[i].Loads, pts[i].Stores, pts[i].SyncOps = c.Loads, c.Stores, c.SyncOps
+		points[i].Cycles = pts[i].Row.Cycles
+		if c := pts[i].Row.Consistency; c != nil {
+			points[i].Loads, points[i].Stores, points[i].SyncOps = c.Loads, c.Stores, c.SyncOps
 		}
 	}
-	return pts, nil
+	return points, nil
+}
+
+// violationReport decides whether failure, the text of a failed run of
+// spec from either point source, is a consistency violation, and if so
+// returns the checker's report: the text of the *consistency.Violation
+// that RunInstance wrapped.
+func violationReport(spec RunSpec, failure string) (string, bool) {
+	report, ok := strings.CutPrefix(failure, fmt.Sprintf("harness: %s on %s: ", spec.App, spec.Protocol))
+	return report, ok && strings.HasPrefix(report, "consistency violation (")
 }
 
 // ShrinkLitmus minimizes a litmus program that fails the checker under

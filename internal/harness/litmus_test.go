@@ -2,6 +2,7 @@ package harness_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"strings"
@@ -120,7 +121,7 @@ func TestCheckPerturbsNothing(t *testing.T) {
 func runLadder(t *testing.T, parallel int) []byte {
 	t.Helper()
 	s := harness.NewSession(parallel)
-	points, err := s.LitmusSweep(1, 32, checkedProtos, apps.Tiny, 4, nil)
+	points, err := harness.LitmusSweep(context.Background(), s.Points, 1, 32, checkedProtos, apps.Tiny, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestLitmusLadder32Seeds(t *testing.T) {
 // reliable transport must keep every protocol conforming under 2% drops.
 func TestLitmusSweepFaulted(t *testing.T) {
 	s := harness.NewSession(0)
-	points, err := s.LitmusSweep(40, 4, checkedProtos, apps.Tiny, 4, []int64{0, 20_000})
+	points, err := harness.LitmusSweep(context.Background(), s.Points, 40, 4, checkedProtos, apps.Tiny, 4, []int64{0, 20_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestBrokenProtocolCaughtAndShrunk(t *testing.T) {
 // TestLitmusSweepGridOrder pins the deterministic point ordering.
 func TestLitmusSweepGridOrder(t *testing.T) {
 	s := harness.NewSession(0)
-	points, err := s.LitmusSweep(100, 2, []harness.ProtocolKind{harness.HLRC, harness.SC}, apps.Tiny, 4, nil)
+	points, err := harness.LitmusSweep(context.Background(), s.Points, 100, 2, []harness.ProtocolKind{harness.HLRC, harness.SC}, apps.Tiny, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,5 +284,38 @@ func TestCheckedRunReportsViolationBeforeVerification(t *testing.T) {
 	var v *consistency.Violation
 	if !errors.As(err, &v) {
 		t.Fatalf("checked ocean on the broken shim returned %v, want a consistency violation", err)
+	}
+}
+
+// TestLitmusSweepReportsViolation pins the decision both point sources
+// share: a point whose run the checker failed carries the checker's
+// own report, the text errors.As finds on the run's error, and a point
+// that failed any other way aborts the sweep.
+func TestLitmusSweepReportsViolation(t *testing.T) {
+	ctx := context.Background()
+	sc := []harness.ProtocolKind{harness.SC}
+	_, err := harness.Run(harness.LitmusSpec(15, harness.SC, apps.Base, 4))
+	var v *consistency.Violation
+	if !errors.As(err, &v) {
+		t.Fatalf("sc seed 15 at Base/4p: err = %v, want a consistency violation", err)
+	}
+	pts, err := harness.LitmusSweep(ctx, harness.NewSession(1).Points, 15, 1, sc, apps.Base, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pts[0].Violation != v.Error() {
+		t.Fatalf("point report:\n%s\nwant the checker's:\n%s", pts[0].Violation, v.Error())
+	}
+	for _, failure := range []string{
+		"harness: litmus-15 on sc failed verification: cell 3 = 1, want 2",
+		"harness: litmus-16 on sc: " + v.Error(), // another run's report
+		"job j1 canceled",
+	} {
+		failed := func(context.Context, []harness.RunSpec) ([]harness.Point, error) {
+			return []harness.Point{{Failure: failure}}, nil
+		}
+		if _, err := harness.LitmusSweep(ctx, failed, 15, 1, sc, apps.Base, 4, nil); err == nil || !strings.Contains(err.Error(), failure) {
+			t.Errorf("failure %q: sweep err = %v, want it to abort with the failure", failure, err)
+		}
 	}
 }

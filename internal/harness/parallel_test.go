@@ -1,49 +1,49 @@
 package harness
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"reflect"
 	"testing"
 
 	"swsm/internal/apps"
 )
 
-// TestParallelFigure3Deterministic proves the runner's central claim:
+// TestParallelFigure3Deterministic proves the session's central claim:
 // running the full Figure-3 ladder through a parallel session produces
-// results identical to a serial session — cycle counts and complete
-// per-processor breakdowns — because each simulation is internally
-// single-threaded and cross-run parallelism cannot perturb it.
+// rows identical to a serial session — cycle counts, breakdowns,
+// counters and speedups, compared as row JSON — because each simulation
+// is internally single-threaded and cross-run parallelism cannot
+// perturb it.
 func TestParallelFigure3Deterministic(t *testing.T) {
 	const app, procs = "fft", 8
-	serial, err := NewSession(1).Figure3(app, apps.Tiny, procs, Figure3Configs)
+	specs, labels, err := Figure3Specs(app, apps.Tiny, procs, Figure3Configs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := NewSession(8).Figure3(app, apps.Tiny, procs, Figure3Configs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Ideal != par.Ideal {
-		t.Fatalf("ideal speedup diverged: serial %v, parallel %v", serial.Ideal, par.Ideal)
-	}
-	if !reflect.DeepEqual(serial.HLRC, par.HLRC) || !reflect.DeepEqual(serial.SC, par.SC) {
-		t.Fatalf("speedups diverged:\nserial HLRC %v SC %v\nparallel HLRC %v SC %v",
-			serial.HLRC, serial.SC, par.HLRC, par.SC)
-	}
-	if len(serial.Results) != len(par.Results) {
-		t.Fatalf("result sets differ: %d vs %d", len(serial.Results), len(par.Results))
-	}
-	for key, sr := range serial.Results {
-		pr, ok := par.Results[key]
-		if !ok {
-			t.Fatalf("parallel session missing result %q", key)
+	specs = append(specs, BaselineSpec(app, apps.Tiny, true))
+	var rowJSON [2][]byte
+	var bars [2]*AppBar
+	for i, parallel := range []int{1, 8} {
+		points, err := NewSession(parallel).Points(context.Background(), specs)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if sr.Cycles != pr.Cycles {
-			t.Fatalf("%s: cycles diverged: serial %d, parallel %d", key, sr.Cycles, pr.Cycles)
+		rows, err := Rows(points)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Full per-processor breakdowns and counters, not just totals.
-		if !reflect.DeepEqual(sr.Stats.Procs, pr.Stats.Procs) {
-			t.Fatalf("%s: per-processor stats diverged", key)
+		bars[i] = Figure3Bar(app, labels, rows)
+		if rowJSON[i], err = json.Marshal(rows); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if !reflect.DeepEqual(bars[0], bars[1]) {
+		t.Fatalf("bars diverged:\nserial   %+v\nparallel %+v", bars[0], bars[1])
+	}
+	if !bytes.Equal(rowJSON[0], rowJSON[1]) {
+		t.Fatalf("rows diverged:\nserial   %s\nparallel %s", rowJSON[0], rowJSON[1])
 	}
 }
 
@@ -52,7 +52,7 @@ func TestParallelFigure3Deterministic(t *testing.T) {
 // matter how many speedups divide by it.
 func TestSessionMemoizesBaseline(t *testing.T) {
 	s := NewSession(2)
-	seq1, err := s.SequentialBaseline("fft", apps.Tiny, true)
+	seq1, err := s.Run(BaselineSpec("fft", apps.Tiny, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,12 +64,12 @@ func TestSessionMemoizesBaseline(t *testing.T) {
 	}()); err != nil {
 		t.Fatal(err)
 	}
-	seq2, err := s.SequentialBaseline("fft", apps.Tiny, true)
+	seq2, err := s.Run(BaselineSpec("fft", apps.Tiny, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq1 != seq2 {
-		t.Fatalf("baseline changed between calls: %d vs %d", seq1, seq2)
+	if seq1.Cycles != seq2.Cycles {
+		t.Fatalf("baseline changed between calls: %d vs %d", seq1.Cycles, seq2.Cycles)
 	}
 	st := s.Stats()
 	// Three requests touched the baseline key (direct, Speedup, direct);

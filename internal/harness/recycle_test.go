@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"cmp"
+	"context"
 	"encoding/json"
 	"runtime"
 	"strings"
@@ -91,8 +93,8 @@ func TestRecycledBuffersKeepRowsIdentical(t *testing.T) {
 			t.Fatalf("%s: rerun row differs:\n got %s\nwant %s", spec.Key(), got, want)
 		}
 	}
-	res, err := NewSession(4).RunAll(specs)
-	if err != nil {
+	res, errs := NewSession(4).RunEach(context.Background(), specs)
+	if err := cmp.Or(errs...); err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range res {

@@ -324,10 +324,10 @@ func RunInstance(spec RunSpec, inst apps.Instance, newProt func() proto.Protocol
 
 // SequentialBaseline runs the app single-threaded on the ideal machine,
 // the denominator of every speedup in the paper ("the same best
-// sequential version").  Sweeps should prefer Session.SequentialBaseline,
-// which memoizes the run per (app, scale).
+// sequential version").  Sweeps list BaselineSpec among their specs
+// instead, so a session runs it once per (app, scale).
 func SequentialBaseline(app string, scale apps.Scale, cacheEnabled bool) (int64, error) {
-	res, err := Run(baselineSpec(app, scale, cacheEnabled))
+	res, err := Run(BaselineSpec(app, scale, cacheEnabled))
 	if err != nil {
 		return 0, err
 	}

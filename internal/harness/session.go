@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -229,10 +231,10 @@ func (s *Session) RunCtx(ctx context.Context, spec RunSpec) (*Result, error) {
 // RunEach runs every spec concurrently through the session memo and
 // returns results and errors in spec order (index i corresponds to
 // specs[i], regardless of completion order — the property that keeps
-// sweep output deterministic).  Every spec's error is kept: callers
-// that must see each cell, such as a litmus ladder where one violation
-// must not hide the rest, read errs themselves.  Cancellation follows
-// RunCtx: queued specs abort, started simulations finish and memoize.
+// sweep output deterministic).  Every spec's error is kept, so one
+// failed cell, such as a litmus violation, hides none of the rest.
+// Cancellation follows RunCtx: queued specs abort, started simulations
+// finish and memoize.
 func (s *Session) RunEach(ctx context.Context, specs []RunSpec) ([]*Result, []error) {
 	out := make([]*Result, len(specs))
 	errs := make([]error, len(specs))
@@ -248,39 +250,17 @@ func (s *Session) RunEach(ctx context.Context, specs []RunSpec) ([]*Result, []er
 	return out, errs
 }
 
-// RunAll executes all specs (see RunEach) and returns the results with
-// the first error in spec order.
-func (s *Session) RunAll(specs []RunSpec) ([]*Result, error) {
-	return s.RunAllCtx(context.Background(), specs)
-}
-
-// RunAllCtx is RunAll with cancellation (see RunCtx for the semantics).
-func (s *Session) RunAllCtx(ctx context.Context, specs []RunSpec) ([]*Result, error) {
-	out, errs := s.RunEach(ctx, specs)
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}
-
-// baselineSpec is the canonical sequential-baseline spec: the app
+// BaselineSpec is the canonical sequential-baseline spec: the app
 // single-threaded on the ideal machine ("the same best sequential
-// version" of the paper).  Centralizing the spec construction guarantees
-// every caller hits the same memo key.
-func baselineSpec(app string, scale apps.Scale, cacheEnabled bool) RunSpec {
+// version" of the paper), the denominator of every speedup.  An output
+// that shows speedups lists the baselines it divides by among its
+// specs; building them here guarantees every caller, local or remote,
+// hits the same memo key and persistent-store entry.
+func BaselineSpec(app string, scale apps.Scale, cacheEnabled bool) RunSpec {
 	return RunSpec{
 		App: app, Scale: scale, Protocol: Ideal, Procs: 1,
 		Comm: comm.Best(), Costs: proto.BestCosts(), CacheEnabled: cacheEnabled,
 	}
-}
-
-// BaselineSpec exposes the canonical sequential-baseline spec so remote
-// callers (the experiment service and its clients) hit the same memo
-// key — and therefore the same persistent-store entry — as local sweeps.
-func BaselineSpec(app string, scale apps.Scale, cacheEnabled bool) RunSpec {
-	return baselineSpec(app, scale, cacheEnabled)
 }
 
 // idealSpec is the parallel ideal-machine spec used for algorithmic
@@ -292,63 +272,83 @@ func idealSpec(app string, scale apps.Scale, procs int) RunSpec {
 	}
 }
 
-// SequentialBaseline returns the memoized 1-proc ideal-machine cycle
-// count for (app, scale) — the denominator of every speedup.
-func (s *Session) SequentialBaseline(app string, scale apps.Scale, cacheEnabled bool) (int64, error) {
-	res, err := s.Run(baselineSpec(app, scale, cacheEnabled))
-	if err != nil {
-		return 0, err
-	}
-	return res.Cycles, nil
-}
-
-// Speedup runs spec (and its sequential baseline, concurrently if not
+// Speedup runs spec and its sequential baseline (concurrently if not
 // already cached) and reports cycles(seq)/cycles(parallel).
 func (s *Session) Speedup(spec RunSpec) (float64, *Result, error) {
-	results, err := s.RunAll([]RunSpec{
-		baselineSpec(spec.App, spec.Scale, spec.CacheEnabled),
-		spec,
+	results, errs := s.RunEach(context.Background(), []RunSpec{
+		BaselineSpec(spec.App, spec.Scale, spec.CacheEnabled), spec,
 	})
-	if err != nil {
+	if err := cmp.Or(errs...); err != nil {
 		return 0, nil, err
 	}
 	return float64(results[0].Cycles) / float64(results[1].Cycles), results[1], nil
 }
 
-// Rows runs every spec, plus each distinct sequential baseline they
-// divide by, through RunEach and returns each spec's row with its
-// speedup, in spec order.  Every spec is validated before any runs.
-func (s *Session) Rows(ctx context.Context, specs []RunSpec) ([]RunRow, error) {
-	rows, _, err := s.rows(ctx, specs)
-	return rows, err
+// Point is one spec's outcome, the record every Source returns: the
+// spec's row, or the text of the error that failed its run.  The
+// session and the svmd client return the same points for the same
+// specs, so every projection reads one record wherever the runs
+// happened.
+type Point struct {
+	Row     RunRow
+	Failure string
 }
 
-// rows is Rows that also returns the specs' results.
-func (s *Session) rows(ctx context.Context, specs []RunSpec) ([]RunRow, []*Result, error) {
+// Points runs exactly the given specs, each once through the session
+// memo, and returns their points in spec order.  Every spec is
+// validated before any runs; a run's error becomes its point's failure.
+func (s *Session) Points(ctx context.Context, specs []RunSpec) ([]Point, error) {
 	for _, spec := range specs {
 		if err := spec.Validate(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	all := append([]RunSpec(nil), specs...)
-	seqAt := map[RunSpec]int{}
-	for _, spec := range specs {
-		b := baselineSpec(spec.App, spec.Scale, spec.CacheEnabled)
-		if _, ok := seqAt[b]; !ok {
-			seqAt[b] = len(all)
-			all = append(all, b)
-		}
-	}
-	results, errs := s.RunEach(ctx, all)
-	for _, err := range errs {
+	results, errs := s.RunEach(ctx, specs)
+	points := make([]Point, len(specs))
+	for i, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			points[i].Failure = err.Error()
+		} else {
+			points[i].Row = NewRunRow(results[i])
 		}
 	}
-	rows := make([]RunRow, len(specs))
-	for i, spec := range specs {
-		seq := results[seqAt[baselineSpec(spec.App, spec.Scale, spec.CacheEnabled)]].Cycles
-		rows[i] = NewRunRow(results[i]).WithSpeedup(seq)
+	return points, nil
+}
+
+// Rows returns each point's row, or the first failure in spec order as
+// the error.  A row whose BaselineSpec is among the points carries its
+// speedup over that baseline: an output that shows speedups lists the
+// baselines it divides by.
+func Rows(points []Point) ([]RunRow, error) {
+	cycles := make(map[RunSpec]int64, len(points))
+	for _, p := range points {
+		if p.Failure != "" {
+			return nil, errors.New(p.Failure)
+		}
+		cycles[p.Row.Spec] = p.Row.Cycles
 	}
-	return rows, results[:len(specs)], nil
+	rows := make([]RunRow, len(points))
+	for i, p := range points {
+		rows[i] = p.Row
+		spec := p.Row.Spec
+		if seq, ok := cycles[BaselineSpec(spec.App, spec.Scale, spec.CacheEnabled)]; ok {
+			rows[i] = rows[i].WithSpeedup(seq)
+		}
+	}
+	return rows, nil
+}
+
+// A Source resolves specs to their points in spec order, running
+// exactly the specs it is given: Session.Points in process, or an svmd
+// client's points.  Every experiment resolves through one, so it prints
+// the same report wherever its runs happen.
+type Source func(ctx context.Context, specs []RunSpec) ([]Point, error)
+
+// resolve resolves specs to their rows through src (see Rows).
+func resolve(ctx context.Context, src Source, specs []RunSpec) ([]RunRow, error) {
+	points, err := src(ctx, specs)
+	if err != nil {
+		return nil, err
+	}
+	return Rows(points)
 }

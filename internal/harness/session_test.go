@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"runtime"
@@ -124,8 +125,8 @@ func TestBoundedConcurrency(t *testing.T) {
 	for i := range specs {
 		specs[i] = stubSpec(i)
 	}
-	if _, err := s.RunAll(specs); err != nil {
-		t.Fatal(err)
+	if _, errs := s.RunEach(context.Background(), specs); cmp.Or(errs...) != nil {
+		t.Fatal(cmp.Or(errs...))
 	}
 	if got := peak.Load(); got > bound {
 		t.Fatalf("observed %d concurrent executions, bound is %d", got, bound)
@@ -135,8 +136,8 @@ func TestBoundedConcurrency(t *testing.T) {
 func TestDoAllOrder(t *testing.T) {
 	s := newSession(4, stub(func(k int) (int64, error) { return int64(k * k), nil }))
 	ks := []int{5, 3, 9, 1, 3, 5}
-	out, err := s.RunAll(stubSpecs(ks...))
-	if err != nil {
+	out, errs := s.RunEach(context.Background(), stubSpecs(ks...))
+	if err := cmp.Or(errs...); err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range ks {
@@ -298,8 +299,8 @@ func TestDoAllCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.RunAllCtx(ctx, stubSpecs(0, 1, 2, 3))
-		done <- err
+		_, errs := s.RunEach(ctx, stubSpecs(0, 1, 2, 3))
+		done <- cmp.Or(errs...)
 	}()
 	for s.Stats().Runs < 1 {
 		runtime.Gosched()
@@ -319,7 +320,7 @@ func TestDoAllCtxCancelled(t *testing.T) {
 	}
 	close(release)
 	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunAllCtx err = %v, want Canceled (queued specs abort)", err)
+		t.Fatalf("RunEach err = %v, want Canceled (queued specs abort)", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package harness_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"swsm/internal/apps"
@@ -26,27 +27,27 @@ func TestExportGoldens(t *testing.T) {
 	var fig4 []harness.Figure4Row
 	var fig5 [][]harness.Figure5Point
 	for _, app := range sel {
-		b, err := s.Figure3(app, apps.Tiny, procs, harness.Figure3Configs)
+		b, err := harness.Figure3(context.Background(), s.Points, app, apps.Tiny, procs, harness.Figure3Configs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bars = append(bars, b)
-		rows, err := s.Figure4(app, apps.Tiny, procs, harness.Figure3Configs)
+		rows, err := harness.Figure4(context.Background(), s.Points, app, apps.Tiny, procs, harness.Figure3Configs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fig4 = append(fig4, rows...)
-		pts, err := s.Figure5(app, apps.Tiny, procs)
+		pts, err := harness.Figure5(context.Background(), s.Points, app, apps.Tiny, procs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fig5 = append(fig5, pts)
 	}
-	litmus, err := s.LitmusSweep(1, 4, checkedProtos, apps.Tiny, procs, []int64{0, 20_000})
+	litmus, err := harness.LitmusSweep(context.Background(), s.Points, 1, 4, checkedProtos, apps.Tiny, procs, []int64{0, 20_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	degr, err := s.DegradationSweep([]string{"fft"}, []harness.ProtocolKind{harness.HLRC, harness.SC},
+	degr, err := harness.DegradationSweep(context.Background(), s.Points, []string{"fft"}, []harness.ProtocolKind{harness.HLRC, harness.SC},
 		apps.Tiny, procs, 1, []int64{10_000, 20_000})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -88,29 +89,27 @@ type Table4Row struct {
 	DiffPct    float64
 }
 
-// Table4 measures the percentage of processor time spent in protocol
-// activity and its split into diff computation and handler execution
-// (HLRC, base configuration), for every application; rows come back in
-// apps.Names() order.
-func (s *Session) Table4(scale apps.Scale, procs int) ([]Table4Row, error) {
-	names := apps.Names()
-	specs := make([]RunSpec, len(names))
-	for i, name := range names {
-		spec := DefaultSpec(name, HLRC)
-		spec.Scale = scale
-		spec.Procs = procs
-		specs[i] = spec
+// Table4 measures through src the percentage of processor time spent in
+// protocol activity and its split into diff computation and handler
+// execution (HLRC, base configuration); rows come back in appNames
+// order.
+func Table4(ctx context.Context, src Source, appNames []string, scale apps.Scale, procs int) ([]Table4Row, error) {
+	specs := make([]RunSpec, len(appNames))
+	for i, name := range appNames {
+		specs[i] = DefaultSpec(name, HLRC)
+		specs[i].Scale = scale
+		specs[i].Procs = procs
 	}
-	results, err := s.RunAll(specs)
+	rows, err := resolve(ctx, src, specs)
 	if err != nil {
 		return nil, fmt.Errorf("table 4: %w", err)
 	}
-	rows := make([]Table4Row, 0, len(names))
-	for i, name := range names {
-		total, diff, handler := results[i].Stats.ProtocolPercent()
-		rows = append(rows, Table4Row{App: name, TotalPct: total, DiffPct: diff, HandlerPct: handler})
+	out := make([]Table4Row, len(rows))
+	for i, r := range rows {
+		out[i] = Table4Row{App: r.Spec.App, TotalPct: r.ProtocolPct.Total,
+			DiffPct: r.ProtocolPct.Diff, HandlerPct: r.ProtocolPct.Handler}
 	}
-	return rows, nil
+	return out, nil
 }
 
 // FormatTable4 renders the protocol-activity table.
@@ -142,17 +141,16 @@ type Table5Row struct {
 	AO, AB, BO, HB, BB, BPlusB, Ideal float64
 }
 
-// Table5 computes the per-application summary for HLRC.  It schedules
-// every application's full run set — sequential baseline, ideal
-// machine, and the six-configuration HLRC ladder — in one batch over
-// the session, then assembles the rows from the index-ordered results.
-func (s *Session) Table5(scale apps.Scale, procs int) ([]Table5Row, error) {
+// Table5 computes the per-application summary for HLRC through src.
+// It resolves every application's runs — sequential baseline, ideal
+// machine, and the six-configuration HLRC ladder — in one batch, then
+// assembles the rows from the index-ordered speedups.
+func Table5(ctx context.Context, src Source, appNames []string, scale apps.Scale, procs int) ([]Table5Row, error) {
 	ladder := []LayerConfig{{"A", "O"}, {"A", "B"}, {"B", "O"}, {"H", "B"}, {"B", "B"}, {"B+", "B"}}
-	names := apps.Names()
 	stride := 2 + len(ladder) // baseline, ideal, ladder per app
-	specs := make([]RunSpec, 0, len(names)*stride)
-	for _, name := range names {
-		specs = append(specs, baselineSpec(name, scale, true), idealSpec(name, scale, procs))
+	specs := make([]RunSpec, 0, len(appNames)*stride)
+	for _, name := range appNames {
+		specs = append(specs, BaselineSpec(name, scale, true), idealSpec(name, scale, procs))
 		for _, lc := range ladder {
 			spec := DefaultSpec(name, HLRC)
 			spec.Scale = scale
@@ -163,17 +161,16 @@ func (s *Session) Table5(scale apps.Scale, procs int) ([]Table5Row, error) {
 			specs = append(specs, spec)
 		}
 	}
-	results, err := s.RunAll(specs)
+	rows, err := resolve(ctx, src, specs)
 	if err != nil {
 		return nil, fmt.Errorf("table 5: %w", err)
 	}
-	rows := make([]Table5Row, 0, len(names))
-	for ai, name := range names {
-		base := results[ai*stride : (ai+1)*stride]
-		seq := base[0].Cycles
+	out := make([]Table5Row, 0, len(appNames))
+	for ai, name := range appNames {
+		base := rows[ai*stride : (ai+1)*stride]
 		sp := map[string]float64{}
 		for li, lc := range ladder {
-			sp[lc.Label()] = float64(seq) / float64(base[2+li].Cycles)
+			sp[lc.Label()] = base[2+li].Speedup
 		}
 		row := Table5Row{
 			App:       name,
@@ -181,7 +178,7 @@ func (s *Session) Table5(scale apps.Scale, procs int) ([]Table5Row, error) {
 			HBBeatsBO: sp["HB"] > sp["BO"],
 			AO:        sp["AO"], AB: sp["AB"], BO: sp["BO"], HB: sp["HB"],
 			BB: sp["BB"], BPlusB: sp["B+B"],
-			Ideal: float64(seq) / float64(base[1].Cycles),
+			Ideal: base[1].Speedup,
 		}
 		row.Needed = "-"
 		for _, label := range []string{"AO", "AB", "BO", "BB", "B+B"} {
@@ -190,9 +187,9 @@ func (s *Session) Table5(scale apps.Scale, procs int) ([]Table5Row, error) {
 				break
 			}
 		}
-		rows = append(rows, row)
+		out = append(out, row)
 	}
-	return rows, nil
+	return out, nil
 }
 
 // FormatTable5 renders the summary table.

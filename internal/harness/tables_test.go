@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 )
 
 func TestTable4ShapeHolds(t *testing.T) {
-	rows, err := harness.NewSession(0).Table4(apps.Tiny, 8)
+	rows, err := harness.Table4(context.Background(), harness.NewSession(0).Points, apps.Names(), apps.Tiny, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestTable4ShapeHolds(t *testing.T) {
 }
 
 func TestTable5Consistency(t *testing.T) {
-	rows, err := harness.NewSession(0).Table5(apps.Tiny, 8)
+	rows, err := harness.Table5(context.Background(), harness.NewSession(0).Points, apps.Names(), apps.Tiny, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

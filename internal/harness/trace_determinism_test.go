@@ -2,6 +2,8 @@ package harness_test
 
 import (
 	"bytes"
+	"cmp"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -20,8 +22,8 @@ func renderTraces(t *testing.T, parallel int) (chrome, jsonl []byte) {
 		t.Fatal(err)
 	}
 	s := harness.NewSession(parallel)
-	results, err := s.RunAll(specs)
-	if err != nil {
+	results, errs := s.RunEach(context.Background(), specs)
+	if err := cmp.Or(errs...); err != nil {
 		t.Fatal(err)
 	}
 	runs := harness.TraceRuns(labels, results)

@@ -120,7 +120,12 @@ func (f *Flight) Dump(reason, job string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := os.WriteFile(base+".json", append(data, '\n'), 0o644); err != nil {
+	// Write then rename, so a reader that finds the dump by name never
+	// sees it half written.
+	if err := os.WriteFile(base+".json.tmp", append(data, '\n'), 0o644); err != nil {
+		return "", err
+	}
+	if err := os.Rename(base+".json.tmp", base+".json"); err != nil {
 		return "", err
 	}
 	if f.cpuDur > 0 {

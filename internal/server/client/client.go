@@ -3,12 +3,13 @@
 // api package's wire types, honors the daemon's explicit backpressure
 // (429 + Retry-After triggers a bounded, context-aware retry), and
 // otherwise stays deliberately dumb — spec construction and formatting
-// live with the caller, exactly as in local mode, and Rows returns the
-// same rows harness.Session.Rows does.
+// live with the caller, exactly as in local mode, and Points returns the
+// same points harness.Session.Points does.
 package client
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -221,13 +222,16 @@ func (c *Client) Run(ctx context.Context, req api.RunRequest) (*api.RunStatus, e
 	return call[api.RunStatus](ctx, c, http.MethodPost, "/runs?wait=1", req, false)
 }
 
-// Rows resolves every spec on the daemon with its sequential-baseline
-// speedup, at most parallel points in flight (0 means 4), and returns
-// the rows in spec order with each point's terminal status.  Points are
-// submitted one by one, not as one sweep, so a grid larger than the
-// daemon's admission queue degrades to backoff-and-retry instead of
-// rejection.  Every spec is validated before any is submitted.
-func (c *Client) Rows(ctx context.Context, specs []harness.RunSpec, parallel int) ([]harness.RunRow, []*api.RunStatus, error) {
+// Points resolves exactly the given specs on the daemon, at most
+// parallel in flight (0 means 4), and returns their points in spec
+// order — the points harness.Session.Points returns for the same specs
+// — with each point's terminal status.  A job that ends failed or
+// cancelled is a point carrying its error text; a request the daemon
+// refuses fails the call.  Points are submitted one by one, not as one
+// sweep, so a grid larger than the daemon's admission queue degrades to
+// backoff-and-retry instead of rejection.  Every spec is validated
+// before any is submitted.
+func (c *Client) Points(ctx context.Context, specs []harness.RunSpec, parallel int) ([]harness.Point, []*api.RunStatus, error) {
 	for _, spec := range specs {
 		if err := spec.Validate(); err != nil {
 			return nil, nil, err
@@ -236,7 +240,7 @@ func (c *Client) Rows(ctx context.Context, specs []harness.RunSpec, parallel int
 	if parallel <= 0 {
 		parallel = 4
 	}
-	rows := make([]harness.RunRow, len(specs))
+	points := make([]harness.Point, len(specs))
 	jobs := make([]*api.RunStatus, len(specs))
 	errs := make([]error, len(specs))
 	sem := make(chan struct{}, parallel)
@@ -247,24 +251,23 @@ func (c *Client) Rows(ctx context.Context, specs []harness.RunSpec, parallel int
 		go func(i int, spec harness.RunSpec) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			st, err := c.Run(ctx, api.RunRequest{Spec: spec, Speedup: true})
-			if err == nil && (st.State != api.StateDone || st.Row == nil) {
-				err = fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error)
-			}
+			st, err := c.Run(ctx, api.RunRequest{Spec: spec})
 			if err != nil {
 				errs[i] = fmt.Errorf("%s on %s, %d procs: %w", spec.App, spec.Protocol, spec.Procs, err)
 				return
 			}
-			rows[i], jobs[i] = *st.Row, st
+			if jobs[i] = st; st.State == api.StateDone && st.Row != nil {
+				points[i].Row = *st.Row
+			} else {
+				points[i].Failure = cmp.Or(st.Error, "job "+st.ID+" "+st.State)
+			}
 		}(i, spec)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+	if err := cmp.Or(errs...); err != nil {
+		return nil, nil, err
 	}
-	return rows, jobs, nil
+	return points, jobs, nil
 }
 
 // Submit enqueues a run without waiting.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -158,7 +157,7 @@ func (s *Server) drive(ctx context.Context, x *exploration) {
 	switch {
 	case err == nil:
 		x.state, x.rep = api.StateDone, *rep
-	case errors.Is(err, context.Canceled):
+	case errors.Is(err, context.Canceled), ctx.Err() != nil:
 		x.state, x.err = api.StateCanceled, err
 		event = api.EventExploreCanceled
 	default:
@@ -233,7 +232,7 @@ func (s *Server) exploreStatus(ctx context.Context, x *exploration, wait bool) *
 // or with ?wait=1 the status once the search ends (200).
 func (s *Server) handleSubmitExplore(w http.ResponseWriter, r *http.Request) {
 	var req explore.Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := DecodeBody(r, &req); err != nil {
 		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -90,6 +91,17 @@ func submitError(w http.ResponseWriter, err error) {
 	}
 }
 
+// DecodeBody decodes a request body that must be exactly one JSON
+// value: a valid prefix followed by anything but whitespace is
+// malformed too.
+func DecodeBody(r *http.Request, v any) error {
+	b, err := io.ReadAll(r.Body)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(b, v)
+}
+
 // WantWait reports whether a request asks to block (?wait=1).
 func WantWait(r *http.Request) bool {
 	switch r.URL.Query().Get("wait") {
@@ -101,7 +113,7 @@ func WantWait(r *http.Request) bool {
 
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var req api.RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := DecodeBody(r, &req); err != nil {
 		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -188,7 +200,7 @@ func (s *Server) handleCancelRun(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var req api.SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := DecodeBody(r, &req); err != nil {
 		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

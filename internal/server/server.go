@@ -691,18 +691,24 @@ func (s *Server) Drain(ctx context.Context) error {
 	already := s.draining
 	s.draining = true
 	explorations := s.explorations
+	if !already {
+		// Cancel in the section that sets draining, so a driver refused
+		// a submission for draining finds its search already cancelled.
+		for _, x := range explorations {
+			x.cancel()
+		}
+	}
 	s.mu.Unlock()
 	if already {
 		return errors.New("server: already draining")
 	}
 	s.bus.Publish(api.Event{Type: "drain"})
 
-	// Stop the auto-tuner first: cancel running explorations and wait
-	// for their drivers.  Drivers unpark promptly — their evaluator
-	// waits select on the exploration context — while the point jobs
-	// they already queued drain through the executor like any other job.
+	// Stop the auto-tuner first: wait for the cancelled explorations'
+	// drivers.  Drivers unpark promptly — their evaluator waits select
+	// on the exploration context — while the point jobs they already
+	// queued drain through the executor like any other job.
 	for _, x := range explorations {
-		x.cancel()
 		<-x.done
 	}
 	err := s.executor.Close(ctx)

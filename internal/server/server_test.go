@@ -396,6 +396,35 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestBodyMustBeOneJSONValue pins the strict body rule on every
+// submission endpoint: a valid request followed by anything but
+// whitespace is malformed (400), and trailing whitespace is not.
+func TestBodyMustBeOneJSONValue(t *testing.T) {
+	_, ts, _, _ := blockingServer(t, Config{Parallel: 1})
+	run, _ := json.Marshal(api.RunRequest{Spec: tinySpec(2)})
+	sweep, _ := json.Marshal(api.SweepRequest{Points: []api.RunRequest{{Spec: tinySpec(3)}}})
+	search, _ := json.Marshal(exploreReq())
+	for _, tc := range []struct {
+		path string
+		body []byte
+	}{{"/runs", run}, {"/sweeps", sweep}, {"/explore", search}} {
+		for _, c := range []struct {
+			tail string
+			want int
+		}{{"}garbage", http.StatusBadRequest}, {" \n\t\n", http.StatusAccepted}} {
+			resp, err := http.Post(ts.URL+tc.path, "application/json",
+				bytes.NewReader(append(append([]byte(nil), tc.body...), c.tail...)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != c.want {
+				t.Errorf("POST %s with %q after the body = %d, want %d", tc.path, c.tail, resp.StatusCode, c.want)
+			}
+		}
+	}
+}
+
 // TestValidateAcceptsAnyLitmusSeed pins that litmus programs resolve by
 // name: a seed nothing in the process has built is a valid app.
 func TestValidateAcceptsAnyLitmusSeed(t *testing.T) {
@@ -648,40 +677,77 @@ func TestClientBackoffRetries(t *testing.T) {
 	}
 }
 
-// TestClientRowsMatchSession pins the one row source behind both CLIs:
-// a grid resolved on the daemon by client.Rows equals, row for row, the
-// grid harness.Session.Rows computes in process, speedups included, and
-// a spec RunSpec.Validate refuses fails before any point is submitted.
+// TestClientRowsMatchSession pins the one point source behind both
+// CLIs: every experiment's projection — Figures 3-5, Tables 4 and 5,
+// the degradation, heterogeneity and litmus sweeps, all of fft at
+// Tiny/4p — prints the same text and CSV from the daemon's points
+// (client.Points) as from the session's, and so does the sc seed-15
+// Base/4p litmus point, whose run fails the checker.  A spec
+// RunSpec.Validate refuses fails before any point is submitted.
 func TestClientRowsMatchSession(t *testing.T) {
 	s, _, c := newTestServer(t, Config{Parallel: 2})
-	specs, _, err := harness.Figure3Specs("fft", apps.Tiny, 4, harness.Figure3Configs[:2])
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	remote, jobs, err := c.Rows(ctx, specs, 3)
-	if err != nil {
-		t.Fatal(err)
+	jobs := 0
+	remote := func(ctx context.Context, specs []harness.RunSpec) ([]harness.Point, error) {
+		points, st, err := c.Points(ctx, specs, 3)
+		jobs += len(st)
+		return points, err
 	}
-	local, err := harness.NewSession(2).Rows(ctx, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(remote) != len(specs) || len(jobs) != len(specs) {
-		t.Fatalf("got %d rows and %d jobs for %d specs", len(remote), len(jobs), len(specs))
-	}
-	for i := range specs {
-		a, _ := json.Marshal(local[i])
-		b, _ := json.Marshal(remote[i])
-		if !bytes.Equal(a, b) || remote[i].Speedup == 0 {
-			t.Errorf("point %d: remote row %s, local row %s", i, b, a)
+	const app, procs = "fft", 4
+	both := []harness.ProtocolKind{harness.HLRC, harness.SC}
+	configs := harness.Figure3Configs
+	render := func(src harness.Source) string {
+		var out strings.Builder
+		write := func(text string, tab *harness.Table, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.WriteString(text)
+			if tab != nil {
+				if err := tab.WriteCSV(&out); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
+		bar, err := harness.Figure3(ctx, src, app, apps.Tiny, procs, configs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		write(harness.FormatFigure3(bar, configs)+harness.RenderFigure3(bar, configs),
+			harness.Figure3Table([]*harness.AppBar{bar}, configs), nil)
+		fig4, err := harness.Figure4(ctx, src, app, apps.Tiny, procs, configs)
+		write(harness.FormatFigure4(fig4)+harness.RenderFigure4(fig4), harness.Figure4Table(fig4), err)
+		fig5, err := harness.Figure5(ctx, src, app, apps.Tiny, procs)
+		write(harness.FormatFigure5(fig5), harness.Figure5Table([]string{app}, [][]harness.Figure5Point{fig5}), err)
+		t4, err := harness.Table4(ctx, src, []string{app}, apps.Tiny, procs)
+		write(harness.FormatTable4(t4), nil, err)
+		t5, err := harness.Table5(ctx, src, []string{app}, apps.Tiny, procs)
+		write(harness.FormatTable5(t5), nil, err)
+		degr, err := harness.DegradationSweep(ctx, src, []string{app}, both, apps.Tiny, procs, 1, []int64{10_000, 20_000})
+		write(harness.FormatDegradation(degr), harness.DegradationTable(degr), err)
+		het, err := harness.HeterogeneitySweep(ctx, src, []string{app}, both, apps.Tiny, procs, []string{"uniform", "cpu4"}, []string{"rr", "adaptive"})
+		write(harness.FormatHeterogeneity(het), harness.HeterogeneityTable(het), err)
+		lit, err := harness.LitmusSweep(ctx, src, 1, 2, []harness.ProtocolKind{harness.HLRC, harness.LRC, harness.SC}, apps.Tiny, procs, []int64{0, 20_000})
+		write(harness.FormatLitmus(lit), harness.LitmusTable(lit), err)
+		bad, err := harness.LitmusSweep(ctx, src, 15, 1, []harness.ProtocolKind{harness.SC}, apps.Base, procs, nil)
+		if err == nil && bad[0].Conforms() {
+			t.Fatalf("sc seed 15 at Base/%dp conforms; the comparison covers no failed point", procs)
+		}
+		write(harness.FormatLitmus(bad), harness.LitmusTable(bad), err)
+		return out.String()
+	}
+	local := render(harness.NewSession(2).Points)
+	if got := render(remote); got != local {
+		t.Errorf("daemon points project differently from session points:\n--- daemon\n%s\n--- session\n%s", got, local)
+	}
+	if jobs == 0 {
+		t.Fatal("no point went through the daemon")
 	}
 
-	bad := append([]harness.RunSpec{tinySpec(0)}, specs...)
+	bad := []harness.RunSpec{tinySpec(0), tinySpec(2)}
 	before := s.Metrics().Jobs
-	if _, _, err := c.Rows(ctx, bad, 3); err == nil || !strings.Contains(err.Error(), "procs 0 outside [1, 64]") {
-		t.Fatalf("Rows with procs 0 = %v, want the validation error", err)
+	if _, _, err := c.Points(ctx, bad, 3); err == nil || !strings.Contains(err.Error(), "procs 0 outside [1, 64]") {
+		t.Fatalf("Points with procs 0 = %v, want the validation error", err)
 	}
 	if after := s.Metrics().Jobs; fmt.Sprint(after) != fmt.Sprint(before) {
 		t.Fatalf("an invalid grid submitted jobs: %v -> %v", before, after)

@@ -42,6 +42,7 @@
 package swsm
 
 import (
+	"context"
 	"io"
 
 	"swsm/internal/apps"
@@ -194,8 +195,9 @@ var (
 // Session is a sweep session: it fans independent runs over a bounded
 // number of workers and memoizes every run by its RunSpec, so a configuration
 // executes at most once per session no matter how many figures and
-// tables request it.  Each figure/table helper exists as a Session
-// method; the package-level functions are one-off sessions.
+// tables request it.  Its Points method is the in-process point source
+// every figure and table resolves through; the package-level functions
+// are one-off sessions.
 type Session = harness.Session
 
 // SweepStats are a Session's cache counters (runs executed, cache hits,
@@ -219,18 +221,18 @@ func SequentialBaseline(app string, scale Scale) (int64, error) {
 
 // Figure3 reproduces the paper's Figure 3 speedup ladder for one app.
 func Figure3(app string, scale Scale, procs int) (*harness.AppBar, error) {
-	return harness.NewSession(0).Figure3(app, scale, procs, harness.Figure3Configs)
+	return harness.Figure3(context.Background(), harness.NewSession(0).Points, app, scale, procs, harness.Figure3Configs)
 }
 
 // Figure4 reproduces the paper's Figure 4 execution-time breakdowns.
 func Figure4(app string, scale Scale, procs int) ([]harness.Figure4Row, error) {
-	return harness.NewSession(0).Figure4(app, scale, procs, harness.Figure3Configs)
+	return harness.Figure4(context.Background(), harness.NewSession(0).Points, app, scale, procs, harness.Figure3Configs)
 }
 
 // Figure5 reproduces the paper's Figure 5 single-communication-parameter
 // sweeps.
 func Figure5(app string, scale Scale, procs int) ([]harness.Figure5Point, error) {
-	return harness.NewSession(0).Figure5(app, scale, procs)
+	return harness.Figure5(context.Background(), harness.NewSession(0).Points, app, scale, procs)
 }
 
 // Tables 1-3 render the static configuration tables.
@@ -245,12 +247,12 @@ var (
 // Table4 measures the paper's Table 4: protocol activity as a share of
 // processor time, with its diff/handler split.
 func Table4(scale Scale, procs int) ([]harness.Table4Row, error) {
-	return harness.NewSession(0).Table4(scale, procs)
+	return harness.Table4(context.Background(), harness.NewSession(0).Points, apps.Names(), scale, procs)
 }
 
 // Table5 measures the paper's Table 5 per-application HLRC summary.
 func Table5(scale Scale, procs int) ([]harness.Table5Row, error) {
-	return harness.NewSession(0).Table5(scale, procs)
+	return harness.Table5(context.Background(), harness.NewSession(0).Points, apps.Names(), scale, procs)
 }
 
 // Formatting helpers for the figure reproductions.
@@ -357,10 +359,12 @@ type (
 const FaultPPM = fault.PPM
 
 // Degradation-sweep helpers: FaultedSpec attaches a seeded drop-rate
-// plan to a spec; Session.DegradationSweep measures slowdown vs drop
-// rate across app x protocol; the formatters render/export the points.
+// plan to a spec; DegradationSweep measures slowdown vs drop rate
+// across app x protocol through a point source such as a Session's
+// Points; the formatters render/export the points.
 var (
 	FaultedSpec       = harness.FaultedSpec
+	DegradationSweep  = harness.DegradationSweep
 	FormatDegradation = harness.FormatDegradation
 )
 
@@ -373,7 +377,7 @@ func WriteDegradationCSV(w io.Writer, points []DegradationPoint) error {
 // machine model (CPU, accelerator and link-speed multipliers as exact
 // integer rationals), with optional adaptive page-home migration and
 // per-page coherence-granularity selection inside the HLRC protocol.
-// Session.HeterogeneitySweep measures skew x placement x protocol and
+// HeterogeneitySweep measures skew x placement x protocol and
 // derives where the paper's uniform-cluster protocol verdicts flip.
 type (
 	// HeteroSpec is the per-node machine model + placement policy plane
@@ -402,6 +406,7 @@ var (
 	HeteroPlacementNames = harness.PlacementNames
 	ComposeHeteroSpec    = harness.HeteroSpec
 	HeteroVerdicts       = harness.HeteroVerdicts
+	HeterogeneitySweep   = harness.HeterogeneitySweep
 	FormatHeterogeneity  = harness.FormatHeterogeneity
 )
 
@@ -441,12 +446,13 @@ const (
 // stores, lock sections and barriers, which resolve by name as ordinary
 // applications (LitmusSpec; LitmusEnsure returns a seed's name) and are
 // swept across the protocol
-// and fault grid with the checker on (Session.LitmusSweep).
+// and fault grid with the checker on (LitmusSweep).
 // ShrinkLitmus delta-debugs a failing program to a minimal reproducer.
 var (
 	LitmusGenerate = litmus.Generate
 	LitmusEnsure   = litmus.Name
 	LitmusSpec     = harness.LitmusSpec
+	LitmusSweep    = harness.LitmusSweep
 	ShrinkLitmus   = harness.ShrinkLitmus
 	FormatLitmus   = harness.FormatLitmus
 )
