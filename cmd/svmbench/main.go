@@ -93,7 +93,7 @@ type request struct {
 	litmus  cli.Litmus
 	ses     *harness.Session
 	// client, when set, resolves every point and exploration on the
-	// daemon; jobs collects its points' statuses for the closing lines.
+	// daemon; jobs collects its jobs' statuses for the closing lines.
 	client *client.Client
 	jobs   []*api.RunStatus
 }
@@ -352,17 +352,17 @@ func (r *request) sweep(label string, f func() error) error {
 	}
 	wall := time.Since(start).Seconds()
 	if r.client != nil {
-		points, cached := r.jobs[jobs:], 0
-		if len(points) == 0 {
+		submitted, cached := r.jobs[jobs:], 0
+		if len(submitted) == 0 {
 			return nil
 		}
-		for _, st := range points {
+		for _, st := range submitted {
 			if st.Cached {
 				cached++
 			}
 		}
-		fmt.Printf("[%s: %.2fs wall, svmd %s, %d points, %d served from the daemon's result store]\n",
-			label, wall, r.server, len(points), cached)
+		fmt.Printf("[%s: %.2fs wall, svmd %s, %d jobs, %d served from the daemon's result store]\n",
+			label, wall, r.server, len(submitted), cached)
 		return nil
 	}
 	st := r.ses.Stats()

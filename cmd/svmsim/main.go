@@ -73,7 +73,7 @@ type options struct {
 	config  string
 	ses     *harness.Session
 	// client, when set, resolves every point on the daemon; jobs
-	// collects its points' statuses for the closing line.
+	// collects its jobs' statuses for the closing line.
 	client *client.Client
 	jobs   []*api.RunStatus
 }
@@ -265,7 +265,7 @@ func (o *options) source() string {
 			cached++
 		}
 	}
-	return fmt.Sprintf("svmd %s, %d points, %d served from the daemon's result store", o.server, len(o.jobs), cached)
+	return fmt.Sprintf("svmd %s, %d jobs, %d served from the daemon's result store", o.server, len(o.jobs), cached)
 }
 
 // runOne resolves the spec and the sequential baseline its speedup

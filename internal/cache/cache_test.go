@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -148,10 +150,11 @@ func TestWorkingSetFits(t *testing.T) {
 	}
 }
 
-// refLevel is the level as it was before tags became line+1 and before
-// the L1 MRU fast path: -1 marks an invalid way, every probe advances
-// the tick, and the arrays are allocated fresh.  It is the reference the
-// randomized test below holds the pooled, zero-is-invalid level to.
+// refLevel is the level as it was before its sets were packed and before
+// the L1 MRU fast path: a full line number per way with -1 marking an
+// invalid way, an LRU tick per way that every probe advances, and arrays
+// allocated fresh.  It is the reference the randomized tests and the
+// fuzz target hold the pooled, packed level to.
 type refLevel struct {
 	tags     []int64
 	meta     []uint64
@@ -304,6 +307,10 @@ func (c *refCache) touch(addr int64, size int, write bool) (stall int64) {
 	return stall
 }
 
+func (c *refCache) contains(addr int64) bool {
+	return c.l1.contains(addr) || c.l2.contains(addr)
+}
+
 func (c *refCache) invalidateRange(addr int64, size int) {
 	ls := int64(c.cfg.LineSize)
 	for a := addr &^ (ls - 1); a < addr+int64(size); a += ls {
@@ -322,21 +329,21 @@ func probe(c *Cache, addr int64, size int, write bool) (stall int64, m1, m2 bool
 }
 
 // replay drives c and ref through the same seeded stream of references,
-// protocol touches and invalidations, failing at the first difference in
-// stalls, miss flags, counters or contents.
-func replay(t *testing.T, c *Cache, ref *refCache, seed int64, n int) {
+// protocol touches and invalidations over [lo, lo+8 L2s), failing at
+// the first difference in stalls, miss flags, counters or contents.
+func replay(t *testing.T, c *Cache, ref *refCache, seed, lo int64, n int) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	// A footprint of 8 L2s keeps the stream missing in both levels, and a
 	// hot region a few L1 lines wide keeps it hitting the MRU line.
 	span := int64(8 * c.cfg.L2Size)
-	var hot int64
+	hot := lo
 	for i := 0; i < n; i++ {
 		var got, want [3]int64
 		switch op := r.Intn(100); {
 		case op < 70:
 			if r.Intn(4) == 0 {
-				hot = r.Int63n(span)
+				hot = lo + r.Int63n(span-72)
 			}
 			size := []int{4, 8}[r.Intn(2)]
 			addr := (hot + int64(r.Intn(64))) &^ 3
@@ -346,10 +353,12 @@ func replay(t *testing.T, c *Cache, ref *refCache, seed int64, n int) {
 			s, m1, m2 = ref.access(addr, size, write)
 			want = [3]int64{s, b2i(m1), b2i(m2)}
 		case op < 85:
-			addr, size, write := r.Int63n(span), 1+r.Intn(512), r.Intn(2) == 0
+			size, write := 1+r.Intn(512), r.Intn(2) == 0
+			addr := lo + r.Int63n(span-int64(size))
 			got[0], want[0] = c.Touch(addr, size, write), ref.touch(addr, size, write)
 		default:
-			addr, size := r.Int63n(span), 1+r.Intn(4096)
+			size := 1 + r.Intn(4096)
+			addr := lo + r.Int63n(span-int64(size))
 			c.InvalidateRange(addr, size)
 			ref.invalidateRange(addr, size)
 		}
@@ -360,7 +369,7 @@ func replay(t *testing.T, c *Cache, ref *refCache, seed int64, n int) {
 			t.Fatalf("seed %d op %d: counters %d/%d/%d, want %d/%d/%d", seed, i,
 				c.Accesses, c.L1Misses, c.L2Misses, ref.accesses, ref.l1Misses, ref.l2Misses)
 		}
-		if a := r.Int63n(span); c.Contains(a) != (ref.l1.contains(a) || ref.l2.contains(a)) {
+		if a := lo + r.Int63n(span); c.Contains(a) != ref.contains(a) {
 			t.Fatalf("seed %d op %d: Contains(%#x) = %v", seed, i, a, c.Contains(a))
 		}
 	}
@@ -383,13 +392,77 @@ func smallCache(assoc int) Config {
 }
 
 // TestMatchesReferenceLevel holds the cache, with its MRU fast path and
-// zero-is-invalid tags, to the reference level over seeded streams at
-// every associativity the study's configurations could use.
+// packed set records, to the reference level over seeded streams at
+// every associativity the study's configurations could use: once at the
+// bottom of the address space, and once in the 8 L2s just below the
+// hierarchy's reach, where the L1's top lines take the widest tag a
+// 16-bit lane holds.
 func TestMatchesReferenceLevel(t *testing.T) {
 	for _, assoc := range []int{1, 2, 4, 8} {
+		cfg := smallCache(assoc)
+		top := cfg.Reach() - int64(8*cfg.L2Size)
 		for seed := int64(1); seed <= 4; seed++ {
-			cfg := smallCache(assoc)
-			replay(t, New(cfg), newRefCache(cfg), seed*10+int64(assoc), 20000)
+			replay(t, New(cfg), newRefCache(cfg), seed*10+int64(assoc), 0, 20000)
+			replay(t, New(cfg), newRefCache(cfg), seed*10+int64(assoc), top, 20000)
+		}
+	}
+}
+
+// TestReach pins the reach of the default hierarchy and of each small
+// one, and checks that every line below it installs and every address
+// at or beyond it panics, naming the reach, rather than alias a line.
+func TestReach(t *testing.T) {
+	if got, want := DefaultConfig().Reach(), int64(0xFFFF*4096); got != want {
+		t.Fatalf("DefaultConfig().Reach() = %d, want %d (0xFFFF L1 ways of 4 KB)", got, want)
+	}
+	for _, assoc := range []int{1, 2, 4, 8} {
+		cfg := smallCache(assoc)
+		reach := cfg.Reach()
+		if want := int64(0xFFFF * 1024 / assoc); reach != want {
+			t.Fatalf("assoc %d: Reach() = %d, want %d", assoc, reach, want)
+		}
+		c := New(cfg)
+		for _, a := range []int64{reach - 4, reach - int64(cfg.L1Size), reach - 2*int64(cfg.L1Size)} {
+			c.Access(a, 4, true)
+			if !c.Contains(a) {
+				t.Fatalf("assoc %d: line %#x below the reach not cached", assoc, a)
+			}
+		}
+		for _, a := range []int64{reach, reach + int64(cfg.L1Size), -4, 1 << 62} {
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				c.Access(a, 4, false)
+				return ""
+			}()
+			if want := fmt.Sprintf("beyond the reach of %d bytes", reach); !strings.Contains(msg, want) {
+				t.Fatalf("assoc %d: Access(%#x) panicked with %q, want %q", assoc, a, msg, want)
+			}
+		}
+	}
+}
+
+// TestNewRejectsUnpackableGeometry checks that New refuses, naming the
+// fault, every geometry whose sets the packed records cannot hold.
+func TestNewRejectsUnpackableGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		edit func(*Config)
+		want string
+	}{
+		{func(c *Config) { c.L1Assoc = 16 }, "associativity 16 outside [1, 8]"},
+		{func(c *Config) { c.L2Assoc = 0 }, "associativity 0 outside [1, 8]"},
+		{func(c *Config) { c.LineSize = 24 }, "line size 24 not a power of two"},
+		{func(c *Config) { c.L2Size = 3 << 10 }, "set count 24 not a power of two"},
+		{func(c *Config) { c.L1Size = 16 }, "a 16-byte level holds no 32-byte line"},
+	} {
+		cfg := DefaultConfig()
+		tc.edit(&cfg)
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			New(cfg)
+			return ""
+		}()
+		if !strings.Contains(msg, tc.want) {
+			t.Errorf("New panicked with %q, want %q", msg, tc.want)
 		}
 	}
 }
@@ -404,14 +477,14 @@ func TestReleasedCacheIsFresh(t *testing.T) {
 	reused := 0
 	for i := int64(0); i < 50 && reused < 3; i++ {
 		old := New(cfg)
-		replay(t, old, newRefCache(cfg), 100+i, 3000)
+		replay(t, old, newRefCache(cfg), 100+i, 0, 3000)
 		l1, l2 := old.l1.buf, old.l2.buf
 		old.Release()
 		c := New(cfg)
 		if c.l1.buf == l1 || c.l2.buf == l2 {
 			reused++
 		}
-		replay(t, c, newRefCache(cfg), 200+i, 3000)
+		replay(t, c, newRefCache(cfg), 200+i, 0, 3000)
 		c.Release()
 	}
 	if reused == 0 {
@@ -438,8 +511,70 @@ func TestReleasedCachePanics(t *testing.T) {
 func TestPooledArraysOfOtherGeometryDropped(t *testing.T) {
 	New(smallCache(2)).Release()
 	c := New(tiny())
-	if len(c.l1.tags) != 8 || len(c.l2.tags) != 32 {
-		t.Fatalf("tiny cache got %d L1 and %d L2 ways", len(c.l1.tags), len(c.l2.tags))
+	if len(c.l1.sets) != 8 || len(c.l2.sets) != 32 {
+		t.Fatalf("tiny cache got %d L1 and %d L2 record words", len(c.l1.sets), len(c.l2.sets))
 	}
-	replay(t, c, newRefCache(tiny()), 7, 2000)
+	replay(t, c, newRefCache(tiny()), 7, 0, 2000)
+}
+
+// FuzzCacheMatchesReference decodes its input into a hierarchy and a
+// stream of Access, HitMRU, Touch and InvalidateRange calls and holds
+// the cache to the reference over it.  The first byte picks the
+// associativity and whether the stream runs at the bottom of the
+// address space or just below the reach; each following 4 bytes are one
+// call: a kind and flags byte, a 16-bit offset into a window of 8 L2s,
+// and a size byte.
+func FuzzCacheMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		cfg := smallCache(1 << (data[0] & 3))
+		span := int64(8 * cfg.L2Size)
+		var lo int64
+		if data[0]&4 != 0 {
+			lo = cfg.Reach() - span
+		}
+		c, ref := New(cfg), newRefCache(cfg)
+		for i := 1; i+4 <= len(data); i += 4 {
+			op, off, n := data[i], int64(data[i+1])|int64(data[i+2])<<8, int(data[i+3])
+			write := op&4 != 0
+			var got, want [3]int64
+			switch op & 3 {
+			case 0: // a word or double reference through the MRU path
+				size := 4 << (op >> 3 & 1)
+				addr := lo + min(off&^3, span-int64(size))
+				s, m1, m2 := probe(c, addr, size, write)
+				got = [3]int64{s, b2i(m1), b2i(m2)}
+				s, m1, m2 = ref.access(addr, size, write)
+				want = [3]int64{s, b2i(m1), b2i(m2)}
+			case 1: // HitMRU alone: true only where the reference hits L1
+				size := 1 + n&7
+				addr := lo + min(off, span-int64(size))
+				if c.HitMRU(addr, size, write) {
+					s, m1, m2 := ref.access(addr, size, write)
+					want = [3]int64{s, b2i(m1), b2i(m2)}
+				}
+			case 2:
+				size := 1 + n*8
+				addr := lo + min(off, span-int64(size))
+				got[0], want[0] = c.Touch(addr, size, write), ref.touch(addr, size, write)
+			case 3:
+				size := 1 + n*16
+				addr := lo + min(off, span-int64(size))
+				c.InvalidateRange(addr, size)
+				ref.invalidateRange(addr, size)
+			}
+			if got != want {
+				t.Fatalf("call at byte %d: got %v, want %v", i, got, want)
+			}
+			if c.Accesses != ref.accesses || c.L1Misses != ref.l1Misses || c.L2Misses != ref.l2Misses {
+				t.Fatalf("call at byte %d: counters %d/%d/%d, want %d/%d/%d", i,
+					c.Accesses, c.L1Misses, c.L2Misses, ref.accesses, ref.l1Misses, ref.l2Misses)
+			}
+			if a := lo + min(off, span-1); c.Contains(a) != ref.contains(a) {
+				t.Fatalf("call at byte %d: Contains(%#x) = %v", i, a, c.Contains(a))
+			}
+		}
+	})
 }

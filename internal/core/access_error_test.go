@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -70,4 +71,23 @@ func TestOutOfRangeAccessError(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMemLimitBeyondCacheReach checks that a machine whose address space
+// the cache's packed tags cannot tell apart is refused up front, naming
+// the reach, and that one exactly at the reach builds.
+func TestMemLimitBeyondCacheReach(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Procs = 1
+	reach := cfg.Cache.Reach()
+	cfg.MemLimit = reach
+	NewMachine(cfg, ideal.New()).Release()
+	cfg.MemLimit = reach + 1
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if want := fmt.Sprintf("MemLimit %d exceeds the cache's reach of %d bytes", reach+1, reach); !strings.Contains(msg, want) {
+			t.Fatalf("NewMachine panicked with %q, want %q", msg, want)
+		}
+	}()
+	NewMachine(cfg, ideal.New())
 }

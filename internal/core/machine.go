@@ -28,7 +28,8 @@ import (
 type Config struct {
 	// Procs is the number of uniprocessor nodes (the paper studies 16).
 	Procs int
-	// MemLimit bounds the shared address space in bytes.
+	// MemLimit bounds the shared address space in bytes.  With the cache
+	// enabled it may not exceed Cache.Reach().
 	MemLimit int64
 	// Comm is the communication parameter set (Table 2).
 	Comm comm.Params
@@ -157,6 +158,11 @@ func NewMachine(cfg Config, p proto.Protocol) *Machine {
 	}
 	if cfg.PollQuantum <= 0 {
 		cfg.PollQuantum = 1000
+	}
+	if cfg.CacheEnabled {
+		if r := cfg.Cache.Reach(); cfg.MemLimit > r {
+			panic(fmt.Sprintf("core: MemLimit %d exceeds the cache's reach of %d bytes", cfg.MemLimit, r))
+		}
 	}
 	eng := sim.NewEngine()
 	m := &Machine{

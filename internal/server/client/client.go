@@ -225,8 +225,12 @@ func (c *Client) Run(ctx context.Context, req api.RunRequest) (*api.RunStatus, e
 // Points resolves exactly the given specs on the daemon, at most
 // parallel in flight (0 means 4), and returns their points in spec
 // order — the points harness.Session.Points returns for the same specs
-// — with each point's terminal status.  A job that ends failed or
-// cancelled is a point carrying its error text; a request the daemon
+// — with the terminal status of each job it submitted.  A spec listed
+// more than once (Figure 5 repeats each parameter's x1 point, and apps
+// share a baseline) is submitted once, at its first position, and its
+// point goes to every position that lists it; the statuses are one per
+// distinct spec, in order of first appearance.  A job that ends failed
+// or cancelled is a point carrying its error text; a request the daemon
 // refuses fails the call.  Points are submitted one by one, not as one
 // sweep, so a grid larger than the daemon's admission queue degrades to
 // backoff-and-retry instead of rejection.  Every spec is validated
@@ -240,32 +244,50 @@ func (c *Client) Points(ctx context.Context, specs []harness.RunSpec, parallel i
 	if parallel <= 0 {
 		parallel = 4
 	}
-	points := make([]harness.Point, len(specs))
-	jobs := make([]*api.RunStatus, len(specs))
-	errs := make([]error, len(specs))
+	// Each distinct spec runs once; specs[i] takes its point from the
+	// run of unique[job[i]].
+	var unique []harness.RunSpec
+	job := make([]int, len(specs))
+	seen := make(map[harness.RunSpec]int, len(specs))
+	for i, spec := range specs {
+		j, ok := seen[spec]
+		if !ok {
+			j = len(unique)
+			seen[spec] = j
+			unique = append(unique, spec)
+		}
+		job[i] = j
+	}
+	resolved := make([]harness.Point, len(unique))
+	jobs := make([]*api.RunStatus, len(unique))
+	errs := make([]error, len(unique))
 	sem := make(chan struct{}, parallel)
 	var wg sync.WaitGroup
-	for i, spec := range specs {
+	for j, spec := range unique {
 		sem <- struct{}{}
 		wg.Add(1)
-		go func(i int, spec harness.RunSpec) {
+		go func(j int, spec harness.RunSpec) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			st, err := c.Run(ctx, api.RunRequest{Spec: spec})
 			if err != nil {
-				errs[i] = fmt.Errorf("%s on %s, %d procs: %w", spec.App, spec.Protocol, spec.Procs, err)
+				errs[j] = fmt.Errorf("%s on %s, %d procs: %w", spec.App, spec.Protocol, spec.Procs, err)
 				return
 			}
-			if jobs[i] = st; st.State == api.StateDone && st.Row != nil {
-				points[i].Row = *st.Row
+			if jobs[j] = st; st.State == api.StateDone && st.Row != nil {
+				resolved[j].Row = *st.Row
 			} else {
-				points[i].Failure = cmp.Or(st.Error, "job "+st.ID+" "+st.State)
+				resolved[j].Failure = cmp.Or(st.Error, "job "+st.ID+" "+st.State)
 			}
-		}(i, spec)
+		}(j, spec)
 	}
 	wg.Wait()
 	if err := cmp.Or(errs...); err != nil {
 		return nil, nil, err
+	}
+	points := make([]harness.Point, len(specs))
+	for i, j := range job {
+		points[i] = resolved[j]
 	}
 	return points, jobs, nil
 }

@@ -677,6 +677,58 @@ func TestClientBackoffRetries(t *testing.T) {
 	}
 }
 
+// TestClientPointsSubmitsEachSpecOnce checks that client.Points submits
+// a spec a batch lists more than once exactly once: a Figure 5 grid
+// lists each parameter's x1 point once per parameter, yet the daemon
+// receives one job per distinct spec, Points returns one status per
+// job, and the figure still equals the session's.
+func TestClientPointsSubmitsEachSpecOnce(t *testing.T) {
+	s, _, _ := newTestServer(t, Config{Parallel: 2})
+	var mu sync.Mutex
+	posts := 0
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/runs" {
+			mu.Lock()
+			posts++
+			mu.Unlock()
+		}
+		s.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	c := client.New(ts.URL)
+	ctx := context.Background()
+	var specs []harness.RunSpec
+	statuses := 0
+	remote := func(ctx context.Context, batch []harness.RunSpec) ([]harness.Point, error) {
+		specs = append(specs, batch...)
+		points, st, err := c.Points(ctx, batch, 3)
+		statuses += len(st)
+		return points, err
+	}
+	got, err := harness.Figure5(ctx, remote, "fft", apps.Tiny, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := harness.Figure5(ctx, harness.NewSession(2).Points, "fft", apps.Tiny, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := harness.FormatFigure5(got), harness.FormatFigure5(want); g != w {
+		t.Fatalf("daemon Figure 5 differs from the session's:\n--- daemon\n%s\n--- session\n%s", g, w)
+	}
+	distinct := map[harness.RunSpec]bool{}
+	for _, spec := range specs {
+		distinct[spec] = true
+	}
+	if len(distinct) == len(specs) {
+		t.Fatalf("the Figure 5 grid of %d specs repeats none; the test covers no repeat", len(specs))
+	}
+	if posts != len(distinct) || statuses != len(distinct) {
+		t.Fatalf("%d specs (%d distinct) made %d submissions and %d statuses, want %d of each",
+			len(specs), len(distinct), posts, statuses, len(distinct))
+	}
+}
+
 // TestClientRowsMatchSession pins the one point source behind both
 // CLIs: every experiment's projection — Figures 3-5, Tables 4 and 5,
 // the degradation, heterogeneity and litmus sweeps, all of fft at
